@@ -194,12 +194,6 @@ def loss_value(net: Net, ds: LabeledDataset, loss: LossFamily,
 # Gradients
 # ---------------------------------------------------------------------------
 
-def _sample_weights(net: Net, ds: LabeledDataset, loss: LossFamily, idx: np.ndarray,
-                    S: np.ndarray) -> np.ndarray:
-    """Per-sample chain-rule weight w_i such that grad = (1/|idx|) sum_i w_i * (gradient of the scalar that multiplies)."""
-    raise NotImplementedError
-
-
 def grad_loss_struct(net: Net, ds: LabeledDataset, loss: LossFamily,
                      subset: Optional[np.ndarray] = None,
                      trained_layers: str = "all"):

@@ -12,6 +12,13 @@ is active on the sample:
 Multi-output networks use y_i^T a_k in place of y_i a_k; under the
 all-positive output-weight initialization only TL/TD occur, and the checker
 verifies that positivity before relying on it.
+
+The dynamics checks walk the kept states once, forming X B^T (+ c) once per
+state.  The sign rule (S5) is checked exactly at the segment endpoints: the
+preactivations are affine in the parameters, so a sign is constant and
+nonzero along theta(t) -> theta(t+1) iff it is so at both endpoints.  A
+failure names the entry that leaves its step-1 sign first, at lambda* =
+h0 / (h0 - h1) on the segment (0 or 1 for an exact zero at an endpoint).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import hashlib
 import io
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,11 +82,17 @@ class DynamicsViolation:
     sample: int                # -1 when not sample-specific
     neuron: int                # -1 when not neuron-specific
     detail: str
+    lam: Optional[float] = None  # S5 only: where the sign leaves its reference, in [0, 1]
 
 
-def compute_partition(net: Net, ds: LabeledDataset) -> PartitionSnapshot:
-    """Classify every (sample, neuron) pair; strict > 0 for living, <= 0 for dead."""
-    X = ds.inputs
+def _preactivation(net: Net, X: np.ndarray) -> np.ndarray:
+    H = X @ net.B.T
+    return H + net.c[None, :] if isinstance(net, MultiNet) else H
+
+
+def _table(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """Validate the net against the labels and classify every (sample, neuron)
+    pair from its preactivation H; strict > 0 for living, <= 0 for dead."""
     if isinstance(net, BinaryNet):
         if ds.label_kind != "binary":
             raise TypeError("binary network requires binary labels")
@@ -87,7 +100,6 @@ def compute_partition(net: Net, ds: LabeledDataset) -> PartitionSnapshot:
             k = int(np.where(net.a == 0.0)[0][0])
             raise ValueError(f"partition undefined: output weight a_{k} is exactly 0")
         agree = np.outer(ds.labels, net.a) > 0.0        # (n, m)
-        living = (X @ net.B.T) > 0.0
         four_way = True
     else:
         if ds.label_kind != "onehot":
@@ -97,15 +109,16 @@ def compute_partition(net: Net, ds: LabeledDataset) -> PartitionSnapshot:
             i, k = np.argwhere(ya == 0.0)[0]
             raise ValueError(f"partition undefined: y_{i}^T a_{k} is exactly 0")
         agree = ya > 0.0
-        living = (X @ net.B.T + net.c[None, :]) > 0.0
         four_way = bool(np.any(~agree))
+    living = H > 0.0
     table = np.where(agree, np.where(living, TL, TD), np.where(living, FL, FD))
-    return PartitionSnapshot(step=0, table=table.astype(np.uint8), four_way=four_way)
+    return table.astype(np.uint8), four_way
 
 
-def _snapshot_at(net: Net, ds: LabeledDataset, step: int) -> PartitionSnapshot:
-    snap = compute_partition(net, ds)
-    return PartitionSnapshot(step=step, table=snap.table, four_way=snap.four_way)
+def compute_partition(net: Net, ds: LabeledDataset) -> PartitionSnapshot:
+    """Classify every (sample, neuron) pair; strict > 0 for living, <= 0 for dead."""
+    table, four_way = _table(net, ds, _preactivation(net, ds.inputs))
+    return PartitionSnapshot(step=0, table=table, four_way=four_way)
 
 
 @dataclass(frozen=True)
@@ -161,37 +174,40 @@ def initial_partition_stats(net0: BinaryNet, ds: LabeledDataset, delta: float) -
 # Dynamics checks
 # ---------------------------------------------------------------------------
 
-_SEGMENT_POINTS = 21   # evenly spaced interpolation points, endpoints included
-
-
-def _segment_sign_violations(nets: Sequence[Net], ds: LabeledDataset, rule: str,
-                             start_t: int = 1) -> List[DynamicsViolation]:
-    """Check that preactivation signs are constant and nonzero along every
-    parameter segment from step t to t+1 (t >= start_t), sampled at 21 points."""
-    out: List[DynamicsViolation] = []
-    X = ds.inputs
-    lambdas = np.linspace(0.0, 1.0, _SEGMENT_POINTS)
-    ref = None
-    for t in range(start_t, len(nets) - 1):
-        n0, n1 = nets[t], nets[t + 1]
-        H0 = X @ n0.B.T
-        H1 = X @ n1.B.T
-        if isinstance(n0, MultiNet):
-            H0 = H0 + n0.c[None, :]
-            H1 = H1 + n1.c[None, :]
+def _walk(nets: Sequence[Net], ds: LabeledDataset, rule: str,
+          signs: List[DynamicsViolation]) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (t, H_t, table_t) for every kept state, forming H_t once and
+    validating the state.  Alongside, append to ``signs`` the exact sign
+    violation of the first failing segment t -> t+1 (t >= 1) against sign(H_1).
+    """
+    ref = H0 = bad0 = None
+    for t, net in enumerate(nets):
+        H = _preactivation(net, ds.inputs)
+        yield t, H, _table(net, ds, H)[0]
+        if t == 0 or signs:
+            continue
         if ref is None:
-            # Reference sign pattern is the one at step 1 (first checked step).
-            ref = np.sign(H0)
-        for lam in lambdas:
-            Hl = (1.0 - lam) * H0 + lam * H1
-            bad = (np.sign(Hl) != ref) | (Hl == 0.0)
-            if np.any(bad):
-                i, k = np.argwhere(bad)[0]
-                out.append(DynamicsViolation(
-                    rule=rule, step=t, sample=int(i), neuron=int(k),
-                    detail=f"preactivation sign changed along segment t={t}->{t+1} at lambda={lam:.2f}"))
-                return out
-    return out
+            ref = np.sign(H)
+        bad = (np.sign(H) != ref) | (H == 0.0)
+        if H0 is not None and (bad0.any() or bad.any()):
+            i, k = np.nonzero(bad0 | bad)
+            lam = np.zeros(i.size)
+            on = ~bad0[i, k]                   # still on the reference sign at H_{t-1}
+            h0, h1 = H0[i, k][on], H[i, k][on]
+            lam[on] = h0 / (h0 - h1)
+            j = int(np.argmin(lam))
+            signs.append(DynamicsViolation(
+                rule, t - 1, int(i[j]), int(k[j]),
+                f"preactivation sign changed along segment t={t - 1}->{t} at lambda*={lam[j]:.6g}",
+                lam=float(lam[j])))
+        H0, bad0 = H, bad
+
+
+def _record(out: List[DynamicsViolation], rule: str, t: int, mask: np.ndarray, detail: str) -> None:
+    if np.any(mask):
+        where = np.argwhere(mask)[0]
+        i, k = (int(where[0]), int(where[1])) if mask.ndim == 2 else (-1, int(where[0]))
+        out.append(DynamicsViolation(rule=rule, step=t, sample=i, neuron=k, detail=detail))
 
 
 def check_dynamics_early(nets: Sequence[Net], ds: LabeledDataset,
@@ -204,38 +220,30 @@ def check_dynamics_early(nets: Sequence[Net], ds: LabeledDataset,
     segment (S5).  Multi-output: TL persists, TD flips to TL at the first
     step, and segment signs stay constant and positive from step 1 on.
     """
-    if len(nets) < 2:
-        return [DynamicsViolation("horizon", 0, -1, -1, "insufficient horizon: need at least steps 0 and 1")]
     if horizon is not None:
         nets = nets[:horizon + 1]
-    snaps = [_snapshot_at(net, ds, t) for t, net in enumerate(nets)]
-    out: List[DynamicsViolation] = []
+    if len(nets) < 2:
+        return [DynamicsViolation("horizon", 0, -1, -1, "insufficient horizon: need at least steps 0 and 1")]
     is_binary = isinstance(nets[0], BinaryNet)
-
-    def record(rule, t, mask, detail):
-        if np.any(mask):
-            i, k = np.argwhere(mask)[0]
-            out.append(DynamicsViolation(rule=rule, step=t, sample=int(i),
-                                         neuron=int(k), detail=detail))
-
-    for t in range(len(snaps) - 1):
-        cur, nxt = snaps[t].table, snaps[t + 1].table
-        record("S1", t, (cur == TL) & (nxt != TL), "true-living cell left TL at the next step")
-        if is_binary:
-            record("S2", t, (cur == FD) & (nxt != FD), "false-dead cell left FD at the next step")
-    cur, nxt = snaps[0].table, snaps[1].table
-    record("S3", 0, (cur == TD) & (nxt != TL), "true-dead cell did not turn true-living at the first step")
-    if is_binary:
-        record("S4", 0, (cur == FL) & (nxt != FD), "false-living cell did not turn false-dead at the first step")
-    out.extend(_segment_sign_violations(nets, ds, rule="S5", start_t=1))
-    if not is_binary:
-        # Multi variant: after the first step every preactivation must be positive.
-        X = ds.inputs
-        for t in range(1, len(nets)):
-            H = X @ nets[t].B.T + nets[t].c[None, :]
-            record("S5", t, H <= 0.0, "nonpositive preactivation after the first step")
-            break  # later steps are covered by the segment check
-    return out
+    persist, first, signs, positive = [], [], [], []
+    prev = None
+    for t, H, tbl in _walk(nets, ds, "S5", signs):
+        if t >= 1:
+            _record(persist, "S1", t - 1, (prev == TL) & (tbl != TL), "true-living cell left TL at the next step")
+            if is_binary:
+                _record(persist, "S2", t - 1, (prev == FD) & (tbl != FD), "false-dead cell left FD at the next step")
+        if t == 1:
+            _record(first, "S3", 0, (prev == TD) & (tbl != TL),
+                    "true-dead cell did not turn true-living at the first step")
+            if is_binary:
+                _record(first, "S4", 0, (prev == FL) & (tbl != FD),
+                        "false-living cell did not turn false-dead at the first step")
+            else:
+                # After the first step every preactivation must be positive;
+                # later steps are covered by the segment check.
+                _record(positive, "S5", 1, H <= 0.0, "nonpositive preactivation after the first step")
+        prev = tbl
+    return persist + first + signs + positive
 
 
 def check_dynamics_global(nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsViolation]:
@@ -247,27 +255,18 @@ def check_dynamics_global(nets: Sequence[Net], ds: LabeledDataset) -> List[Dynam
     """
     if len(nets) < 2:
         return [DynamicsViolation("horizon", 0, -1, -1, "insufficient horizon")]
-    snaps = [_snapshot_at(net, ds, t) for t, net in enumerate(nets)]
-    out: List[DynamicsViolation] = []
-
-    def record(rule, t, mask, detail):
-        if np.any(mask):
-            where = np.argwhere(mask)[0]
-            i, k = (int(where[0]), int(where[1])) if mask.ndim == 2 else (-1, int(where[0]))
-            out.append(DynamicsViolation(rule=rule, step=t, sample=i, neuron=k, detail=detail))
-
-    for t in range(1, len(nets) - 1):
-        a_now = np.abs(nets[t].a)
-        a_next = np.abs(nets[t + 1].a)
-        record("StageII-S1", t, (a_next < a_now), "output-weight magnitude decreased")
-        cur, nxt = snaps[t].table, snaps[t + 1].table
-        record("StageII-S2", t, (cur == TL) & (nxt != TL), "true-living cell left TL")
-        record("StageII-S3", t, (cur == FD) & (nxt != FD), "false-dead cell left FD")
-    for t in range(1, len(nets)):
-        tbl = snaps[t].table
-        record("StageII-S4", t, (tbl != TL) & (tbl != FD), "cell outside TL/FD at step >= 1")
-    out.extend(_segment_sign_violations(nets, ds, rule="StageII-S5", start_t=1))
-    return out
+    persist, cells, signs = [], [], []
+    prev = None
+    for t, H, tbl in _walk(nets, ds, "StageII-S5", signs):
+        if t >= 2:
+            _record(persist, "StageII-S1", t - 1, np.abs(nets[t].a) < np.abs(nets[t - 1].a),
+                    "output-weight magnitude decreased")
+            _record(persist, "StageII-S2", t - 1, (prev == TL) & (tbl != TL), "true-living cell left TL")
+            _record(persist, "StageII-S3", t - 1, (prev == FD) & (tbl != FD), "false-dead cell left FD")
+        if t >= 1:
+            _record(cells, "StageII-S4", t, (tbl != TL) & (tbl != FD), "cell outside TL/FD at step >= 1")
+        prev = tbl
+    return persist + cells + signs
 
 
 def check_correct_classification(record: RunRecord):

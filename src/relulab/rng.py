@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "make_generator",
-    "uniform",
     "normal",
     "rademacher",
     "unit_sphere",
@@ -24,11 +23,6 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Return a counter-based generator keyed by (seed, stream)."""
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def uniform(gen: np.random.Generator, size) -> np.ndarray:
-    """Uniform draws in [0, 1) from the counter-based stream."""
-    return gen.random(size)
 
 
 def normal(gen: np.random.Generator, size) -> np.ndarray:

@@ -51,8 +51,6 @@ __all__ = [
     "TrainConfig",
     "StepRecord",
     "RunRecord",
-    "gd_step",
-    "sgd_step",
     "run",
     "hitting_time_T",
     "tstar",
@@ -201,34 +199,6 @@ def _a_sign_ok(net: Net, net0: Net) -> bool:
     if isinstance(net, BinaryNet):
         return bool(np.all(net.a * net0.a > 0.0))
     return bool(np.all(net.A * net0.A > 0.0))
-
-
-def gd_step(net: Net, ds: LabeledDataset, loss: LossFamily, eta: float,
-            trained_layers: str = "all") -> Net:
-    """One full-batch descent step; pure (returns new parameters)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    parts = grad_loss_struct(net, ds, loss, trained_layers=trained_layers)
-    for p in parts:
-        if not np.all(np.isfinite(p)):
-            raise FloatingPointError("non-finite gradient encountered")
-    return apply_gradient(net, parts, eta)
-
-
-def sgd_step(net: Net, ds: LabeledDataset, loss: LossFamily, eta: float,
-             gen: np.random.Generator, B: int, with_replacement: bool = True,
-             trained_layers: str = "all") -> Net:
-    """One mini-batch step; the batch is drawn independently of the parameters."""
-    if with_replacement:
-        idx = (gen.random(B) * ds.n).astype(np.int64)
-        idx = np.minimum(idx, ds.n - 1)
-    else:
-        idx = gen.permutation(ds.n)[:B]
-    parts = grad_loss_struct(net, ds, loss, subset=idx, trained_layers=trained_layers)
-    for p in parts:
-        if not np.all(np.isfinite(p)):
-            raise FloatingPointError("non-finite gradient encountered")
-    return apply_gradient(net, parts, eta)
 
 
 def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,

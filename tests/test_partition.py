@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relulab.datasets import gen_orthant_separable
+from relulab.datasets import LabeledDataset, gen_orthant_separable
 from relulab.losses import loss_family
-from relulab.models import InitSpec, init_binary, init_multi
+from relulab.models import BinaryNet, InitSpec, MultiNet, init_binary, init_multi
 from relulab.partition import (
     FD,
     FL,
@@ -72,12 +72,31 @@ def test_early_dynamics_clean_on_compliant_run():
     assert check_dynamics_early(rec.nets, ds) == []
 
 
-def test_early_dynamics_negative_control_reports_violations():
+def _overshooting_run():
+    """A non-compliant trajectory: quadratic loss at eta = 10."""
     ds = gen_orthant_separable(n=16, d=25, seed=3)
     net0 = init_binary(2048, 25, InitSpec(kappa=5e-6, seed=3))
     rec = run(net0, ds, loss_family("quadratic"), Constant(eta=10.0),
               TrainConfig(steps=6, batching=Full(), keep_params=True))
-    assert len(check_dynamics_early(rec.nets, ds)) >= 1
+    return ds, rec
+
+
+def _rule_steps(violations):
+    return [(v.rule, v.step) for v in violations]
+
+
+def test_early_dynamics_negative_control_reports_violations():
+    ds, rec = _overshooting_run()
+    assert _rule_steps(check_dynamics_early(rec.nets, ds)) == [
+        ("S1", 1), ("S2", 1), ("S2", 2), ("S5", 1)]
+
+
+def test_global_dynamics_negative_control_reports_violations():
+    ds, rec = _overshooting_run()
+    assert _rule_steps(check_dynamics_global(rec.nets, ds)) == [
+        ("StageII-S2", 1), ("StageII-S3", 1), ("StageII-S1", 2), ("StageII-S3", 2),
+        ("StageII-S4", 2), ("StageII-S4", 3), ("StageII-S4", 4), ("StageII-S4", 5),
+        ("StageII-S4", 6), ("StageII-S5", 1)]
 
 
 def test_early_dynamics_insufficient_horizon():
@@ -119,3 +138,120 @@ def test_partition_rejects_exactly_zero_output_weight(small_binary_ds):
     broken = type(net)(a=np.where(np.arange(4) == 0, 0.0, net.a), B=net.B)
     with pytest.raises(ValueError):
         compute_partition(broken, small_binary_ds)
+
+
+def test_dynamics_checks_reject_zero_output_weight_after_step_0(small_binary_ds, small_onehot_ds):
+    net = init_binary(4, small_binary_ds.d, InitSpec(kappa=0.1, seed=0))
+    broken = BinaryNet(a=np.where(np.arange(4) == 0, 0.0, net.a), B=net.B)
+    for check in (check_dynamics_early, check_dynamics_global):
+        with pytest.raises(ValueError):
+            check([net, net, broken], small_binary_ds)
+    multi = init_multi(4, small_onehot_ds.d, small_onehot_ds.num_classes, InitSpec(kappa=0.1, seed=0))
+    A = multi.A.copy()
+    A[2] = 0.0                                   # y_i^T a_2 = 0 for every sample
+    with pytest.raises(ValueError):
+        check_dynamics_early([multi, MultiNet(A=A, B=multi.B, c=multi.c)], small_onehot_ds)
+
+
+# ---------------------------------------------------------------------------
+# Exact S5 against a dense-sampling oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_sign_rule(nets, ds, rule, points=201):
+    """(rule, t) for the first segment t -> t+1 (t >= 1) on which a preactivation,
+    sampled at `points` evenly spaced points with the endpoints included, leaves
+    its sign at step 1 or is exactly 0; [] when there is none."""
+    def pre(net):
+        H = ds.inputs @ net.B.T
+        return H + net.c[None, :] if isinstance(net, MultiNet) else H
+
+    ref = np.sign(pre(nets[1])) if len(nets) > 1 else None
+    for t in range(1, len(nets) - 1):
+        H0, H1 = pre(nets[t]), pre(nets[t + 1])
+        for lam in np.linspace(0.0, 1.0, points):
+            H = (1.0 - lam) * H0 + lam * H1
+            if np.any((np.sign(H) != ref) | (H == 0.0)):
+                return [(rule, t)]
+    return []
+
+
+def _segment_reports(violations):
+    return [v for v in violations if v.lam is not None]
+
+
+def _random_trajectory(seed, d, multi, steps=6):
+    """Random parameter walk: a positive rescaling per step (sign-preserving)
+    plus Gaussian noise whose scale is drawn per trajectory, 0 included."""
+    gen = np.random.default_rng(seed)
+    noise = [0.0, 1e-3, 1e-2, 1e-1, 1.0][seed % 5]
+    m = 12
+    B = gen.standard_normal((m, d))
+    if multi:
+        A, c = gen.standard_normal((m, 3)), gen.standard_normal(m)
+    else:
+        a = gen.choice([-1.0, 1.0], m) * gen.uniform(0.5, 1.5, m)
+    nets = []
+    for _ in range(steps + 1):
+        nets.append(MultiNet(A=A, B=B, c=c) if multi else BinaryNet(a=a, B=B))
+        scale = gen.uniform(0.5, 2.0)
+        B = scale * B + noise * gen.standard_normal(B.shape)
+        if multi:
+            c = scale * c + noise * gen.standard_normal(m)
+        else:
+            a = a * gen.uniform(1.0, 1.2, m)
+    return nets
+
+
+def test_exact_sign_rule_matches_dense_oracle(small_binary_ds, small_onehot_ds):
+    outcomes = set()
+    for seed in range(60):
+        multi = seed % 2 == 1
+        ds = small_onehot_ds if multi else small_binary_ds
+        nets = _random_trajectory(seed, ds.d, multi)
+        expected = _oracle_sign_rule(nets, ds, "S5")
+        got = _segment_reports(check_dynamics_early(nets, ds))
+        assert _rule_steps(got) == expected, seed
+        for v in got:
+            assert 0.0 <= v.lam <= 1.0, (seed, v)
+        if not multi:
+            expected_global = _oracle_sign_rule(nets, ds, "StageII-S5")
+            assert _rule_steps(_segment_reports(check_dynamics_global(nets, ds))) == expected_global, seed
+        outcomes.add((multi, bool(expected)))
+    # Both network kinds produced trajectories with and without a crossing.
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _planted_trajectory(values):
+    """Binary trajectory on the standard basis, so H_t[i, k] = B_t[k, i]."""
+    ds = LabeledDataset(inputs=np.eye(4), labels=np.array([1.0, 1.0, -1.0, -1.0]),
+                        label_kind="binary", source="test-planted-crossing")
+    a = np.array([1.0, -1.0, 1.0])
+    base = np.array([[0.5, -1.0, 1.5, -0.5],
+                     [1.0, 0.5, -1.5, 2.0],
+                     [-0.5, 1.0, 1.0, -2.0]])
+    nets = []
+    for t in range(5):
+        B = base.copy()
+        for (i, k), v in values.items():
+            if t >= 3:
+                B[k, i] = v
+        nets.append(BinaryNet(a=a, B=B))
+    return ds, nets
+
+
+def test_exact_sign_rule_reports_the_planted_crossing():
+    # Entry (3, 1) crosses at lambda* = 2 / (2 + 6) = 0.25 on segment 2 -> 3;
+    # (0, 2), earlier in row-major order, crosses later, at 0.75.
+    ds, nets = _planted_trajectory({(3, 1): -6.0, (0, 2): 1.0 / 6.0})
+    for check, rule in ((check_dynamics_early, "S5"), (check_dynamics_global, "StageII-S5")):
+        (v,) = _segment_reports(check(nets, ds))
+        assert (v.rule, v.step, v.sample, v.neuron) == (rule, 2, 3, 1)
+        assert 0.0 < v.lam <= 1.0
+        assert v.lam == pytest.approx(0.25)
+        assert "lambda*=0.25" in v.detail
+
+
+def test_exact_sign_rule_reports_zero_endpoint_at_lambda_one():
+    ds, nets = _planted_trajectory({(1, 0): 0.0})
+    (v,) = _segment_reports(check_dynamics_early(nets, ds))
+    assert (v.step, v.sample, v.neuron, v.lam) == (2, 1, 0, 1.0)
