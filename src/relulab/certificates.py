@@ -27,7 +27,7 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .losses import LossFamily
-from .models import BinaryNet, MultiNet, Net, hessian_spectral_norm, param_norm
+from .models import BinaryNet, MultiNet, Net, _activations, hessian_spectral_norm, param_norm
 
 __all__ = [
     "TheoryConstants",
@@ -126,28 +126,19 @@ def gram_matrix(net: Net, ds: LabeledDataset) -> np.ndarray:
     For the multi-output network, the (Cn) x (Cn) block matrix with blocks
     indexed by output channel is returned, laid out as (i*C + alpha).
     """
-    X = ds.inputs
+    X, _, S, D, _, _ = _activations(net, ds)
     if isinstance(net, BinaryNet):
-        H = X @ net.B.T
-        S = np.maximum(H, 0.0)
-        M = (H > 0.0).astype(np.float64) * net.a[None, :]
+        M = D * net.a[None, :]
         return S @ S.T + (M @ M.T) * (X @ X.T)
-    H = X @ net.B.T + net.c[None, :]
-    S = np.maximum(H, 0.0)
-    D = (H > 0.0).astype(np.float64)
-    n, m, C = ds.n, net.m, net.C
     # Entry ((i,alpha),(j,beta)) = delta_{alpha beta} sum_k S_ik S_jk
-    #   + (x_i^T x_j + 1) sum_k a_{k alpha} a_{k beta} D_ik D_jk.
-    G = np.zeros((n * C, n * C))
-    SS = S @ S.T
-    XX1 = X @ X.T + 1.0
-    for i in range(n):
-        Di = D[i]
-        for j in range(i, n):
-            block = (net.A.T * (Di * D[j])[None, :]) @ net.A * XX1[i, j]
-            block = block + np.eye(C) * SS[i, j]
-            G[i * C:(i + 1) * C, j * C:(j + 1) * C] = block
-            G[j * C:(j + 1) * C, i * C:(i + 1) * C] = block.T
+    #   + (x_i^T x_j + 1) sum_k a_{k alpha} a_{k beta} D_ik D_jk, that is
+    # kron(S S^T, I_C) + kron(X X^T + 1, 1_{CxC}) * F F^T with
+    # F[(i,alpha), k] = D_ik a_{k alpha}.
+    n, C = ds.n, net.C
+    F = (D[:, None, :] * net.A.T[None, :, :]).reshape(n * C, net.m)
+    G = F @ F.T
+    G *= np.kron(X @ X.T + 1.0, np.ones((C, C)))
+    G += np.kron(S @ S.T, np.eye(C))
     return G
 
 
@@ -158,10 +149,7 @@ def multi_gram_min_entry(net: MultiNet, ds: LabeledDataset) -> float:
     matrix products; the exact C x C block is evaluated only for pairs whose
     bound does not already clear the running minimum.  The result is exact.
     """
-    X = ds.inputs
-    H = X @ net.B.T + net.c[None, :]
-    S = np.maximum(H, 0.0)
-    D = (H > 0.0).astype(np.float64)
+    X, _, S, D, _, _ = _activations(net, ds)
     XX1 = X @ X.T + 1.0
     amin = net.A.min(axis=1)
     if np.any(amin < 0.0) or np.any(XX1 < 0.0):

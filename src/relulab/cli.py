@@ -39,7 +39,7 @@ from .datasets import (
     validate_concentrated,
     validate_separable,
 )
-from .losses import loss_family
+from .losses import LOSS_KEYS, loss_family
 from .models import BinaryNet, InitSpec, init_binary, init_multi
 from .training import (
     Constant,
@@ -159,7 +159,10 @@ def run_experiment(config: dict, keep_params: bool = True):
         raise ConfigError("use run_prm_experiment for prm configs")
     ds = build_dataset(_require(config, "dataset", "config"), default_seed=config.get("seed", 0))
     delta = float(config.get("delta", 0.01))
-    loss = loss_family(config.get("loss", "quadratic" if kind != "early-multiclass" else "logistic"))
+    loss_key = config.get("loss", "quadratic" if kind != "early-multiclass" else "logistic")
+    if loss_key not in LOSS_KEYS:
+        raise ConfigError(f"config: unknown loss {loss_key!r}; known: {', '.join(LOSS_KEYS)}")
+    loss = loss_family(loss_key)
     if kind == "certify-only" and "schedule" not in config:
         schedule = Constant(eta=0.01)   # certify-only takes no training steps
     else:
@@ -246,6 +249,8 @@ def evaluate_certificates(record, ctx) -> list:
         if record.nets:
             horizon = min(ts, len(record.nets) - 1)
             worst_block, worst_lower = None, None
+            grad_sq = {r.t: r.grad_norm ** 2 for r in record.records}
+            grad_lower = []   # (slack, t, bound, measured) for every recorded t
             for t in range(1, horizon + 1):
                 G = certs.gram_matrix(record.nets[t], ds)
                 rb = certs.check_block_structure(G, ds)
@@ -254,12 +259,19 @@ def evaluate_certificates(record, ctx) -> list:
                     worst_block = rb
                 if worst_lower is None or rl.slack < worst_lower.slack:
                     worst_lower = rl
-                gl = certs.gradient_lower_bound_early(t, consts)
-                rec_t = next((r for r in record.records if r.t == t), None)
-                if rec_t is not None and gl > 0 and rec_t.grad_norm ** 2 < gl:
-                    out.append(certs.CertificateReport(
-                        "early-gradient-lower", gl, rec_t.grad_norm ** 2,
-                        False, rec_t.grad_norm ** 2 - gl, context={"t": t}).as_dict())
+                if t in grad_sq:
+                    gl = certs.gradient_lower_bound_early(t, consts)
+                    grad_lower.append((grad_sq[t] - gl, t, gl, grad_sq[t]))
+            if grad_lower:
+                # A bound <= 0 holds trivially; with no positive bound at
+                # any step the certificate says nothing.
+                live = [g for g in grad_lower if g[2] > 0.0]
+                slack, t, gl, measured = min(live or grad_lower)
+                out.append(certs.CertificateReport(
+                    "early-gradient-lower", gl, measured, bool(live) and slack >= 0.0,
+                    slack, inconclusive=not live,
+                    context={"t": t,
+                             "failing_steps": [g[1] for g in live if g[0] < 0.0]}).as_dict())
             if worst_block:
                 out.append(worst_block.as_dict())
             if worst_lower:

@@ -6,6 +6,15 @@ Two architectures are supported:
 * ``MultiNet``   — C outputs with per-neuron bias: f(x) = sum_k a_k sigma(b_k^T x + c_k),
   with a_k a C-vector.
 
+The activation pattern of every neuron on every sample is the object the
+gradient bounds rest on.  ``preactivation`` is the one place that forms
+H = X B^T (+ c); one activation pass over a sample subset derives from it
+S = sigma(H), D = [H > 0], the outputs f and the margins z.  The loss,
+margins, gradient, ``evaluate`` (all of them at once, as a training step
+needs), the Hessian-vector product and the certificates' Gram matrices all
+read that pass.  The dense Hessian is the Hessian-vector product applied to
+the unit vectors.
+
 The derivative convention at the ReLU kink is sigma'(0) = 0: every activity
 indicator is the strict comparison ``preactivation > 0``.  All arithmetic is
 64-bit.  Flat parameter order is [a, B.ravel()] for BinaryNet and
@@ -32,8 +41,9 @@ __all__ = [
     "InitSpec",
     "init_binary",
     "init_multi",
+    "preactivation",
+    "evaluate",
     "forward",
-    "margins",
     "loss_value",
     "per_sample_margins",
     "grad_loss",
@@ -134,15 +144,81 @@ def init_multi(m: int, d: int, C: int, spec: InitSpec) -> MultiNet:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# The activation pass
 # ---------------------------------------------------------------------------
 
-def _preact(net: Net, X: np.ndarray) -> np.ndarray:
-    """Pre-activations, shape (n, m)."""
+def preactivation(net: Net, X: np.ndarray) -> np.ndarray:
+    """Pre-activations H = X B^T (+ c), shape (n, m)."""
     H = X @ net.B.T
     if isinstance(net, MultiNet):
         H = H + net.c[None, :]
     return H
+
+
+def _activations(net: Net, ds: LabeledDataset, subset: Optional[np.ndarray] = None):
+    """One pass over the (multi)set of sample indices (full data by default).
+
+    Returns (X, Y, S, D, f, z): inputs, labels, S = relu(H), D = [H > 0],
+    outputs f and margins z for H = preactivation(net, X).
+    """
+    kind = "binary" if isinstance(net, BinaryNet) else "onehot"
+    if ds.label_kind != kind:
+        raise TypeError(f"{type(net).__name__} requires {kind} labels")
+    if subset is None:
+        X, Y = ds.inputs, ds.labels
+    else:
+        idx = np.asarray(subset)
+        X, Y = ds.inputs[idx], ds.labels[idx]
+    H = preactivation(net, X)
+    S = np.maximum(H, 0.0)
+    D = (H > 0.0).astype(np.float64)
+    if isinstance(net, BinaryNet):
+        f = S @ net.a
+        return X, Y, S, D, f, Y * f
+    f = S @ net.A
+    return X, Y, S, D, f, np.sum(Y * f, axis=1)
+
+
+def _risk(net: Net, loss: LossFamily, Y, f, z) -> float:
+    if loss.is_quadratic:
+        if not isinstance(net, BinaryNet):
+            raise TypeError("quadratic loss is implemented for the binary network")
+        r = f - Y
+        return float(np.mean(0.5 * r * r))
+    return float(np.mean(loss.value(z)))
+
+
+def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, f, z):
+    nsub = X.shape[0]
+    if nsub == 0:
+        raise ValueError("empty sample subset")
+    if isinstance(net, BinaryNet):
+        w = (f - Y) / nsub if loss.is_quadratic else loss.deriv(z) * Y / nsub
+        ga = S.T @ w
+        gB = ((D * w[:, None]).T @ X) * net.a[:, None]
+        if trained_layers == "input_only":
+            ga = np.zeros_like(ga)
+        elif trained_layers != "all":
+            raise ValueError(f"unknown trained_layers {trained_layers!r}")
+        return ga, gB
+
+    if loss.is_quadratic:
+        raise TypeError("quadratic loss is implemented for the binary network")
+    if trained_layers != "all":
+        raise ValueError("input-only training is defined for the binary network")
+    w = loss.deriv(z) / nsub
+    gA = S.T @ (w[:, None] * Y)
+    T = D * (Y @ net.A.T) * w[:, None]   # y_i^T a_k on active pairs, weighted
+    return gA, T.T @ X, T.sum(axis=0)
+
+
+def evaluate(net: Net, ds: LabeledDataset, loss: LossFamily,
+             subset: Optional[np.ndarray] = None, trained_layers: str = "all"):
+    """(L, z, f, grad parts) from one activation pass; see ``loss_value``,
+    ``per_sample_margins``, ``forward`` and ``grad_loss_struct``."""
+    X, Y, S, D, f, z = _activations(net, ds, subset)
+    return (_risk(net, loss, Y, f, z), z, f,
+            _grad_parts(net, loss, trained_layers, X, Y, S, D, f, z))
 
 
 def forward(net: Net, x: np.ndarray) -> np.ndarray:
@@ -152,42 +228,21 @@ def forward(net: Net, x: np.ndarray) -> np.ndarray:
     X = x[None, :] if single else x
     if X.shape[1] != net.d:
         raise ValueError(f"input dimension {X.shape[1]} != network dimension {net.d}")
-    S = np.maximum(_preact(net, X), 0.0)
+    S = np.maximum(preactivation(net, X), 0.0)
     out = S @ (net.a if isinstance(net, BinaryNet) else net.A)
     return out[0] if single else out
 
 
 def per_sample_margins(net: Net, ds: LabeledDataset, subset: Optional[np.ndarray] = None) -> np.ndarray:
     """z_i = y_i f(x_i) (binary) or y_i^T f(x_i) (one-hot)."""
-    idx = np.arange(ds.n) if subset is None else np.asarray(subset)
-    X = ds.inputs[idx]
-    f = forward(net, X)
-    if isinstance(net, BinaryNet):
-        if ds.label_kind != "binary":
-            raise TypeError("BinaryNet requires binary labels")
-        return ds.labels[idx] * f
-    if ds.label_kind != "onehot":
-        raise TypeError("MultiNet requires one-hot labels")
-    return np.sum(ds.labels[idx] * f, axis=1)
-
-
-def margins(net: Net, ds: LabeledDataset) -> np.ndarray:
-    """Per-sample label/prediction inner products over the full dataset."""
-    return per_sample_margins(net, ds)
+    return _activations(net, ds, subset)[5]
 
 
 def loss_value(net: Net, ds: LabeledDataset, loss: LossFamily,
                subset: Optional[np.ndarray] = None) -> float:
     """Empirical risk over the (multi)set of sample indices (full data by default)."""
-    idx = np.arange(ds.n) if subset is None else np.asarray(subset)
-    if loss.is_quadratic:
-        if not isinstance(net, BinaryNet):
-            raise TypeError("quadratic loss is implemented for the binary network")
-        f = forward(net, ds.inputs[idx])
-        r = f - ds.labels[idx]
-        return float(np.mean(0.5 * r * r))
-    z = per_sample_margins(net, ds, idx)
-    return float(np.mean(loss.value(z)))
+    _, Y, _, _, f, z = _activations(net, ds, subset)
+    return _risk(net, loss, Y, f, z)
 
 
 # ---------------------------------------------------------------------------
@@ -203,43 +258,7 @@ def grad_loss_struct(net: Net, ds: LabeledDataset, loss: LossFamily,
     ``trained_layers='input_only'`` the output-layer gradient is masked to
     zero (only meaningful for BinaryNet).
     """
-    idx = np.arange(ds.n) if subset is None else np.asarray(subset)
-    if idx.size == 0:
-        raise ValueError("empty sample subset")
-    X = ds.inputs[idx]
-    nsub = idx.size
-    H = _preact(net, X)
-    S = np.maximum(H, 0.0)
-    D = (H > 0.0).astype(np.float64)
-
-    if isinstance(net, BinaryNet):
-        f = S @ net.a
-        if loss.is_quadratic:
-            w = (f - ds.labels[idx]) / nsub
-        else:
-            z = ds.labels[idx] * f
-            w = loss.deriv(z) * ds.labels[idx] / nsub
-        ga = S.T @ w
-        gB = ((D * w[:, None]).T @ X) * net.a[:, None]
-        if trained_layers == "input_only":
-            ga = np.zeros_like(ga)
-        elif trained_layers != "all":
-            raise ValueError(f"unknown trained_layers {trained_layers!r}")
-        return ga, gB
-
-    if loss.is_quadratic:
-        raise TypeError("quadratic loss is implemented for the binary network")
-    if trained_layers != "all":
-        raise ValueError("input-only training is defined for the binary network")
-    Y = ds.labels[idx]
-    z = np.sum(Y * (S @ net.A), axis=1)
-    w = loss.deriv(z) / nsub
-    gA = S.T @ (w[:, None] * Y)
-    U = Y @ net.A.T                     # (nsub, m): y_i^T a_k
-    T = D * U * w[:, None]
-    gB = T.T @ X
-    gc = T.sum(axis=0)
-    return gA, gB, gc
+    return _grad_parts(net, loss, trained_layers, *_activations(net, ds, subset))
 
 
 def flatten_params(net: Net) -> np.ndarray:
@@ -280,130 +299,43 @@ def param_norm(net: Net) -> float:
 _DENSE_GUARD = 20_000
 
 
-def _margin_weights(net: Net, ds: LabeledDataset, loss: LossFamily, X, Y, S):
+def _margin_weights(net: Net, loss: LossFamily, Y, f, z):
     """Return (w2, w1, sfac): per-sample second/first derivative weights and
     the factor mapping model-output gradients to margin gradients."""
-    if isinstance(net, BinaryNet):
-        f = S @ net.a
-        if loss.is_quadratic:
-            return np.ones_like(f), f - Y, np.ones_like(f)
-        z = Y * f
-        return loss.second_deriv(z), loss.deriv(z), Y
-    z = np.sum(Y * (S @ net.A), axis=1)
-    return loss.second_deriv(z), loss.deriv(z), None
+    if isinstance(net, MultiNet):
+        return loss.second_deriv(z), loss.deriv(z), None
+    if loss.is_quadratic:
+        return np.ones_like(f), f - Y, np.ones_like(f)
+    return loss.second_deriv(z), loss.deriv(z), Y
 
 
-def hessian_loss(net: Net, ds: LabeledDataset, loss: LossFamily,
-                 trained_layers: str = "all") -> np.ndarray:
-    """Dense Hessian of the empirical risk in flat parameter order.
-
-    Guarded at 20000 parameters.  The second derivative of the activation
-    is exactly zero away from the kink, so per-neuron curvature appears
-    only in the output/input cross blocks.
-    """
-    n, X = ds.n, ds.inputs
-    H = _preact(net, X)
-    S = np.maximum(H, 0.0)
-    D = (H > 0.0).astype(np.float64)
+def _hessian_matvec(net: Net, ds: LabeledDataset, loss: LossFamily):
+    """Exact Hessian-vector product closure (all layers) and the parameter count."""
+    X, Y, S, D, f, z = _activations(net, ds)
+    w2, w1, sfac = _margin_weights(net, loss, Y, f, z)
+    n, m, d = ds.n, net.m, net.d
 
     if isinstance(net, BinaryNet):
-        m, d = net.m, net.d
-        p_full = m + m * d
-        input_only = trained_layers == "input_only"
-        p = m * d if input_only else p_full
-        if p > _DENSE_GUARD:
-            raise ValueError(f"dense Hessian guard exceeded: {p} > {_DENSE_GUARD}")
-        Y = ds.labels
-        w2, w1, sfac = _margin_weights(net, ds, loss, X, Y, S)
-        # Per-sample model gradient rows: [S_i, (a_k D_ik x_i)_k].
-        GB = (D * net.a[None, :])[:, :, None] * X[:, None, :]   # (n, m, d)
-        if input_only:
-            G = GB.reshape(n, m * d)
-            coeff = (w2 * sfac * sfac) / n
-            Hmat = (G.T * coeff) @ G
-            return 0.5 * (Hmat + Hmat.T)
-        G = np.concatenate([S, GB.reshape(n, m * d)], axis=1)
-        coeff = (w2 * sfac * sfac) / n
-        Hmat = (G.T * coeff) @ G
-        # Cross blocks from the model's own curvature: d^2 f / da_k db_k = D_ik x_i.
-        cw = (w1 * sfac) / n
-        M = (cw[:, None] * D).T @ X      # (m, d)
-        for k in range(m):
-            Hmat[k, m + k * d: m + (k + 1) * d] += M[k]
-            Hmat[m + k * d: m + (k + 1) * d, k] += M[k]
-        return 0.5 * (Hmat + Hmat.T)
+        c2 = (w2 * sfac * sfac) / n
+        c1 = (w1 * sfac) / n
+        a = net.a
 
-    m, d, C = net.m, net.d, net.C
-    p = m * C + m * d + m
-    if p > _DENSE_GUARD:
-        raise ValueError(f"dense Hessian guard exceeded: {p} > {_DENSE_GUARD}")
-    if trained_layers != "all":
-        raise ValueError("input-only training is defined for the binary network")
-    Y = ds.labels
-    w2, w1, _ = _margin_weights(net, ds, loss, X, Y, S)
-    U = Y @ net.A.T                      # (n, m)
-    # Margin gradient rows: [ (S_ik y_i)_{k,alpha}, (U_ik D_ik x_i)_k, (U_ik D_ik)_k ].
-    GA = S[:, :, None] * Y[:, None, :]                     # (n, m, C)
-    GB = (U * D)[:, :, None] * X[:, None, :]               # (n, m, d)
-    Gc = U * D                                             # (n, m)
-    G = np.concatenate([GA.reshape(n, m * C), GB.reshape(n, m * d), Gc], axis=1)
-    coeff = w2 / n
-    Hmat = (G.T * coeff) @ G
-    # Curvature cross blocks: d^2 z / d a_{k,alpha} d b_k = y_alpha D_ik x_i,
-    # d^2 z / d a_{k,alpha} d c_k = y_alpha D_ik.
-    cw = w1 / n
-    MB = np.einsum("i,ik,ia,ij->kaj", cw, D, Y, X)         # (m, C, d)
-    Mc = (cw[:, None] * D).T @ Y                           # (m, C)
-    offB = m * C
-    offc = m * C + m * d
-    for k in range(m):
-        rows = slice(k * C, (k + 1) * C)
-        colsB = slice(offB + k * d, offB + (k + 1) * d)
-        Hmat[rows, colsB] += MB[k]
-        Hmat[colsB, rows] += MB[k].T
-        Hmat[rows, offc + k] += Mc[k]
-        Hmat[offc + k, rows] += Mc[k]
-    return 0.5 * (Hmat + Hmat.T)
+        def matvec(v: np.ndarray) -> np.ndarray:
+            va = v[:m]
+            VB = v[m:].reshape(m, d)
+            P = X @ VB.T                       # (n, m): x_i^T vB_k
+            t = S @ va + (D * P) @ a           # g_i^T v
+            out_a = S.T @ (c2 * t) + ((c1[:, None] * D) * P).sum(axis=0)
+            out_B = ((D * (c2 * t)[:, None]).T @ X) * a[:, None] \
+                + ((c1[:, None] * D).T @ X) * va[:, None]
+            return np.concatenate([out_a, out_B.ravel()])
 
+        return matvec, m + m * d
 
-def _binary_hessian_matvec(net: BinaryNet, ds: LabeledDataset, loss: LossFamily):
-    """Exact Hessian-vector product closure for the binary network (all layers)."""
-    n, X = ds.n, ds.inputs
-    H = _preact(net, X)
-    S = np.maximum(H, 0.0)
-    D = (H > 0.0).astype(np.float64)
-    Y = ds.labels
-    w2, w1, sfac = _margin_weights(net, ds, loss, X, Y, S)
-    c2 = (w2 * sfac * sfac) / n
-    c1 = (w1 * sfac) / n
-    a = net.a
-    m, d = net.m, net.d
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        va = v[:m]
-        VB = v[m:].reshape(m, d)
-        P = X @ VB.T                       # (n, m): x_i^T vB_k
-        t = S @ va + (D * P) @ a           # g_i^T v
-        out_a = S.T @ (c2 * t) + ((c1[:, None] * D) * P).sum(axis=0)
-        out_B = ((D * (c2 * t)[:, None]).T @ X) * a[:, None] \
-            + ((c1[:, None] * D).T @ X) * va[:, None]
-        return np.concatenate([out_a, out_B.ravel()])
-
-    return matvec, m + m * d
-
-
-def _multi_hessian_matvec(net: MultiNet, ds: LabeledDataset, loss: LossFamily):
-    """Exact Hessian-vector product closure for the multi-output network."""
-    n, X = ds.n, ds.inputs
-    Hpre = _preact(net, X)
-    S = np.maximum(Hpre, 0.0)
-    D = (Hpre > 0.0).astype(np.float64)
-    Y = ds.labels
-    w2, w1, _ = _margin_weights(net, ds, loss, X, Y, S)
+    C = net.C
     c2 = w2 / n
     c1 = w1 / n
     U = Y @ net.A.T
-    m, d, C = net.m, net.d, net.C
 
     def matvec(v: np.ndarray) -> np.ndarray:
         VA = v[:m * C].reshape(m, C)
@@ -423,6 +355,30 @@ def _multi_hessian_matvec(net: MultiNet, ds: LabeledDataset, loss: LossFamily):
     return matvec, m * C + m * d + m
 
 
+def hessian_loss(net: Net, ds: LabeledDataset, loss: LossFamily,
+                 trained_layers: str = "all") -> np.ndarray:
+    """Dense Hessian of the empirical risk in flat parameter order.
+
+    Its columns are the exact Hessian-vector products of the unit vectors,
+    so the dense and the operator paths share one formula.  The input-only
+    Hessian (binary network) is the input-layer block.  Guarded at 20000
+    parameters.
+    """
+    if isinstance(net, MultiNet) and trained_layers != "all":
+        raise ValueError("input-only training is defined for the binary network")
+    matvec, dim = _hessian_matvec(net, ds, loss)
+    first = net.m if trained_layers == "input_only" else 0
+    if dim - first > _DENSE_GUARD:
+        raise ValueError(f"dense Hessian guard exceeded: {dim - first} > {_DENSE_GUARD}")
+    Hmat = np.empty((dim - first, dim - first))
+    e = np.zeros(dim)
+    for j in range(first, dim):
+        e[j] = 1.0
+        Hmat[:, j - first] = matvec(e)[first:]
+        e[j] = 0.0
+    return 0.5 * (Hmat + Hmat.T)
+
+
 def hessian_spectral_norm(net: Net, ds: LabeledDataset, loss: LossFamily,
                           trained_layers: str = "all",
                           dense_limit: int = 1200) -> float:
@@ -438,11 +394,8 @@ def hessian_spectral_norm(net: Net, ds: LabeledDataset, loss: LossFamily,
         # H = (1/n) sum_i w2_i g_i g_i^T with g_i the input-layer margin
         # gradient; its nonzero spectrum equals that of the n x n matrix
         # K_ij = sqrt(w2_i w2_j)/n * g_i^T g_j (w2 >= 0 for all families).
-        X = ds.inputs
-        Hpre = _preact(net, X)
-        S = np.maximum(Hpre, 0.0)
-        D = (Hpre > 0.0).astype(np.float64)
-        w2, _, sfac = _margin_weights(net, ds, loss, X, ds.labels, S)
+        X, Y, _, D, f, z = _activations(net, ds)
+        w2, _, sfac = _margin_weights(net, loss, Y, f, z)
         if np.any(w2 < 0):
             raise ValueError("input-only fast path requires nonnegative curvature weights")
         E = D * net.a[None, :]
@@ -451,19 +404,12 @@ def hessian_spectral_norm(net: Net, ds: LabeledDataset, loss: LossFamily,
         K = G * np.outer(r, r)
         return float(np.max(np.abs(np.linalg.eigvalsh(K))))
 
-    if isinstance(net, BinaryNet):
-        p = net.m * (1 + net.d)
-    else:
-        p = net.m * (net.C + net.d + 1)
-    if p <= dense_limit:
+    if flatten_params(net).size <= dense_limit:
         Hmat = hessian_loss(net, ds, loss, trained_layers)
         return float(np.max(np.abs(np.linalg.eigvalsh(Hmat))))
 
     from scipy.sparse.linalg import LinearOperator, eigsh
-    if isinstance(net, BinaryNet):
-        matvec, dim = _binary_hessian_matvec(net, ds, loss)
-    else:
-        matvec, dim = _multi_hessian_matvec(net, ds, loss)
+    matvec, dim = _hessian_matvec(net, ds, loss)
     op = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
     vals = eigsh(op, k=1, which="LM", tol=1e-10, maxiter=5000,
                  return_eigenvectors=False)

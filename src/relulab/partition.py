@@ -32,7 +32,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .datasets import LabeledDataset
-from .models import BinaryNet, MultiNet, Net
+from .models import BinaryNet, Net, preactivation
 from .training import RunRecord
 
 __all__ = [
@@ -85,11 +85,6 @@ class DynamicsViolation:
     lam: Optional[float] = None  # S5 only: where the sign leaves its reference, in [0, 1]
 
 
-def _preactivation(net: Net, X: np.ndarray) -> np.ndarray:
-    H = X @ net.B.T
-    return H + net.c[None, :] if isinstance(net, MultiNet) else H
-
-
 def _table(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, bool]:
     """Validate the net against the labels and classify every (sample, neuron)
     pair from its preactivation H; strict > 0 for living, <= 0 for dead."""
@@ -117,7 +112,7 @@ def _table(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, boo
 
 def compute_partition(net: Net, ds: LabeledDataset) -> PartitionSnapshot:
     """Classify every (sample, neuron) pair; strict > 0 for living, <= 0 for dead."""
-    table, four_way = _table(net, ds, _preactivation(net, ds.inputs))
+    table, four_way = _table(net, ds, preactivation(net, ds.inputs))
     return PartitionSnapshot(step=0, table=table, four_way=four_way)
 
 
@@ -182,7 +177,7 @@ def _walk(nets: Sequence[Net], ds: LabeledDataset, rule: str,
     """
     ref = H0 = bad0 = None
     for t, net in enumerate(nets):
-        H = _preactivation(net, ds.inputs)
+        H = preactivation(net, ds.inputs)
         yield t, H, _table(net, ds, H)[0]
         if t == 0 or signs:
             continue

@@ -9,11 +9,11 @@ Learning-rate schedules:
   afterwards.
 
 Batching is either full-batch or i.i.d. uniform with replacement (the
-literal mini-batch model; a without-replacement mode exists for exploration
-only).  Every recorded step carries the quantities the certificate layer
-needs: loss, step size, full-batch gradient norm, margin extremes, parameter
-norm, prediction sup-norm, and whether every output weight kept its initial
-sign.
+literal mini-batch model).  Every recorded step carries the quantities the
+certificate layer needs: loss, step size, full-batch gradient norm, margin
+extremes, parameter norm, prediction sup-norm, and whether every output
+weight kept its initial sign.  Each step makes one activation pass over the
+full data (``models.evaluate``), plus one over the mini-batch under SGD.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ from .models import (
     BinaryNet,
     MultiNet,
     Net,
+    _flatten_struct,
     apply_gradient,
-    flatten_params,
+    evaluate,
     grad_loss_struct,
-    loss_value,
     param_norm,
-    per_sample_margins,
-    forward,
 )
 
 __all__ = [
@@ -139,7 +137,6 @@ class Full:
 class Stochastic:
     B: int
     seed: int
-    with_replacement: bool = True   # exploration-only False is never used in certification runs
 
     def __post_init__(self):
         if self.B < 1:
@@ -211,13 +208,10 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
         batch_gen = rng.make_generator(config.batching.seed, stream=1)
 
     for t in range(config.steps + 1):
-        L = loss_value(net, ds, loss)
+        L, z, f, parts = evaluate(net, ds, loss, trained_layers=config.trained_layers)
         if not math.isfinite(L):
             rec.status = f"aborted:non-finite-loss-at-t={t}"
             break
-        z = per_sample_margins(net, ds)
-        f = forward(net, ds.inputs)
-        parts = grad_loss_struct(net, ds, loss, trained_layers=config.trained_layers)
         with np.errstate(over="ignore"):
             # Diverging runs (negative controls) legitimately overflow to inf
             # here; the non-finite guards below handle them.
@@ -242,14 +236,11 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
             rec.status = "converged-exactly"
             break
         if isinstance(config.batching, Stochastic):
-            full_flat = np.concatenate([np.asarray(p).ravel() for p in parts])
-            b = config.batching
-            idx = (batch_gen.random(b.B) * ds.n).astype(np.int64) if b.with_replacement \
-                else batch_gen.permutation(ds.n)[:b.B]
+            idx = (batch_gen.random(config.batching.B) * ds.n).astype(np.int64)
             idx = np.minimum(idx, ds.n - 1)
             bparts = grad_loss_struct(net, ds, loss, subset=idx,
                                       trained_layers=config.trained_layers)
-            bflat = np.concatenate([np.asarray(p).ravel() for p in bparts])
+            full_flat, bflat = _flatten_struct(parts), _flatten_struct(bparts)
             rec.batch_alignments.append(float(full_flat @ bflat))
             if not np.all(np.isfinite(bflat)):
                 rec.status = f"aborted:non-finite-gradient-at-t={t}"

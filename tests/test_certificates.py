@@ -5,7 +5,7 @@ import pytest
 
 from relulab.datasets import compute_gamma_constants, compute_V, gen_orthant_separable
 from relulab.losses import loss_family
-from relulab.models import InitSpec, grad_loss, init_binary, init_multi
+from relulab.models import InitSpec, MultiNet, grad_loss, init_binary, init_multi
 from relulab.training import Constant, Full, TrainConfig, run, tstar
 from relulab import certificates as C
 from tests.conftest import make_onehot_dataset
@@ -82,7 +82,7 @@ def test_gram_matrix_is_psd(binary_run):
     assert float(np.linalg.eigvalsh(G)[0]) >= -1e-10 * float(np.trace(G))
 
 
-def test_gram_matches_direct_per_sample_gradients(binary_run):
+def test_gram_matches_direct_per_sample_gradients(binary_run, small_onehot_ds):
     ds, rec, _ = binary_run
     net = rec.nets[3]
     G = C.gram_matrix(net, ds)
@@ -96,6 +96,32 @@ def test_gram_matches_direct_per_sample_gradients(binary_run):
             direct[i, j] = float(S[i] @ S[j]) + float(
                 np.sum(co * net.a ** 2)) * float(ds.inputs[i] @ ds.inputs[j])
     assert np.allclose(G, direct, atol=1e-12)
+
+    # Multi-output: entry ((i,alpha),(j,beta)) is the inner product of the
+    # parameter gradients of f_alpha(x_i) and f_beta(x_j), flat order [A, B, c].
+    ds = small_onehot_ds
+    net = init_multi(9, ds.d, ds.num_classes, InitSpec(kappa=0.5, seed=6))
+    gen = np.random.default_rng(6)
+    net = MultiNet(A=net.A + 0.3 * gen.standard_normal(net.A.shape), B=net.B, c=net.c)
+    H = ds.inputs @ net.B.T + net.c
+    assert 0 < np.sum(H > 0) < H.size
+    nc = ds.num_classes
+
+    def jacobian(i):
+        rows = []
+        for alpha in range(nc):
+            gA = np.zeros((net.m, nc))
+            gA[:, alpha] = np.maximum(H[i], 0.0)
+            gc = (H[i] > 0) * net.A[:, alpha]
+            rows.append(np.concatenate([gA.ravel(), np.outer(gc, ds.inputs[i]).ravel(), gc]))
+        return np.array(rows)
+
+    J = [jacobian(i) for i in range(ds.n)]
+    direct = np.zeros((ds.n * nc, ds.n * nc))
+    for i in range(ds.n):
+        for j in range(ds.n):
+            direct[i * nc:(i + 1) * nc, j * nc:(j + 1) * nc] = J[i] @ J[j].T
+    assert np.allclose(C.gram_matrix(net, ds), direct, atol=1e-12)
 
 
 def test_squared_gradient_norm_matches_gram_expansion(binary_run):

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from relulab.cli import main
+from relulab.cli import evaluate_certificates, main, run_experiment
 
 
 def write_config(tmp_path, name, obj):
@@ -107,6 +108,55 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", bad)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+def test_unknown_loss_key_is_a_config_error(tmp_path, capsys):
+    bad = dict(EARLY_BINARY, loss="quadratc")
+    cfg = write_config(tmp_path, "bad.json", bad)
+    for command in ("train", "verify"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown loss 'quadratc'" in err
+        assert "Traceback" not in err
+
+
+def test_verify_emits_every_certificate_once(tmp_path):
+    cfg = write_config(tmp_path, "c.json", EARLY_BINARY)
+    out = tmp_path / "run"
+    main(["verify", "--config", str(cfg), "--out", str(out)])
+    ids = [c["cert_id"] for c in json.loads((out / "certificates.json").read_text())]
+    assert len(ids) == len(set(ids))
+    assert "early-gradient-lower" in ids
+
+
+def _gradient_lower(record, ctx):
+    (rep,) = [c for c in evaluate_certificates(record, ctx)
+              if c["cert_id"] == "early-gradient-lower"]
+    return rep
+
+
+def test_early_gradient_lower_reports_worst_step_once():
+    record, ctx = run_experiment(EARLY_BINARY)
+    rep = _gradient_lower(record, ctx)
+    assert rep["passed"] and not rep["inconclusive"]
+    assert rep["context"]["failing_steps"] == []
+    # Shrinking the measured gradient below the bound at t = 2 and 5 fails
+    # the one report, which names the worst of the failing steps.
+    worse = dataclasses.replace(record, records=[
+        dataclasses.replace(r, grad_norm=r.grad_norm / (4.0 if r.t == 2 else 2.0))
+        if r.t in (2, 5) else r for r in record.records])
+    rep = _gradient_lower(worse, ctx)
+    assert not rep["passed"] and not rep["inconclusive"]
+    assert rep["context"] == {"t": 2, "failing_steps": [2, 5]}
+    assert rep["slack"] == rep["measured"] - rep["theoretical"] < 0.0
+
+
+def test_early_gradient_lower_is_inconclusive_when_the_bound_is_vacuous():
+    # At m = 16 the width tail exceeds gamma1 / gamma2: the bound is <= 0 at every t.
+    record, ctx = run_experiment(dict(EARLY_BINARY, model={"m": 16, "kappa": "auto"}))
+    rep = _gradient_lower(record, ctx)
+    assert rep["inconclusive"] and not rep["passed"]
+    assert rep["theoretical"] <= 0.0
 
 
 def test_unknown_nested_key_is_an_error(tmp_path, capsys):

@@ -21,8 +21,8 @@ from relulab.models import (
     init_multi,
     load_snapshot,
     loss_value,
-    margins,
     param_norm,
+    per_sample_margins,
     save_snapshot,
 )
 from relulab.oracles import (
@@ -77,7 +77,7 @@ def test_binary_forward_matches_direct_formula(small_binary_ds, small_binary_net
 def test_multi_forward_shape_and_margins(small_onehot_ds, small_multi_net):
     out = forward(small_multi_net, small_onehot_ds.inputs)
     assert out.shape == (small_onehot_ds.n, small_onehot_ds.num_classes)
-    z = margins(small_multi_net, small_onehot_ds)
+    z = per_sample_margins(small_multi_net, small_onehot_ds)
     direct = np.sum(out * small_onehot_ds.labels, axis=1)
     assert np.allclose(z, direct, atol=1e-15)
 

@@ -5,12 +5,26 @@ import pytest
 
 from relulab.datasets import gen_orthant_separable
 from relulab.losses import loss_family
-from relulab.models import InitSpec, init_binary, init_multi
+from relulab import models, rng
+from relulab.models import (
+    BinaryNet,
+    InitSpec,
+    apply_gradient,
+    forward,
+    grad_loss_struct,
+    init_binary,
+    init_multi,
+    loss_value,
+    param_norm,
+    per_sample_margins,
+)
 from relulab.training import (
     NOT_YET_HIT,
     Constant,
     Full,
     LossInverse,
+    RunRecord,
+    StepRecord,
     Stochastic,
     TrainConfig,
     TwoStagePoly,
@@ -125,6 +139,91 @@ def test_output_sign_preservation_along_compliant_run():
               TrainConfig(steps=45, batching=Full()))
     assert all(r.a_sign_ok for r in rec.records)
     assert rec.measured_T == NOT_YET_HIT or rec.measured_T >= tstar(0.01, "binary")
+
+
+# ---------------------------------------------------------------------------
+# One activation pass per step
+# ---------------------------------------------------------------------------
+
+def _reference_run(net0, ds, loss, schedule, config):
+    """The training loop spelled out with the four public model functions,
+    each making its own activation pass: (steps.csv text, batch alignments)."""
+    rec = RunRecord(config=config, schedule=schedule)
+    net = net0
+    stochastic = isinstance(config.batching, Stochastic)
+    gen = rng.make_generator(config.batching.seed, stream=1) if stochastic else None
+    for t in range(config.steps + 1):
+        L = loss_value(net, ds, loss)
+        z = per_sample_margins(net, ds)
+        f = forward(net, ds.inputs)
+        parts = grad_loss_struct(net, ds, loss, trained_layers=config.trained_layers)
+        a0, a = (net0.a, net.a) if isinstance(net, BinaryNet) else (net0.A, net.A)
+        eta = schedule.rate(t, L)
+        rec.records.append(StepRecord(
+            t=t, loss=L, eta=eta,
+            grad_norm=float(math.sqrt(sum(float(np.sum(p * p)) for p in parts))),
+            min_margin=float(np.min(z)), max_margin=float(np.max(z)),
+            param_norm=param_norm(net), max_abs_pred=float(np.max(np.abs(f))),
+            a_sign_ok=bool(np.all(a * a0 > 0.0))))
+        if t == config.steps:
+            break
+        if stochastic:
+            idx = (gen.random(config.batching.B) * ds.n).astype(np.int64)
+            idx = np.minimum(idx, ds.n - 1)
+            bparts = grad_loss_struct(net, ds, loss, subset=idx,
+                                      trained_layers=config.trained_layers)
+            full = np.concatenate([p.ravel() for p in parts])
+            batch = np.concatenate([p.ravel() for p in bparts])
+            rec.batch_alignments.append(float(full @ batch))
+            parts = bparts
+        net = apply_gradient(net, parts, eta)
+    return steps_csv(rec), rec.batch_alignments
+
+
+_SINGLE_PASS_CASES = {
+    "binary-quadratic-full": lambda: (
+        gen_orthant_separable(n=10, d=8, seed=1),
+        init_binary(128, 8, InitSpec(kappa=1e-5, seed=1)),
+        loss_family("quadratic"), Constant(eta=0.01),
+        TrainConfig(steps=20, batching=Full())),
+    "binary-exp-input-only": lambda: (
+        gen_orthant_separable(n=10, d=8, seed=2),
+        init_binary(64, 8, InitSpec(kappa=1e-4, seed=2)),
+        loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
+        TrainConfig(steps=30, batching=Full(), trained_layers="input_only")),
+    "multi-logistic-sgd": lambda: (
+        make_onehot_dataset(n=30, d=10, num_classes=3, seed=2),
+        init_multi(64, 10, 3, InitSpec(kappa=1e-4, seed=2)),
+        loss_family("logistic"), Constant(eta=0.01),
+        TrainConfig(steps=10, batching=Stochastic(B=8, seed=3))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SINGLE_PASS_CASES))
+def test_single_pass_run_matches_four_function_reference(case):
+    ds, net0, loss, schedule, cfg = _SINGLE_PASS_CASES[case]()
+    rec = run(net0, ds, loss, schedule, cfg)
+    csv, alignments = _reference_run(net0, ds, loss, schedule, cfg)
+    assert steps_csv(rec) == csv               # repr() of every float: bit for bit
+    assert rec.batch_alignments == alignments
+    assert len(rec.records) == cfg.steps + 1
+
+
+@pytest.mark.parametrize("case,passes", [("binary-quadratic-full", 21),
+                                         ("multi-logistic-sgd", 11 + 10)])
+def test_run_makes_one_full_pass_per_step_plus_one_per_batch(case, passes, monkeypatch):
+    ds, net0, loss, schedule, cfg = _SINGLE_PASS_CASES[case]()
+    calls = []
+    original = models.preactivation
+
+    def counting(net, X):
+        calls.append(X.shape[0])
+        return original(net, X)
+
+    monkeypatch.setattr(models, "preactivation", counting)
+    run(net0, ds, loss, schedule, cfg)
+    assert len(calls) == passes
+    assert calls.count(ds.n) == cfg.steps + 1
 
 
 # ---------------------------------------------------------------------------
