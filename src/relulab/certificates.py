@@ -142,34 +142,54 @@ def gram_matrix(net: Net, ds: LabeledDataset) -> np.ndarray:
     return G
 
 
-def multi_gram_min_entry(net: MultiNet, ds: LabeledDataset) -> float:
-    """Exact minimum entry of the (Cn) x (Cn) model-gradient Gram matrix.
+def multi_gram_min_entry(nets: Sequence[MultiNet], ds: LabeledDataset) -> List[float]:
+    """Exact minimum entry of the (Cn) x (Cn) model-gradient Gram matrix, per net.
 
-    A conservative per-pair lower bound is computed first with two n x n
-    matrix products; the exact C x C block is evaluated only for pairs whose
-    bound does not already clear the running minimum.  The result is exact.
+    ``X Xᵀ + 1`` depends on the data only and is formed once for the whole
+    trajectory.  For each net a conservative per-pair lower bound
+    ``bound_ij = (E Eᵀ)_ij (x_iᵀx_j + 1)`` with ``E_ik = D_ik min_alpha a_{k alpha}``
+    is computed; it lies below every entry of the pair's C x C block when the
+    output weights and ``X Xᵀ + 1`` are nonnegative (otherwise the dense Gram
+    matrix is used).  The search then selects rather than sorts: the pair of
+    least bound gives an exact block minimum m0, and only pairs with
+    ``bound < m0`` are sorted and visited in order, stopping once a bound
+    clears the running minimum.  This is exact: a pair holding an entry
+    below m0 has ``bound <= entry < m0`` and so is among the kept pairs.
     """
-    X, _, S, D, _, _ = _activations(net, ds)
+    X, n = ds.inputs, ds.n
     XX1 = X @ X.T + 1.0
-    amin = net.A.min(axis=1)
-    if np.any(amin < 0.0) or np.any(XX1 < 0.0):
-        # Conservative shortcut invalid; fall back to the dense form.
-        return float(gram_matrix(net, ds).min())
-    E = D * amin[None, :]
-    SS = S @ S.T
-    # Off-diagonal-channel entries have no S-term, so the safe per-pair lower
-    # bound ignores it: bound_ij <= min_{alpha,beta} block_{alpha beta}.
-    bound = (E @ E.T) * XX1
-    order = np.dstack(np.unravel_index(np.argsort(bound, axis=None), bound.shape))[0]
-    exact_min = math.inf
-    A = net.A
-    eye = np.eye(net.C)
-    for i, j in order:
-        if bound[i, j] >= exact_min:
-            break
-        block = (A.T * (D[i] * D[j])[None, :]) @ A * XX1[i, j] + eye * SS[i, j]
-        exact_min = min(exact_min, float(block.min()))
-    return float(exact_min) if math.isfinite(exact_min) else float(bound.min())
+    dense_only = bool(np.any(XX1 < 0.0))
+    out = []
+    for net in nets:
+        amin = net.A.min(axis=1)
+        if dense_only or np.any(amin < 0.0):
+            # Conservative shortcut invalid; fall back to the dense form.
+            out.append(float(gram_matrix(net, ds).min()))
+            continue
+        _, _, S, D, _, _ = _activations(net, ds)
+        A, eye = net.A, np.eye(net.C)
+
+        def block_min(k: int) -> float:
+            i, j = divmod(int(k), n)
+            block = (A.T * (D[i] * D[j])[None, :]) @ A * XX1[i, j] + eye * (S[i] @ S[j])
+            return float(block.min())
+
+        E = D * amin[None, :]
+        # Off-diagonal-channel entries have no S-term, so the safe per-pair
+        # lower bound ignores it: bound_ij <= min_{alpha,beta} block_{alpha beta}.
+        bound = E @ E.T
+        bound *= XX1
+        bound = bound.ravel()
+        k0 = int(np.argmin(bound))
+        best = block_min(k0)
+        kept = np.flatnonzero(bound < best)
+        kept = kept[kept != k0]
+        for k in kept[np.argsort(bound[kept])]:
+            if bound[k] >= best:
+                break
+            best = min(best, block_min(k))
+        out.append(best)
+    return out
 
 
 def check_block_structure(G: np.ndarray, ds: LabeledDataset) -> CertificateReport:

@@ -17,6 +17,7 @@ failed and no run aborted.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import itertools
 import json
@@ -297,10 +298,10 @@ def evaluate_certificates(record, ctx) -> list:
                 "early-descent-multi", bound, measured, measured >= bound,
                 measured - bound, context={"budget": budget, "t_star": ts}).as_dict())
         if record.nets:
-            worst = math.inf
-            for t in range(1, min(ts, len(record.nets) - 1) + 1):
-                worst = min(worst, certs.multi_gram_min_entry(record.nets[t], ds))
-            if math.isfinite(worst):
+            horizon = min(ts, len(record.nets) - 1)
+            minima = certs.multi_gram_min_entry(record.nets[1:horizon + 1], ds)
+            if minima:
+                worst = min(minima)
                 out.append(certs.CertificateReport(
                     "multi-gram-entries-at-least-one", 1.0, worst, worst >= 1.0,
                     worst - 1.0).as_dict())
@@ -478,17 +479,30 @@ def _set_path(obj: dict, dotted: str, value) -> None:
     cur[parts[-1]] = value
 
 
+_SWEEP_COLUMNS = ["run_dir", "status", "initial_loss", "final_loss",
+                  "descent", "measured_T", "certificates_failed"]
+
+
 def _sweep_entry(args):
+    """Run one sweep cell; returns (ok, row).  A cell whose config is invalid
+    becomes a ``status=error:<msg>`` row with empty numeric fields, so the
+    other cells' rows are kept."""
     base, assignment, subdir = args
     config = json.loads(json.dumps(base))
     for path, value in assignment:
         _set_path(config, path, value)
-    record, ctx = run_experiment(config)
-    cert_dicts = evaluate_certificates(record, ctx)
-    ok = _emit_run(Path(subdir), config, record, ctx, cert_dicts=cert_dicts)
+    row = dict.fromkeys(_SWEEP_COLUMNS, "")
+    row["run_dir"] = str(subdir)
+    row.update(assignment)
+    try:
+        record, ctx = run_experiment(config)
+        cert_dicts = evaluate_certificates(record, ctx)
+        ok = _emit_run(Path(subdir), config, record, ctx, cert_dicts=cert_dicts)
+    except (ValueError, FileNotFoundError) as exc:   # ConfigError included
+        row["status"] = f"error:{exc}"
+        return False, row
     first, last = record.records[0], record.records[-1]
-    row = {
-        "run_dir": str(subdir),
+    row.update({
         "status": record.status,
         "initial_loss": first.loss,
         "final_loss": last.loss,
@@ -496,9 +510,7 @@ def _sweep_entry(args):
         "measured_T": record.measured_T,
         "certificates_failed": sum(
             0 if c["passed"] or c.get("inconclusive") else 1 for c in cert_dicts),
-    }
-    for path, value in assignment:
-        row[path] = value
+    })
     return ok, row
 
 
@@ -520,14 +532,19 @@ def cmd_sweep(spec: dict, outdir: Path, jobs: int) -> int:
             results = list(ex.map(_sweep_entry, tasks))
     else:
         results = [_sweep_entry(t) for t in tasks]
-    axis_names = [ax["path"] for ax in axes]
-    cols = axis_names + ["run_dir", "status", "initial_loss", "final_loss",
-                         "descent", "measured_T", "certificates_failed"]
-    lines = [",".join(cols)]
-    for _, row in results:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in cols))
-    (outdir / "aggregate.csv").write_text("\n".join(lines) + "\n")
+    cols = [ax["path"] for ax in axes] + _SWEEP_COLUMNS
+    with open(outdir / "aggregate.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        for _, row in results:
+            writer.writerow(repr(row[c]) if isinstance(row[c], float) else str(row[c])
+                            for c in cols)
+    errors = [row for _, row in results if row["status"].startswith("error:")]
+    for row in errors:
+        print(f"{row['run_dir']}: {row['status']}", file=sys.stderr)
+    if errors:
+        print(f"sweep: {len(results)} runs, {len(errors)} errored")
+        return 2
     all_ok = all(ok for ok, _ in results)
     print(f"sweep: {len(results)} runs, {'all certificates passed' if all_ok else 'FAILURES present'}")
     return 0 if all_ok else 1

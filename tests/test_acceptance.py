@@ -211,7 +211,7 @@ def test_criterion_06_multi_gram_entries_at_least_one():
               TrainConfig(steps=34, batching=Stochastic(B=B, seed=1),
                           keep_params=True, record_every=1))
     for t in range(1, 35):
-        assert C.multi_gram_min_entry(rec.nets[t], ds) >= 1.0, t
+        assert C.multi_gram_min_entry([rec.nets[t]], ds)[0] >= 1.0, t
 
 
 def test_criterion_04_hitting_time_covers_tstar(compliant_binary_summaries):
@@ -223,15 +223,27 @@ def test_criterion_04_hitting_time_covers_tstar(compliant_binary_summaries):
 # Criterion 7: gradient and Hessian certificates
 # ---------------------------------------------------------------------------
 
+def _min_batch_alignment(loss_key: str, seed: int) -> float:
+    ds = make_onehot_dataset(n=200, d=30, num_classes=10, seed=seed)
+    B = 64
+    kappa = min(ETA / 10.0, ETA / (3.0 * B))
+    net0 = init_multi(512, ds.d, 10, InitSpec(kappa=kappa, seed=seed))
+    rec = run(net0, ds, loss_family(loss_key), Constant(eta=ETA),
+              TrainConfig(steps=34, batching=Stochastic(B=B, seed=seed + 1)))
+    return min(rec.batch_alignments)
+
+
 def test_criterion_07_stochastic_gradient_alignment():
     for seed in range(3):
-        ds = make_onehot_dataset(n=200, d=30, num_classes=10, seed=seed)
-        B = 64
-        kappa = min(ETA / 10.0, ETA / (3.0 * B))
-        net0 = init_multi(512, ds.d, 10, InitSpec(kappa=kappa, seed=seed))
-        rec = run(net0, ds, loss_family("hinge"), Constant(eta=ETA),
-                  TrainConfig(steps=34, batching=Stochastic(B=B, seed=seed + 1)))
-        assert min(rec.batch_alignments) >= C.STOCHASTIC_ALIGNMENT_BOUND, seed
+        assert _min_batch_alignment("hinge", seed) >= C.STOCHASTIC_ALIGNMENT_BOUND, seed
+
+
+def test_criterion_07_stochastic_gradient_alignment_refuted_for_logistic():
+    # Recorded counterexample: the alignment claim is scoped to the hinge
+    # loss.  Under the logistic loss the same runs reach a minimum alignment
+    # of 0.302-0.314 at seeds 0-2, far below the 0.9801 bound.
+    for seed in range(3):
+        assert _min_batch_alignment("logistic", seed) < C.STOCHASTIC_ALIGNMENT_BOUND, seed
 
 
 def test_criterion_07_hessian_binary_early():

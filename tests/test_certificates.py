@@ -143,15 +143,80 @@ def test_multi_gram_entries_at_least_one(small_onehot_ds):
     rec = run(net0, ds, loss_family("logistic"), Constant(eta=0.01),
               TrainConfig(steps=10, batching=Full(), keep_params=True))
     for t in (1, 5, 10):
-        assert C.multi_gram_min_entry(rec.nets[t], ds) >= 1.0
+        assert C.multi_gram_min_entry([rec.nets[t]], ds)[0] >= 1.0
 
 
 def test_multi_gram_min_entry_matches_dense(small_onehot_ds):
     ds = small_onehot_ds
     net = init_multi(16, ds.d, ds.num_classes, InitSpec(kappa=0.2, seed=4))
     dense = C.gram_matrix(net, ds)
-    assert C.multi_gram_min_entry(net, ds) == pytest.approx(
+    assert C.multi_gram_min_entry([net], ds)[0] == pytest.approx(
         float(dense.min()), rel=1e-12)
+
+
+def _random_onehot_problem(seed, weight_spread=0.0):
+    """A small one-hot dataset and a MultiNet with positive output weights of
+    log-normal size (spread ``weight_spread``) and random biases."""
+    gen = np.random.default_rng([seed, 11])
+    n, d, nc, m = (int(gen.integers(lo, hi)) for lo, hi in ((4, 20), (2, 12), (2, 5), (2, 48)))
+    ds = make_onehot_dataset(n=n, d=d, num_classes=nc, seed=seed)
+    A = np.exp(weight_spread * gen.standard_normal((m, nc))) / np.sqrt(m)
+    return ds, MultiNet(A=A, B=gen.standard_normal((m, d)), c=gen.standard_normal(m))
+
+
+def _pairs_below_first_block(net, ds):
+    """How many pairs besides the least-bound one have a bound below that
+    pair's exact block minimum, recomputed here from the dense Gram matrix."""
+    nc = net.C
+    blocks = C.gram_matrix(net, ds).reshape(ds.n, nc, ds.n, nc).min(axis=(1, 3)).ravel()
+    E = (ds.inputs @ net.B.T + net.c > 0.0) * net.A.min(axis=1)
+    bound = ((E @ E.T) * (ds.inputs @ ds.inputs.T + 1.0)).ravel()
+    k0 = int(np.argmin(bound))
+    below = bound < blocks[k0]
+    below[k0] = False
+    return int(below.sum())
+
+
+def test_multi_gram_min_entry_selection_matches_dense(monkeypatch):
+    dense_calls = []
+    gram = C.gram_matrix
+    monkeypatch.setattr(C, "gram_matrix", lambda *a: dense_calls.append(1) or gram(*a))
+    for seed in range(24):
+        ds, net = _random_onehot_problem(seed, weight_spread=0.0 if seed % 2 else 2.0)
+        expected = float(gram(net, ds).min())
+        assert C.multi_gram_min_entry([net], ds)[0] == pytest.approx(expected, rel=1e-12), seed
+    assert dense_calls == []
+
+
+def test_multi_gram_min_entry_visits_several_candidates():
+    # Widely varying positive output weights loosen the per-pair bound, so
+    # pairs other than the least-bound one must be checked exactly.
+    ds, net = _random_onehot_problem(3, weight_spread=3.0)
+    assert _pairs_below_first_block(net, ds) > 1
+    assert C.multi_gram_min_entry([net], ds)[0] == pytest.approx(
+        float(C.gram_matrix(net, ds).min()), rel=1e-12)
+
+
+def test_multi_gram_min_entry_negative_weight_takes_dense_fallback(monkeypatch):
+    ds, net = _random_onehot_problem(5)
+    net.A[0, 1] = -0.5
+    dense_calls = []
+    gram = C.gram_matrix
+    monkeypatch.setattr(C, "gram_matrix", lambda *a: dense_calls.append(1) or gram(*a))
+    assert C.multi_gram_min_entry([net], ds)[0] == float(gram(net, ds).min())
+    assert dense_calls == [1]
+
+
+def test_multi_gram_min_entry_trajectory_matches_per_net_calls(small_onehot_ds):
+    ds = small_onehot_ds
+    net0 = init_multi(32, ds.d, ds.num_classes, InitSpec(kappa=0.5, seed=2))
+    rec = run(net0, ds, loss_family("logistic"), Constant(eta=0.05),
+              TrainConfig(steps=6, batching=Full(), keep_params=True))
+    negative = MultiNet(A=rec.nets[3].A.copy(), B=rec.nets[3].B, c=rec.nets[3].c)
+    negative.A[2, 0] = -1.0
+    nets = rec.nets + [negative]
+    assert C.multi_gram_min_entry(nets, ds) == [C.multi_gram_min_entry([n], ds)[0] for n in nets]
+    assert C.multi_gram_min_entry([], ds) == []
 
 
 def test_hessian_certificates_on_trajectory(binary_run):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -100,6 +101,31 @@ def test_sweep_cross_product_and_aggregate(tmp_path):
     assert len(rows) == 5
     assert (out / "run_0000" / "summary.json").exists()
     assert (out / "run_0003" / "certificates.json").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_keeps_rows_when_a_cell_has_a_config_error(tmp_path, capsys, jobs):
+    sweep = {"base": {"kind": "early-binary",
+                      "dataset": {"type": "synthetic", "n": 8, "d": 20, "seed": 1},
+                      "model": {"m": 64, "kappa": "auto"},
+                      "schedule": {"type": "constant", "eta": 0.01},
+                      "train": {"steps": 4}, "delta": 0.05, "seed": 1},
+             "axes": [{"path": "loss", "values": ["quadratic", "nope"]}]}
+    cfg = write_config(tmp_path, "s.json", sweep)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown loss 'nope'" in err
+    assert "Traceback" not in err
+    with open(out / "aggregate.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["loss"] for r in rows] == ["quadratic", "nope"]
+    assert rows[0]["status"] == "completed" and rows[0]["final_loss"] != ""
+    assert rows[1]["status"].startswith("error:config: unknown loss 'nope'")
+    assert all(rows[1][c] == "" for c in ("initial_loss", "final_loss", "descent",
+                                          "measured_T", "certificates_failed"))
+    assert (out / "run_0000" / "summary.json").exists()
+    assert not (out / "run_0001").exists()
 
 
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
