@@ -14,6 +14,7 @@ import argparse
 import json
 from pathlib import Path
 
+from relulab.certificates import holds, verdict
 from relulab.cli import main as cli_main
 
 EARLY_BINARY = {
@@ -114,10 +115,8 @@ def main() -> int:
         certs = json.loads((run_dir / "certificates.json").read_text())
         print(f"\n== {name} (exit {code}) ==")
         for cert in certs:
-            status = ("inconclusive" if cert.get("inconclusive")
-                      else "pass" if cert["passed"] else "FAIL")
-            total_failed += status == "FAIL"
-            print(f"  {status:12s} {cert['cert_id']:34s} "
+            total_failed += not holds(cert)
+            print(f"  {verdict(cert):12s} {cert['cert_id']:34s} "
                   f"measured={cert['measured']:+.6g} "
                   f"bound={cert['theoretical']:+.6g}")
     print(f"\n{total_failed} certificate(s) failed across "

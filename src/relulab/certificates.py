@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .models import BinaryNet, MultiNet, Net, _activations, hessian_spectral_nor
 __all__ = [
     "TheoryConstants",
     "CertificateReport",
+    "verdict",
+    "holds",
     "phi",
     "varphi",
     "gram_matrix",
@@ -62,19 +64,9 @@ class TheoryConstants:
     m: int
     delta: float
     eta: Optional[float] = None
-    kappa: Optional[float] = None
     batch: Optional[int] = None
-    num_classes: Optional[int] = None
-    mu0: Optional[float] = None
-    s: Optional[float] = None
-    gamma: Optional[float] = None
     gamma1: Optional[float] = None
     gamma2: Optional[float] = None
-    V: Optional[float] = None
-    c: Optional[float] = None
-    cprime: Optional[float] = None
-    r: Optional[float] = None
-    T0: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -97,6 +89,16 @@ class CertificateReport:
             "inconclusive": bool(self.inconclusive),
             "context": self.context,
         }
+
+
+def verdict(report: dict) -> str:
+    """PASS, INCONCLUSIVE or FAIL for a report dict; a pass outranks the inconclusive flag."""
+    return "PASS" if report["passed"] else ("INCONCLUSIVE" if report.get("inconclusive") else "FAIL")
+
+
+def holds(report: dict) -> bool:
+    """True unless the report failed: an inconclusive report does not fail a run."""
+    return verdict(report) != "FAIL"
 
 
 # ---------------------------------------------------------------------------

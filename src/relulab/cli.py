@@ -10,21 +10,25 @@ Subcommands
 ``report``    print a human-readable summary of a stored run directory
 
 Configs are strict JSON: unknown keys are errors, so a misspelled constant
-cannot silently fall back to a default.  Exit code is 0 iff no certificate
-failed and no run aborted.
+cannot silently fall back to a default.  What a kind trains and certifies is
+one ``Kind`` record in ``_KINDS``.  Exit code 0: no certificate failed and no
+run aborted; 1: one did; 2: a usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -37,11 +41,10 @@ from .datasets import (
     gen_orthant_separable,
     load_cifar10,
     load_mnist,
-    validate_concentrated,
     validate_separable,
 )
 from .losses import LOSS_KEYS, loss_family
-from .models import BinaryNet, InitSpec, init_binary, init_multi
+from .models import InitSpec, init_binary, init_multi
 from .training import (
     Constant,
     Full,
@@ -57,9 +60,6 @@ from .training import (
 from . import certificates as certs
 from . import partition as part
 from . import prm as prm_mod
-
-EXPERIMENT_KINDS = ("early-binary", "early-multiclass", "global-poly",
-                    "global-exp", "prm", "certify-only")
 
 
 class ConfigError(ValueError):
@@ -124,23 +124,175 @@ def build_schedule(spec: dict):
     raise ConfigError(f"{where}: unknown type {kind!r}")
 
 
-def derive_kappa(raw, kind: str, eta: float, ds: LabeledDataset,
-                 batch: Optional[int]) -> float:
-    """Resolve kappa: explicit number, or "auto" from the experiment kind's cap."""
-    if raw != "auto":
-        return float(raw)
-    if kind == "early-binary":
-        rep = validate_separable(ds)
-        mu0 = rep.mu0 if rep.mu0 is not None else 1.0
-        return min(1e-3, eta / 2000.0, eta / (3.0 * ds.n), eta * mu0 / (3.0 * ds.n))
-    if kind == "early-multiclass":
-        B = batch if batch is not None else ds.n
-        return min(eta / 10.0, eta / (3.0 * B))
-    if kind in ("global-poly", "global-exp", "certify-only"):
-        rep = validate_separable(ds)
-        mu0 = rep.mu0 if rep.mu0 is not None else 1.0
-        return min(1e-3, eta * mu0 / (3.0 * ds.n))
-    raise ConfigError(f"kappa auto-derivation undefined for kind {kind!r}")
+# ---------------------------------------------------------------------------
+# Experiment kinds
+# ---------------------------------------------------------------------------
+
+def _mu0(ds: LabeledDataset) -> float:
+    rep = validate_separable(ds)
+    return rep.mu0 if rep.mu0 is not None else 1.0
+
+
+def _kappa_early_binary(eta: float, ds: LabeledDataset, batch: Optional[int]) -> float:
+    return min(1e-3, eta / 2000.0, eta / (3.0 * ds.n), eta * _mu0(ds) / (3.0 * ds.n))
+
+
+def _kappa_early_multi(eta: float, ds: LabeledDataset, batch: Optional[int]) -> float:
+    B = batch if batch is not None else ds.n
+    return min(eta / 10.0, eta / (3.0 * B))
+
+
+def _kappa_global(eta: float, ds: LabeledDataset, batch: Optional[int]) -> float:
+    return min(1e-3, eta * _mu0(ds) / (3.0 * ds.n))
+
+
+def _partition_report(cert_id: str, viols: list) -> dict:
+    return certs.CertificateReport(
+        cert_id, 0.0, float(len(viols)), len(viols) == 0, -float(len(viols)),
+        context={"first": viols[0].__dict__ if viols else None}).as_dict()
+
+
+def _certify_early_binary(record, ctx) -> list:
+    ds, delta, m = ctx["ds"], ctx["delta"], ctx["m"]
+    out = []
+    g1, g2 = compute_gamma_constants(ds)
+    consts = certs.TheoryConstants(n=ds.n, d=ds.d, m=m, delta=delta,
+                                   eta=ctx["schedule"].eta, gamma1=g1, gamma2=g2)
+    budget = certs.probability_budget(consts, "binary_early")
+    ts = tstar(consts.eta, "binary")
+    te = exp_hitting_time_Te(consts.eta, ds.n, m, delta, "binary")
+    losses = {r.t: r.loss for r in record.records}
+    if 0 in losses and ts in losses:
+        bound = certs.descent_bound_binary(consts)
+        measured = losses[0] - losses[ts]
+        out.append(certs.CertificateReport(
+            "early-descent-binary", bound, measured, measured >= bound,
+            measured - bound, inconclusive=budget >= 1.0,
+            context={"budget": budget, "t_star": ts, "T_e": te}).as_dict())
+    mt = record.measured_T
+    out.append(certs.CertificateReport(
+        "hitting-time-at-least-tstar", float(ts), float(mt if mt >= 0 else len(record.records)),
+        mt < 0 or mt >= ts, float((mt if mt >= 0 else len(record.records)) - ts),
+        context={"sentinel_not_yet_hit": mt < 0}).as_dict())
+    if not record.nets:
+        return out
+    horizon = min(ts, len(record.nets) - 1)
+    blocks, lowers = [], []
+    grad_sq = {r.t: r.grad_norm ** 2 for r in record.records}
+    grad_lower = []   # (slack, t, bound, measured) for every recorded t
+    for t in range(1, horizon + 1):
+        G = certs.gram_matrix(record.nets[t], ds)
+        blocks.append(certs.check_block_structure(G, ds))
+        lowers.append(certs.check_gram_lower_bound(G, ds, consts))
+        if t in grad_sq:
+            gl = certs.gradient_lower_bound_early(t, consts)
+            grad_lower.append((grad_sq[t] - gl, t, gl, grad_sq[t]))
+    if grad_lower:
+        # A bound <= 0 holds trivially; with no positive bound at
+        # any step the certificate says nothing.
+        live = [g for g in grad_lower if g[2] > 0.0]
+        slack, t, gl, measured = min(live or grad_lower)
+        out.append(certs.CertificateReport(
+            "early-gradient-lower", gl, measured, bool(live) and slack >= 0.0,
+            slack, inconclusive=not live,
+            context={"t": t,
+                     "failing_steps": [g[1] for g in live if g[0] < 0.0]}).as_dict())
+    # The worst step of each Gram check; the first one on a tie.
+    out.extend(min(reps, key=lambda r: r.slack).as_dict() for reps in (blocks, lowers) if reps)
+    out.append(_partition_report("partition-dynamics-early",
+                                 part.check_dynamics_early(record.nets[:horizon + 1], ds)))
+    return out
+
+
+def _certify_early_multiclass(record, ctx) -> list:
+    ds = ctx["ds"]
+    out = []
+    eta = ctx["schedule"].eta
+    consts = certs.TheoryConstants(n=ds.n, d=ds.d, m=ctx["m"], delta=ctx["delta"], eta=eta,
+                                   batch=ctx["batch_size"])
+    budget = certs.probability_budget(consts, "multi_early") if ctx["batch_size"] else None
+    ts = tstar(eta, "multi")
+    losses = {r.t: r.loss for r in record.records}
+    if 0 in losses and ts in losses:
+        bound = certs.descent_bound_multi()
+        measured = losses[0] - losses[ts]
+        out.append(certs.CertificateReport(
+            "early-descent-multi", bound, measured, measured >= bound,
+            measured - bound, context={"budget": budget, "t_star": ts}).as_dict())
+    if record.nets:
+        horizon = min(ts, len(record.nets) - 1)
+        minima = certs.multi_gram_min_entry(record.nets[1:horizon + 1], ds)
+        if minima:
+            worst = min(minima)
+            out.append(certs.CertificateReport(
+                "multi-gram-entries-at-least-one", 1.0, worst, worst >= 1.0,
+                worst - 1.0).as_dict())
+    if record.batch_alignments:
+        worst_align = min(record.batch_alignments)
+        out.append(certs.CertificateReport(
+            "stochastic-gradient-alignment", certs.STOCHASTIC_ALIGNMENT_BOUND,
+            worst_align, worst_align >= certs.STOCHASTIC_ALIGNMENT_BOUND,
+            worst_align - certs.STOCHASTIC_ALIGNMENT_BOUND).as_dict())
+    return out
+
+
+def _certify_global(record, ctx, envelope: str) -> list:
+    ds = ctx["ds"]
+    dc = compute_V(ds, ctx["m"], ctx["delta"])
+    rep = certs.fit_convergence_rate(record.records, envelope, dc.V, ctx["schedule"].c)
+    if dc.vacuous:
+        rep = dataclasses.replace(rep, inconclusive=True,
+                                  context=dict(rep.context, vacuous_V=True))
+    cc = part.check_correct_classification(record)
+    out = [rep.as_dict(), certs.CertificateReport(
+        "correct-classification", 0.0,
+        0.0 if cc is None else cc[1], cc is None,
+        0.0 if cc is None else cc[1],
+        context={"first_violation": cc}).as_dict()]
+    if record.nets:
+        out.append(_partition_report("partition-dynamics-global",
+                                     part.check_dynamics_global(record.nets, ds)))
+    return out
+
+
+def _certify_dataset(record, ctx) -> list:
+    ds = ctx["ds"]
+    rep = validate_separable(ds)
+    g1, g2 = compute_gamma_constants(ds)
+    dc = compute_V(ds, ctx["m"], ctx["delta"])
+    return [certs.CertificateReport(
+        "gamma-sandwich", g2 / 2.0, g1, g2 / 2.0 <= g1 <= g2,
+        min(g1 - g2 / 2.0, g2 - g1),
+        context={"gamma1": g1, "gamma2": g2, "V": dc.V,
+                 "separable": rep.separable, "mu0": rep.mu0}).as_dict()]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What one experiment kind trains and certifies."""
+
+    variant: str                  # "binary" | "multi": the network and the label kind
+    loss: str                     # default loss key
+    trained_layers: str           # default train.trained_layers
+    schedules: Tuple[str, ...]    # schedule types the certificates can read
+    kappa_cap: Callable[[float, LabeledDataset, Optional[int]], float]   # (eta, ds, batch)
+    certify: Callable[[object, dict], list]   # (record, ctx) -> report dicts
+    trains: bool = True           # False: the schedule is optional and no step is taken by default
+
+
+_KINDS = {
+    "early-binary": Kind("binary", "quadratic", "all", ("constant",),
+                         _kappa_early_binary, _certify_early_binary),
+    "early-multiclass": Kind("multi", "logistic", "all", ("constant",),
+                             _kappa_early_multi, _certify_early_multiclass),
+    "global-poly": Kind("binary", "quadratic", "all", ("loss-inverse", "two-stage-poly"),
+                        _kappa_global, functools.partial(_certify_global, envelope="poly_stage1")),
+    "global-exp": Kind("binary", "quadratic", "input_only", ("loss-inverse", "two-stage-poly"),
+                       _kappa_global, functools.partial(_certify_global, envelope="exponential")),
+    "certify-only": Kind("binary", "quadratic", "all",
+                         ("constant", "loss-inverse", "two-stage-poly"),
+                         _kappa_global, _certify_dataset, trains=False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +303,36 @@ _TOP_KEYS = {"kind", "dataset", "model", "loss", "schedule", "train", "delta", "
 
 
 def run_experiment(config: dict, keep_params: bool = True):
-    """Execute a non-PRM experiment config; returns (record, context dict)."""
+    """Execute a non-PRM experiment config; returns (record, context dict).
+
+    Every mismatch between the kind and the config (dataset labels, loss,
+    schedule type) is a ``ConfigError`` raised before any training step.
+    """
     _strict(config, _TOP_KEYS, "config")
     kind = _require(config, "kind", "config")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"config: unknown kind {kind!r}")
-    if kind == "prm":
-        raise ConfigError("use run_prm_experiment for prm configs")
+    spec = _KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise ConfigError("use run_prm_experiment for prm configs" if kind == "prm" else
+                          f"config: unknown kind {kind!r}; known: {', '.join(_KINDS)}, prm")
     ds = build_dataset(_require(config, "dataset", "config"), default_seed=config.get("seed", 0))
+    labels = "onehot" if spec.variant == "multi" else "binary"
+    if ds.label_kind != labels:
+        raise ConfigError(f"{kind} requires a dataset with {labels} labels")
     delta = float(config.get("delta", 0.01))
-    loss_key = config.get("loss", "quadratic" if kind != "early-multiclass" else "logistic")
+    loss_key = config.get("loss", spec.loss)
     if loss_key not in LOSS_KEYS:
         raise ConfigError(f"config: unknown loss {loss_key!r}; known: {', '.join(LOSS_KEYS)}")
     loss = loss_family(loss_key)
-    if kind == "certify-only" and "schedule" not in config:
-        schedule = Constant(eta=0.01)   # certify-only takes no training steps
+    if loss.is_quadratic and spec.variant == "multi":
+        raise ConfigError(f"{kind}: the quadratic loss is defined for the binary network only")
+    if spec.trains or "schedule" in config:
+        schedule_spec = _require(config, "schedule", "config")
+        schedule = build_schedule(schedule_spec)
+        if schedule_spec["type"] not in spec.schedules:
+            raise ConfigError(f"{kind} takes a {' or '.join(spec.schedules)} schedule, "
+                              f"not {schedule_spec['type']!r}")
     else:
-        schedule = build_schedule(_require(config, "schedule", "config"))
+        schedule = Constant(eta=0.01)   # certify-only takes no training steps
 
     model_spec = dict(_require(config, "model", "config"))
     _strict(model_spec, {"m", "kappa"}, "model")
@@ -181,177 +346,32 @@ def run_experiment(config: dict, keep_params: bool = True):
         _strict(batch_spec, {"B", "seed"}, "train.batch")
         batch_size = int(_require(batch_spec, "B", "train.batch"))
 
-    eta_for_kappa = schedule.eta if isinstance(schedule, Constant) else schedule.eta0
-    kappa = derive_kappa(model_spec.get("kappa", "auto"), kind, eta_for_kappa, ds, batch_size)
+    eta = schedule.eta if isinstance(schedule, Constant) else schedule.eta0
+    kappa = model_spec.get("kappa", "auto")
+    kappa = spec.kappa_cap(eta, ds, batch_size) if kappa == "auto" else float(kappa)
     seed = int(config.get("seed", 0))
     init = InitSpec(kappa=kappa, seed=seed)
-
-    if kind == "early-multiclass":
-        if ds.label_kind != "onehot":
-            raise ConfigError("early-multiclass requires a one-hot dataset")
-        net0 = init_multi(m, ds.d, ds.num_classes, init)
-        variant = "multi"
-    else:
-        if ds.label_kind != "binary":
-            raise ConfigError(f"{kind} requires a binary dataset")
-        net0 = init_binary(m, ds.d, init)
-        variant = "binary"
-
-    if kind == "certify-only":
-        default_steps = 0
-    elif isinstance(schedule, Constant):
-        default_steps = tstar(eta_for_kappa, variant)
-    else:
-        default_steps = 1000
-    steps = int(train_spec.get("steps", default_steps))
+    net0 = (init_multi(m, ds.d, ds.num_classes, init) if spec.variant == "multi"
+            else init_binary(m, ds.d, init))
+    default_steps = (0 if not spec.trains else
+                     tstar(eta, spec.variant) if isinstance(schedule, Constant) else 1000)
     batching = Full() if batch_spec is None else Stochastic(
         B=batch_size, seed=int(batch_spec.get("seed", seed + 1)))
     tconf = TrainConfig(
-        steps=steps, batching=batching,
-        trained_layers=train_spec.get("trained_layers",
-                                      "input_only" if kind == "global-exp" else "all"),
+        steps=int(train_spec.get("steps", default_steps)), batching=batching,
+        trained_layers=train_spec.get("trained_layers", spec.trained_layers),
         record_every=int(train_spec.get("record_every", 1)),
         keep_params=keep_params,
     )
     record = run(net0, ds, loss, schedule, tconf)
-    ctx = {"ds": ds, "net0": net0, "loss": loss, "schedule": schedule,
-           "kind": kind, "delta": delta, "kappa": kappa, "variant": variant,
-           "batch_size": batch_size, "seed": seed, "m": m}
+    ctx = {"ds": ds, "net0": net0, "schedule": schedule, "kind": kind, "delta": delta,
+           "kappa": kappa, "batch_size": batch_size, "seed": seed, "m": m}
     return record, ctx
 
 
 def evaluate_certificates(record, ctx) -> list:
-    """Certificates appropriate to the experiment kind; list of report dicts."""
-    kind = ctx["kind"]
-    ds, delta, m = ctx["ds"], ctx["delta"], ctx["m"]
-    out = []
-
-    if kind == "early-binary":
-        g1, g2 = compute_gamma_constants(ds)
-        consts = certs.TheoryConstants(n=ds.n, d=ds.d, m=m, delta=delta,
-                                       eta=ctx["schedule"].eta, kappa=ctx["kappa"],
-                                       gamma1=g1, gamma2=g2)
-        budget = certs.probability_budget(consts, "binary_early")
-        ts = tstar(consts.eta, "binary")
-        te = exp_hitting_time_Te(consts.eta, ds.n, m, delta, "binary")
-        losses = {r.t: r.loss for r in record.records}
-        if 0 in losses and ts in losses:
-            bound = certs.descent_bound_binary(consts)
-            measured = losses[0] - losses[ts]
-            out.append(certs.CertificateReport(
-                "early-descent-binary", bound, measured, measured >= bound,
-                measured - bound, inconclusive=budget >= 1.0,
-                context={"budget": budget, "t_star": ts, "T_e": te}).as_dict())
-        mt = record.measured_T
-        out.append(certs.CertificateReport(
-            "hitting-time-at-least-tstar", float(ts), float(mt if mt >= 0 else len(record.records)),
-            mt < 0 or mt >= ts, float((mt if mt >= 0 else len(record.records)) - ts),
-            context={"sentinel_not_yet_hit": mt < 0}).as_dict())
-        if record.nets:
-            horizon = min(ts, len(record.nets) - 1)
-            worst_block, worst_lower = None, None
-            grad_sq = {r.t: r.grad_norm ** 2 for r in record.records}
-            grad_lower = []   # (slack, t, bound, measured) for every recorded t
-            for t in range(1, horizon + 1):
-                G = certs.gram_matrix(record.nets[t], ds)
-                rb = certs.check_block_structure(G, ds)
-                rl = certs.check_gram_lower_bound(G, ds, consts)
-                if worst_block is None or rb.slack < worst_block.slack:
-                    worst_block = rb
-                if worst_lower is None or rl.slack < worst_lower.slack:
-                    worst_lower = rl
-                if t in grad_sq:
-                    gl = certs.gradient_lower_bound_early(t, consts)
-                    grad_lower.append((grad_sq[t] - gl, t, gl, grad_sq[t]))
-            if grad_lower:
-                # A bound <= 0 holds trivially; with no positive bound at
-                # any step the certificate says nothing.
-                live = [g for g in grad_lower if g[2] > 0.0]
-                slack, t, gl, measured = min(live or grad_lower)
-                out.append(certs.CertificateReport(
-                    "early-gradient-lower", gl, measured, bool(live) and slack >= 0.0,
-                    slack, inconclusive=not live,
-                    context={"t": t,
-                             "failing_steps": [g[1] for g in live if g[0] < 0.0]}).as_dict())
-            if worst_block:
-                out.append(worst_block.as_dict())
-            if worst_lower:
-                out.append(worst_lower.as_dict())
-            viols = part.check_dynamics_early(record.nets[:horizon + 1], ds)
-            out.append(certs.CertificateReport(
-                "partition-dynamics-early", 0.0, float(len(viols)),
-                len(viols) == 0, -float(len(viols)),
-                context={"first": viols[0].__dict__ if viols else None}).as_dict())
-
-    elif kind == "early-multiclass":
-        eta = ctx["schedule"].eta
-        consts = certs.TheoryConstants(n=ds.n, d=ds.d, m=m, delta=delta, eta=eta,
-                                       kappa=ctx["kappa"], batch=ctx["batch_size"],
-                                       num_classes=ds.num_classes)
-        budget = certs.probability_budget(consts, "multi_early") if ctx["batch_size"] else None
-        ts = tstar(eta, "multi")
-        losses = {r.t: r.loss for r in record.records}
-        if 0 in losses and ts in losses:
-            bound = certs.descent_bound_multi()
-            measured = losses[0] - losses[ts]
-            out.append(certs.CertificateReport(
-                "early-descent-multi", bound, measured, measured >= bound,
-                measured - bound, context={"budget": budget, "t_star": ts}).as_dict())
-        if record.nets:
-            horizon = min(ts, len(record.nets) - 1)
-            minima = certs.multi_gram_min_entry(record.nets[1:horizon + 1], ds)
-            if minima:
-                worst = min(minima)
-                out.append(certs.CertificateReport(
-                    "multi-gram-entries-at-least-one", 1.0, worst, worst >= 1.0,
-                    worst - 1.0).as_dict())
-        if record.batch_alignments:
-            worst_align = min(record.batch_alignments)
-            out.append(certs.CertificateReport(
-                "stochastic-gradient-alignment", certs.STOCHASTIC_ALIGNMENT_BOUND,
-                worst_align, worst_align >= certs.STOCHASTIC_ALIGNMENT_BOUND,
-                worst_align - certs.STOCHASTIC_ALIGNMENT_BOUND).as_dict())
-
-    elif kind in ("global-poly", "global-exp"):
-        dc = compute_V(ds, m, delta)
-        sched = ctx["schedule"]
-        c = sched.c
-        kind_env = "poly_stage1" if kind == "global-poly" else "exponential"
-        rep = certs.fit_convergence_rate(record.records, kind_env, dc.V, c)
-        if dc.vacuous:
-            rep = certs.CertificateReport(rep.cert_id, rep.theoretical, rep.measured,
-                                          rep.passed, rep.slack, inconclusive=True,
-                                          context=dict(rep.context, vacuous_V=True))
-        out.append(rep.as_dict())
-        cc = part.check_correct_classification(record)
-        out.append(certs.CertificateReport(
-            "correct-classification", 0.0,
-            0.0 if cc is None else cc[1], cc is None,
-            0.0 if cc is None else cc[1],
-            context={"first_violation": cc}).as_dict())
-        if record.nets:
-            viols = part.check_dynamics_global(record.nets, ds)
-            out.append(certs.CertificateReport(
-                "partition-dynamics-global", 0.0, float(len(viols)),
-                len(viols) == 0, -float(len(viols)),
-                context={"first": viols[0].__dict__ if viols else None}).as_dict())
-
-    elif kind == "certify-only":
-        if ds.label_kind == "binary":
-            rep = validate_separable(ds)
-            g1, g2 = compute_gamma_constants(ds)
-            dc = compute_V(ds, m, delta)
-            out.append(certs.CertificateReport(
-                "gamma-sandwich", g2 / 2.0, g1, g2 / 2.0 <= g1 <= g2,
-                min(g1 - g2 / 2.0, g2 - g1),
-                context={"gamma1": g1, "gamma2": g2, "V": dc.V,
-                         "separable": rep.separable, "mu0": rep.mu0}).as_dict())
-        else:
-            rep = validate_concentrated(ds)
-            out.append(certs.CertificateReport(
-                "concentration", -1.0, rep.s, rep.concentrated,
-                rep.s + 1.0).as_dict())
-    return out
+    """The experiment kind's certificates; a list of report dicts."""
+    return _KINDS[ctx["kind"]].certify(record, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +383,15 @@ def run_prm_experiment(config: dict):
     spec = dict(_require(config, "prm", "config"))
     _strict(spec, {"d", "m", "M", "kappa", "eta", "steps", "seed"}, "prm")
     d = int(_require(spec, "d", "prm"))
-    m = int(_require(spec, "m", "prm"))
-    M = int(spec.get("M", d))
-    kappa = float(_require(spec, "kappa", "prm"))
-    seed = int(spec.get("seed", config.get("seed", 0)))
-    probe = prm_mod.TeacherStudentConfig(d=d, m=m, M=M, kappa=kappa, eta=1.0,
-                                         seed=seed, steps=0)
-    eta_raw = spec.get("eta", "auto")
-    eta = prm_mod.max_compliant_eta(probe) if eta_raw == "auto" else float(eta_raw)
-    cfg = prm_mod.TeacherStudentConfig(d=d, m=m, M=M, kappa=kappa, eta=eta, seed=seed,
-                                       steps=int(spec.get("steps",
-                                                          math.ceil(prm_mod.prm_tstar_plus_one(
-                                                              prm_mod.TeacherStudentConfig(
-                                                                  d=d, m=m, M=M, kappa=kappa,
-                                                                  eta=eta, seed=seed, steps=0))) + 2)))
+    cfg = prm_mod.TeacherStudentConfig(
+        d=d, m=int(_require(spec, "m", "prm")), M=int(spec.get("M", d)),
+        kappa=float(_require(spec, "kappa", "prm")), eta=1.0,
+        seed=int(spec.get("seed", config.get("seed", 0))), steps=0)
+    eta = spec.get("eta", "auto")
+    cfg = dataclasses.replace(
+        cfg, eta=prm_mod.max_compliant_eta(cfg) if eta == "auto" else float(eta))
+    steps = spec["steps"] if "steps" in spec else math.ceil(prm_mod.prm_tstar_plus_one(cfg)) + 2
+    cfg = dataclasses.replace(cfg, steps=int(steps))
     record = prm_mod.run_prm_gd(cfg)
     cert = prm_mod.prm_descent_certificate(cfg, record)
     return cfg, record, cert
@@ -386,25 +401,43 @@ def run_prm_experiment(config: dict):
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _write(path: Path, text: str) -> str:
     path.write_text(text)
-    return _sha256_text(text)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
 
 
-def _emit_run(outdir: Path, config: dict, record, ctx, cert_dicts=None) -> bool:
+def _write_run_dir(outdir: Path, config: dict, steps_text: str, summary: dict,
+                   cert_dicts: Optional[list] = None) -> None:
+    """Write steps.csv, summary.json, certificates.json (when given) and a
+    manifest.json holding the config, versions and the digests of the others."""
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_text = steps_csv(record)
-    digests = {"steps.csv": _write(outdir / "steps.csv", csv_text)}
-    first = record.records[0]
-    last = record.records[-1]
+    digests = {"steps.csv": _write(outdir / "steps.csv", steps_text),
+               "summary.json": _write(outdir / "summary.json", _json_dump(summary))}
+    if cert_dicts is not None:
+        digests["certificates.json"] = _write(outdir / "certificates.json",
+                                              _json_dump(cert_dicts))
+    manifest = {
+        "config": config,
+        "versions": {"artifact": __version__, "numpy": np.__version__,
+                     "python": sys.version.split()[0]},
+        "digests": digests,
+    }
+    _write(outdir / "manifest.json", _json_dump(manifest))
+
+
+def _emit_run(outdir: Path, config: dict, certify: bool):
+    """Run an experiment config and write its run directory.
+
+    Returns (record, ctx, report dicts, ok); ok is False when the run aborted
+    or a certificate failed.
+    """
+    record, ctx = run_experiment(config)
+    cert_dicts = evaluate_certificates(record, ctx) if certify else None
+    first, last = record.records[0], record.records[-1]
     summary = {
         "kind": ctx["kind"],
         "status": record.status,
@@ -414,25 +447,22 @@ def _emit_run(outdir: Path, config: dict, record, ctx, cert_dicts=None) -> bool:
         "initial_loss": first.loss, "final_loss": last.loss,
         "descent": first.loss - last.loss,
         "measured_T": record.measured_T,
-        "steps": record.records[-1].t,
+        "steps": last.t,
         "dataset_digest": ctx["ds"].digest(),
         "net0_digest": ctx["net0"].digest(),
         "run_digest": record.digest(),
     }
-    digests["summary.json"] = _write(outdir / "summary.json", _json_dump(summary))
-    ok = record.status in ("completed", "converged-exactly")
-    if cert_dicts is not None:
-        digests["certificates.json"] = _write(outdir / "certificates.json",
-                                              _json_dump(cert_dicts))
-        ok = ok and all(c["passed"] or c.get("inconclusive") for c in cert_dicts)
-    manifest = {
-        "config": config,
-        "versions": {"artifact": __version__, "numpy": np.__version__,
-                     "python": sys.version.split()[0]},
-        "digests": digests,
-    }
-    _write(outdir / "manifest.json", _json_dump(manifest))
-    return ok
+    _write_run_dir(outdir, config, steps_csv(record), summary, cert_dicts)
+    cert_dicts = cert_dicts or []
+    ok = (record.status in ("completed", "converged-exactly")
+          and all(certs.holds(c) for c in cert_dicts))
+    return record, ctx, cert_dicts, ok
+
+
+def _print_certificates(cert_dicts: list) -> None:
+    for c in cert_dicts:
+        print(f"  [{certs.verdict(c)}] {c['cert_id']}: bound={c['theoretical']:.6g} "
+              f"measured={c['measured']:.6g} slack={c['slack']:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +480,7 @@ def cmd_gen_data(config: dict, outdir: Path, seed: Optional[int]) -> int:
 def cmd_train(config: dict, outdir: Path, seed: Optional[int]) -> int:
     if seed is not None:
         config = dict(config, seed=seed)
-    record, ctx = run_experiment(config)
-    ok = _emit_run(outdir, config, record, ctx, cert_dicts=None)
+    record, ctx, _, ok = _emit_run(outdir, config, certify=False)
     print(f"run {ctx['kind']}: status={record.status} "
           f"loss {record.records[0].loss:.6g} -> {record.records[-1].loss:.6g}")
     return 0 if ok else 1
@@ -460,15 +489,9 @@ def cmd_train(config: dict, outdir: Path, seed: Optional[int]) -> int:
 def cmd_verify(config: dict, outdir: Path, seed: Optional[int]) -> int:
     if seed is not None:
         config = dict(config, seed=seed)
-    record, ctx = run_experiment(config)
-    cert_dicts = evaluate_certificates(record, ctx)
-    ok = _emit_run(outdir, config, record, ctx, cert_dicts=cert_dicts)
-    failed = [c for c in cert_dicts if not (c["passed"] or c.get("inconclusive"))]
-    for c in cert_dicts:
-        verdict = "PASS" if c["passed"] else ("INCONCLUSIVE" if c.get("inconclusive") else "FAIL")
-        print(f"  [{verdict}] {c['cert_id']}: bound={c['theoretical']:.6g} "
-              f"measured={c['measured']:.6g} slack={c['slack']:.3g}")
-    return 0 if ok and not failed else 1
+    _, _, cert_dicts, ok = _emit_run(outdir, config, certify=True)
+    _print_certificates(cert_dicts)
+    return 0 if ok else 1
 
 
 def _set_path(obj: dict, dotted: str, value) -> None:
@@ -495,9 +518,7 @@ def _sweep_entry(args):
     row["run_dir"] = str(subdir)
     row.update(assignment)
     try:
-        record, ctx = run_experiment(config)
-        cert_dicts = evaluate_certificates(record, ctx)
-        ok = _emit_run(Path(subdir), config, record, ctx, cert_dicts=cert_dicts)
+        record, _, cert_dicts, ok = _emit_run(Path(subdir), config, certify=True)
     except (ValueError, FileNotFoundError) as exc:   # ConfigError included
         row["status"] = f"error:{exc}"
         return False, row
@@ -508,8 +529,7 @@ def _sweep_entry(args):
         "final_loss": last.loss,
         "descent": first.loss - last.loss,
         "measured_T": record.measured_T,
-        "certificates_failed": sum(
-            0 if c["passed"] or c.get("inconclusive") else 1 for c in cert_dicts),
+        "certificates_failed": sum(not certs.holds(c) for c in cert_dicts),
     })
     return ok, row
 
@@ -556,9 +576,6 @@ def cmd_prm(config: dict, outdir: Path, seed: Optional[int]) -> int:
         config.setdefault("prm", {})
         config["prm"] = dict(config["prm"], seed=seed)
     cfg, record, cert = run_prm_experiment(config)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_text = prm_mod.prm_csv(record)
-    digests = {"steps.csv": _write(outdir / "steps.csv", csv_text)}
     summary = {
         "kind": "prm",
         "d": cfg.d, "m": cfg.m, "M": cfg.M, "kappa": cfg.kappa,
@@ -570,18 +587,10 @@ def cmd_prm(config: dict, outdir: Path, seed: Optional[int]) -> int:
         "measured_T": record.measured_T,
         "norm_monotone": record.norm_monotone,
     }
-    digests["summary.json"] = _write(outdir / "summary.json", _json_dump(summary))
     cert_dicts = [cert.as_dict()]
-    digests["certificates.json"] = _write(outdir / "certificates.json", _json_dump(cert_dicts))
-    manifest = {"config": config,
-                "versions": {"artifact": __version__, "numpy": np.__version__,
-                             "python": sys.version.split()[0]},
-                "digests": digests}
-    _write(outdir / "manifest.json", _json_dump(manifest))
-    verdict = "PASS" if cert.passed else ("INCONCLUSIVE" if cert.inconclusive else "FAIL")
-    print(f"  [{verdict}] prm-two-term-descent: bound={cert.theoretical:.6g} "
-          f"measured={cert.measured:.6g}")
-    return 0 if cert.passed or cert.inconclusive else 1
+    _write_run_dir(outdir, config, prm_mod.prm_csv(record), summary, cert_dicts)
+    _print_certificates(cert_dicts)
+    return 0 if certs.holds(cert_dicts[0]) else 1
 
 
 def cmd_report(rundir: Path) -> int:
@@ -590,16 +599,14 @@ def cmd_report(rundir: Path) -> int:
     for key in sorted(summary):
         print(f"  {key:>18}: {summary[key]}")
     cert_path = rundir / "certificates.json"
-    ok = True
+    cert_dicts = []
     if cert_path.exists():
         cert_dicts = json.loads(cert_path.read_text())
         print(f"  certificates ({len(cert_dicts)}):")
-        for c in cert_dicts:
-            verdict = "PASS" if c["passed"] else ("INCONCLUSIVE" if c.get("inconclusive") else "FAIL")
-            ok = ok and (c["passed"] or c.get("inconclusive"))
-            print(f"    [{verdict}] {c['cert_id']}: bound={c['theoretical']} "
-                  f"measured={c['measured']} slack={c['slack']}")
-    return 0 if ok else 1
+    for c in cert_dicts:
+        print(f"    [{certs.verdict(c)}] {c['cert_id']}: bound={c['theoretical']} "
+              f"measured={c['measured']} slack={c['slack']}")
+    return 0 if all(certs.holds(c) for c in cert_dicts) else 1
 
 
 def main(argv=None) -> int:

@@ -24,6 +24,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import rng
+from .certificates import CertificateReport
 
 __all__ = [
     "TeacherStudentConfig",
@@ -311,34 +312,20 @@ def descent_bound_two_term(config: TeacherStudentConfig) -> float:
     return term1 + term2
 
 
-@dataclass(frozen=True)
-class PrmCertificate:
-    theoretical: float
-    measured: float
-    passed: bool
-    inconclusive: bool
-    detail: str
-
-    def as_dict(self) -> dict:
-        return {"cert_id": "prm-two-term-descent", "theoretical": self.theoretical,
-                "measured": self.measured, "passed": bool(self.passed),
-                "slack": self.measured - self.theoretical,
-                "inconclusive": bool(self.inconclusive), "detail": self.detail}
-
-
-def prm_descent_certificate(config: TeacherStudentConfig, record: PrmRunRecord) -> PrmCertificate:
+def prm_descent_certificate(config: TeacherStudentConfig,
+                            record: PrmRunRecord) -> CertificateReport:
     """Compare measured descent over the closed-form horizon against the two-term bound."""
     t_eval = math.ceil(prm_tstar_plus_one(config))
-    if len(record.losses) <= t_eval:
-        return PrmCertificate(theoretical=descent_bound_two_term(config), measured=math.nan,
-                              passed=False, inconclusive=True,
-                              detail=f"horizon too short: need {t_eval + 1} recorded steps")
-    L0 = loss_at_origin(config)
     bound = descent_bound_two_term(config)
+    if len(record.losses) <= t_eval:
+        return CertificateReport(
+            "prm-two-term-descent", bound, math.nan, False, math.nan, inconclusive=True,
+            context={"detail": f"horizon too short: need {t_eval + 1} recorded steps"})
+    L0 = loss_at_origin(config)
     measured = L0 - record.losses[t_eval]
-    return PrmCertificate(theoretical=bound, measured=measured,
-                          passed=measured >= bound, inconclusive=False,
-                          detail=f"evaluated at step {t_eval}; loss at the zero student {L0!r}")
+    return CertificateReport(
+        "prm-two-term-descent", bound, measured, measured >= bound, measured - bound,
+        context={"detail": f"evaluated at step {t_eval}; loss at the zero student {L0!r}"})
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .datasets import LabeledDataset
 from .losses import LossFamily
 from .models import (
     BinaryNet,
-    MultiNet,
     Net,
     _flatten_struct,
     apply_gradient,
@@ -184,8 +183,6 @@ class RunRecord:
     nets: List[Net] = field(default_factory=list)      # populated when keep_params
     batch_alignments: List[float] = field(default_factory=list)  # <full grad, batch grad> per step
     measured_T: int = NOT_YET_HIT
-    T_e: Optional[int] = None
-    T_star: Optional[int] = None
     status: str = "completed"          # completed | converged-exactly | aborted
 
     def digest(self) -> str:

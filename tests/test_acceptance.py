@@ -123,7 +123,7 @@ def compliant_binary_summaries():
                               keep_params=True))
         g1, g2 = compute_gamma_constants(ds)
         consts = C.TheoryConstants(n=n, d=d, m=m, delta=delta, eta=ETA,
-                                   kappa=kappa, gamma1=g1, gamma2=g2)
+                                   gamma1=g1, gamma2=g2)
         losses = {r.t: r.loss for r in rec.records}
         cross_zero = True
         gram_lower_worst = math.inf

@@ -62,7 +62,7 @@ def binary_run():
               TrainConfig(steps=45, batching=Full(), keep_params=True))
     g1, g2 = compute_gamma_constants(ds)
     consts = C.TheoryConstants(n=16, d=25, m=2048, delta=0.01, eta=0.01,
-                               kappa=5e-6, gamma1=g1, gamma2=g2)
+                               gamma1=g1, gamma2=g2)
     return ds, rec, consts
 
 
@@ -240,3 +240,15 @@ def test_convergence_envelope_reports():
 
 def test_gradient_lower_bound_global_form():
     assert C.gradient_lower_bound_global(0.3, 0.02) == pytest.approx(0.02 * 0.09)
+
+
+@pytest.mark.parametrize("passed,inconclusive,expected", [
+    (True, False, "PASS"),
+    (True, True, "PASS"),
+    (False, True, "INCONCLUSIVE"),
+    (False, False, "FAIL"),
+])
+def test_verdict_ranks_pass_then_inconclusive_then_fail(passed, inconclusive, expected):
+    report = C.CertificateReport("x", 0.0, 0.0, passed, 0.0, inconclusive=inconclusive).as_dict()
+    assert C.verdict(report) == expected
+    assert C.holds(report) == (expected != "FAIL")

@@ -2,9 +2,15 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from relulab.certificates import CertificateReport
 from relulab.cli import evaluate_certificates, main, run_experiment
+from relulab.datasets import write_idx_images, write_idx_labels
+from relulab.losses import LOSS_KEYS
 
 
 def write_config(tmp_path, name, obj):
@@ -70,6 +76,7 @@ def test_prm_subcommand(tmp_path):
     assert summary["eta_compliant"] is True
     certs = json.loads((out / "certificates.json").read_text())
     assert certs[0]["cert_id"] == "prm-two-term-descent" and certs[0]["passed"]
+    assert certs[0]["context"]["detail"].startswith("evaluated at step ")
     head = (out / "steps.csv").read_text().split("\n")[0]
     assert head == "t,loss,sum_norms,min_norm,max_norm,grad_norm"
 
@@ -214,3 +221,108 @@ def test_certify_only_needs_no_schedule(tmp_path):
     certs = json.loads((out / "certificates.json").read_text())
     assert [c["cert_id"] for c in certs] == ["gamma-sandwich"]
     assert certs[0]["passed"]
+
+
+REPORT_KEYS = {f.name for f in dataclasses.fields(CertificateReport)}
+
+
+@pytest.mark.parametrize("command,config", [("verify", EARLY_BINARY), ("prm", PRM)])
+def test_every_report_has_the_certificate_report_keys(tmp_path, command, config):
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "run"
+    main([command, "--config", str(cfg), "--out", str(out)])
+    reports = json.loads((out / "certificates.json").read_text())
+    assert reports
+    assert all(set(c) == REPORT_KEYS for c in reports)
+
+
+def test_report_ranks_pass_above_inconclusive(tmp_path, capsys):
+    (tmp_path / "summary.json").write_text(json.dumps({"kind": "early-binary"}))
+    (tmp_path / "certificates.json").write_text(json.dumps([{
+        "cert_id": "hand-written", "theoretical": 1.0, "measured": 2.0,
+        "passed": True, "slack": 1.0, "inconclusive": True, "context": {}}]))
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert "[PASS] hand-written" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def onehot_spec(tmp_path_factory):
+    """A 30-record, 3-class IDX corpus of 4x4 images, as a dataset spec."""
+    d = tmp_path_factory.mktemp("idx")
+    gen = np.random.default_rng(0)
+    pixels = np.clip(np.abs(gen.standard_normal((30, 16))) * 64.0, 1.0, 255.0)
+    write_idx_images(d / "images", pixels.astype(np.uint8), 4, 4)
+    write_idx_labels(d / "labels", (np.arange(30) % 3).astype(np.uint8))
+    return {"type": "mnist", "images": str(d / "images"), "labels": str(d / "labels"),
+            "count": 30}
+
+
+TINY = dict(EARLY_BINARY, dataset={"type": "synthetic", "n": 6, "d": 8, "seed": 1},
+            model={"m": 16, "kappa": "auto"}, train={"steps": 3})
+LOSS_INVERSE = {"type": "loss-inverse", "eta0": 0.25, "c": 0.5}
+
+# Configs whose kind cannot use their schedule, loss or dataset; the one-hot
+# dataset is filled in from the fixture.
+MISMATCHED = {
+    "early-binary-loss-inverse": dict(TINY, schedule=LOSS_INVERSE),
+    "global-poly-constant": dict(TINY, kind="global-poly", loss="exp"),
+    "early-multiclass-quadratic": dict(TINY, kind="early-multiclass", dataset=None),
+    "global-exp-onehot": dict(TINY, kind="global-exp", loss="exp",
+                              schedule=LOSS_INVERSE, dataset=None),
+    "certify-only-onehot": dict(TINY, kind="certify-only", dataset=None),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "verify"])
+@pytest.mark.parametrize("name", sorted(MISMATCHED))
+def test_kind_mismatch_is_a_config_error(tmp_path, capsys, onehot_spec, name, command):
+    config = dict(MISMATCHED[name])
+    if config["dataset"] is None:
+        config["dataset"] = onehot_spec
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+ENUM_FIELDS = {
+    "kind": ["early-binary", "early-multiclass", "global-poly", "global-exp",
+             "certify-only", "prm"],
+    "schedule.type": ["constant", "loss-inverse", "two-stage-poly"],
+    "loss": list(LOSS_KEYS),
+    "dataset.type": ["synthetic", "mnist", "cifar10"],
+    "train.trained_layers": ["all", "input_only"],
+}
+JUNK = st.one_of(st.text(max_size=6), st.integers(-2, 2), st.none(), st.booleans(),
+                 st.lists(st.integers(0, 2), max_size=2))
+
+
+def _valid_bases(onehot):
+    return [
+        TINY,
+        dict(TINY, kind="global-exp", loss="exp", schedule=LOSS_INVERSE),
+        dict(TINY, kind="certify-only"),
+        dict(TINY, kind="early-multiclass", loss="logistic", dataset=onehot,
+             train={"steps": 3, "batch": {"B": 8, "seed": 1}}),
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), field=st.sampled_from(sorted(ENUM_FIELDS)),
+       command=st.sampled_from(["train", "verify"]))
+def test_one_mutated_enum_field_never_raises(tmp_path_factory, onehot_spec, data,
+                                             field, command):
+    base = data.draw(st.sampled_from(_valid_bases(onehot_spec)), label="base")
+    value = data.draw(st.one_of(st.sampled_from(ENUM_FIELDS[field]), JUNK), label="value")
+    config = json.loads(json.dumps(base))
+    cur = config
+    *parents, leaf = field.split(".")
+    for key in parents:
+        cur = cur.setdefault(key, {})
+    cur[leaf] = value
+    tmp = tmp_path_factory.mktemp("mutated")
+    cfg = write_config(tmp, "c.json", config)
+    assert main([command, "--config", str(cfg), "--out", str(tmp / "run")]) in (0, 1, 2)
