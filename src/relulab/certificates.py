@@ -6,6 +6,10 @@ probability budget is vacuous are reported as inconclusive rather than
 failed: they are probabilistic statements and an invalid budget makes the
 comparison meaningless.
 
+Checks that read the networks of a run are observers of the training run
+(``GramChecks``, ``MultiGramMin``): ``training.run`` hands them every step,
+so they keep no trajectory.
+
 Two similar exponential envelopes appear in the early-stage analysis and are
 deliberately kept as distinct named functions because they are easy to
 conflate:
@@ -27,7 +31,9 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .losses import LossFamily
-from .models import BinaryNet, MultiNet, Net, _activations, hessian_spectral_norm, param_norm
+from .models import (BinaryNet, MultiNet, Net, _activations, hessian_spectral_norm, param_norm,
+                     preactivation)
+from .training import EVERY_STEP
 
 __all__ = [
     "TheoryConstants",
@@ -37,9 +43,11 @@ __all__ = [
     "phi",
     "varphi",
     "gram_matrix",
+    "MultiGramMin",
     "multi_gram_min_entry",
     "check_block_structure",
     "check_gram_lower_bound",
+    "GramChecks",
     "gradient_lower_bound_early",
     "gradient_lower_bound_global",
     "check_hessian_bound",
@@ -120,15 +128,16 @@ def varphi(t: float, eta: float, n: int, m: int, delta: float) -> float:
 # Gram matrices
 # ---------------------------------------------------------------------------
 
-def gram_matrix(net: Net, ds: LabeledDataset) -> np.ndarray:
+def gram_matrix(net: Net, ds: LabeledDataset, H: Optional[np.ndarray] = None) -> np.ndarray:
     """G_ij = <model gradient at x_i, model gradient at x_j>.
 
     For the binary network this is the n x n matrix
     sum_k sigma_ik sigma_jk + sum_k a_k^2 D_ik D_jk x_i^T x_j.
     For the multi-output network, the (Cn) x (Cn) block matrix with blocks
     indexed by output channel is returned, laid out as (i*C + alpha).
+    ``H`` is the full-data preactivation when the caller already holds it.
     """
-    X, _, S, D, _, _ = _activations(net, ds)
+    X, _, S, D, _, _ = _activations(net, ds, H=H)
     if isinstance(net, BinaryNet):
         M = D * net.a[None, :]
         return S @ S.T + (M @ M.T) * (X @ X.T)
@@ -144,11 +153,12 @@ def gram_matrix(net: Net, ds: LabeledDataset) -> np.ndarray:
     return G
 
 
-def multi_gram_min_entry(nets: Sequence[MultiNet], ds: LabeledDataset) -> List[float]:
-    """Exact minimum entry of the (Cn) x (Cn) model-gradient Gram matrix, per net.
+class MultiGramMin:
+    """Exact minimum entry of the (Cn) x (Cn) model-gradient Gram matrix at
+    each step in ``steps``, appended to ``minima``.
 
-    ``X Xᵀ + 1`` depends on the data only and is formed once for the whole
-    trajectory.  For each net a conservative per-pair lower bound
+    ``X Xᵀ + 1`` depends on the data only and is formed once per observer.
+    For each net a conservative per-pair lower bound
     ``bound_ij = (E Eᵀ)_ij (x_iᵀx_j + 1)`` with ``E_ik = D_ik min_alpha a_{k alpha}``
     is computed; it lies below every entry of the pair's C x C block when the
     output weights and ``X Xᵀ + 1`` are nonnegative (otherwise the dense Gram
@@ -158,17 +168,24 @@ def multi_gram_min_entry(nets: Sequence[MultiNet], ds: LabeledDataset) -> List[f
     clears the running minimum.  This is exact: a pair holding an entry
     below m0 has ``bound <= entry < m0`` and so is among the kept pairs.
     """
-    X, n = ds.inputs, ds.n
-    XX1 = X @ X.T + 1.0
-    dense_only = bool(np.any(XX1 < 0.0))
-    out = []
-    for net in nets:
+
+    def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
+        self.ds, self.steps = ds, steps
+        self.XX1 = ds.inputs @ ds.inputs.T + 1.0
+        self.dense_only = bool(np.any(self.XX1 < 0.0))
+        self.minima: List[float] = []
+
+    def step(self, t: int, net: MultiNet, H: np.ndarray, record=None) -> None:
+        if t in self.steps:
+            self.minima.append(self._min_entry(net, H))
+
+    def _min_entry(self, net: MultiNet, H: np.ndarray) -> float:
+        ds, n, XX1 = self.ds, self.ds.n, self.XX1
         amin = net.A.min(axis=1)
-        if dense_only or np.any(amin < 0.0):
+        if self.dense_only or np.any(amin < 0.0):
             # Conservative shortcut invalid; fall back to the dense form.
-            out.append(float(gram_matrix(net, ds).min()))
-            continue
-        _, _, S, D, _, _ = _activations(net, ds)
+            return float(gram_matrix(net, ds, H).min())
+        _, _, S, D, _, _ = _activations(net, ds, H=H)
         A, eye = net.A, np.eye(net.C)
 
         def block_min(k: int) -> float:
@@ -190,8 +207,15 @@ def multi_gram_min_entry(nets: Sequence[MultiNet], ds: LabeledDataset) -> List[f
             if bound[k] >= best:
                 break
             best = min(best, block_min(k))
-        out.append(best)
-    return out
+        return best
+
+
+def multi_gram_min_entry(nets: Sequence[MultiNet], ds: LabeledDataset) -> List[float]:
+    """``MultiGramMin`` over a list of nets: one minimum entry per net."""
+    obs = MultiGramMin(ds)
+    for t, net in enumerate(nets):
+        obs.step(t, net, preactivation(net, ds.inputs))
+    return obs.minima
 
 
 def check_block_structure(G: np.ndarray, ds: LabeledDataset) -> CertificateReport:
@@ -225,6 +249,30 @@ def check_gram_lower_bound(G: np.ndarray, ds: LabeledDataset,
         passed=worst >= 0.0, slack=worst,
         context={"pair": idx.tolist()},
     )
+
+
+class GramChecks:
+    """The binary Gram checks at each step in ``steps``; keeps the worst
+    (least-slack, first on a tie) report of each check."""
+
+    def __init__(self, ds: LabeledDataset, consts: TheoryConstants, steps: range = EVERY_STEP):
+        self.ds, self.consts, self.steps = ds, consts, steps
+        self.block: Optional[CertificateReport] = None
+        self.lower: Optional[CertificateReport] = None
+
+    def step(self, t: int, net: BinaryNet, H: np.ndarray, record=None) -> None:
+        if t not in self.steps:
+            return
+        G = gram_matrix(net, self.ds, H)
+        block = check_block_structure(G, self.ds)
+        lower = check_gram_lower_bound(G, self.ds, self.consts)
+        if self.block is None or block.slack < self.block.slack:
+            self.block = block
+        if self.lower is None or lower.slack < self.lower.slack:
+            self.lower = lower
+
+    def reports(self) -> List[CertificateReport]:
+        return [r for r in (self.block, self.lower) if r is not None]
 
 
 # ---------------------------------------------------------------------------

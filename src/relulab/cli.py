@@ -46,6 +46,7 @@ from .datasets import (
 from .losses import LOSS_KEYS, loss_family
 from .models import InitSpec, init_binary, init_multi
 from .training import (
+    EVERY_STEP,
     Constant,
     Full,
     LossInverse,
@@ -152,119 +153,146 @@ def _partition_report(cert_id: str, viols: list) -> dict:
         context={"first": viols[0].__dict__ if viols else None}).as_dict()
 
 
-def _certify_early_binary(record, ctx) -> list:
+class _Records:
+    """Keeps the step record of each step in ``steps``: what a check reads
+    from the records sees every step, whatever ``train.record_every`` is."""
+
+    def __init__(self, steps):
+        self.steps, self.records = steps, []
+
+    def step(self, t, net, H, record) -> None:
+        if t in self.steps:
+            self.records.append(record)
+
+
+def _hitting_time_report(record, ts: int) -> dict:
+    mt = record.measured_T
+    # Not hit: the true T is at least the last step the run reached.
+    measured = mt if mt >= 0 else record.records[-1].t
+    return certs.CertificateReport(
+        "hitting-time-at-least-tstar", float(ts), float(measured),
+        mt < 0 or mt >= ts, float(measured - ts),
+        context={"sentinel_not_yet_hit": mt < 0}).as_dict()
+
+
+# Each ``_certify_*`` takes the run context before training and returns
+# (observers, report): the observers watch every training step, and
+# ``report(record)`` reads them and the record into report dicts.
+
+def _certify_early_binary(ctx):
     ds, delta, m = ctx["ds"], ctx["delta"], ctx["m"]
-    out = []
     g1, g2 = compute_gamma_constants(ds)
     consts = certs.TheoryConstants(n=ds.n, d=ds.d, m=m, delta=delta,
                                    eta=ctx["schedule"].eta, gamma1=g1, gamma2=g2)
     budget = certs.probability_budget(consts, "binary_early")
     ts = tstar(consts.eta, "binary")
     te = exp_hitting_time_Te(consts.eta, ds.n, m, delta, "binary")
-    losses = {r.t: r.loss for r in record.records}
-    if 0 in losses and ts in losses:
-        bound = certs.descent_bound_binary(consts)
-        measured = losses[0] - losses[ts]
-        out.append(certs.CertificateReport(
-            "early-descent-binary", bound, measured, measured >= bound,
-            measured - bound, inconclusive=budget >= 1.0,
-            context={"budget": budget, "t_star": ts, "T_e": te}).as_dict())
-    mt = record.measured_T
-    out.append(certs.CertificateReport(
-        "hitting-time-at-least-tstar", float(ts), float(mt if mt >= 0 else len(record.records)),
-        mt < 0 or mt >= ts, float((mt if mt >= 0 else len(record.records)) - ts),
-        context={"sentinel_not_yet_hit": mt < 0}).as_dict())
-    if not record.nets:
+    seen = _Records(range(ts + 1))
+    gram = certs.GramChecks(ds, consts, range(1, ts + 1))
+    dynamics = part.EarlyDynamics(ds, range(ts + 1))
+
+    def report(record) -> list:
+        out = []
+        losses = {r.t: r.loss for r in seen.records}
+        if ts in losses:
+            bound = certs.descent_bound_binary(consts)
+            measured = losses[0] - losses[ts]
+            out.append(certs.CertificateReport(
+                "early-descent-binary", bound, measured, measured >= bound,
+                measured - bound, inconclusive=budget >= 1.0,
+                context={"budget": budget, "t_star": ts, "T_e": te}).as_dict())
+        out.append(_hitting_time_report(record, ts))
+        grad_lower = []   # (slack, t, bound, measured) for every t in 1..t*
+        for r in seen.records[1:]:
+            gl = certs.gradient_lower_bound_early(r.t, consts)
+            grad_lower.append((r.grad_norm ** 2 - gl, r.t, gl, r.grad_norm ** 2))
+        if grad_lower:
+            # A bound <= 0 holds trivially; with no positive bound at
+            # any step the certificate says nothing.
+            live = [g for g in grad_lower if g[2] > 0.0]
+            slack, t, gl, measured = min(live or grad_lower)
+            out.append(certs.CertificateReport(
+                "early-gradient-lower", gl, measured, bool(live) and slack >= 0.0,
+                slack, inconclusive=not live,
+                context={"t": t,
+                         "failing_steps": [g[1] for g in live if g[0] < 0.0]}).as_dict())
+        out.extend(r.as_dict() for r in gram.reports())
+        out.append(_partition_report("partition-dynamics-early", dynamics.violations()))
         return out
-    horizon = min(ts, len(record.nets) - 1)
-    blocks, lowers = [], []
-    grad_sq = {r.t: r.grad_norm ** 2 for r in record.records}
-    grad_lower = []   # (slack, t, bound, measured) for every recorded t
-    for t in range(1, horizon + 1):
-        G = certs.gram_matrix(record.nets[t], ds)
-        blocks.append(certs.check_block_structure(G, ds))
-        lowers.append(certs.check_gram_lower_bound(G, ds, consts))
-        if t in grad_sq:
-            gl = certs.gradient_lower_bound_early(t, consts)
-            grad_lower.append((grad_sq[t] - gl, t, gl, grad_sq[t]))
-    if grad_lower:
-        # A bound <= 0 holds trivially; with no positive bound at
-        # any step the certificate says nothing.
-        live = [g for g in grad_lower if g[2] > 0.0]
-        slack, t, gl, measured = min(live or grad_lower)
-        out.append(certs.CertificateReport(
-            "early-gradient-lower", gl, measured, bool(live) and slack >= 0.0,
-            slack, inconclusive=not live,
-            context={"t": t,
-                     "failing_steps": [g[1] for g in live if g[0] < 0.0]}).as_dict())
-    # The worst step of each Gram check; the first one on a tie.
-    out.extend(min(reps, key=lambda r: r.slack).as_dict() for reps in (blocks, lowers) if reps)
-    out.append(_partition_report("partition-dynamics-early",
-                                 part.check_dynamics_early(record.nets[:horizon + 1], ds)))
-    return out
+
+    return [seen, gram, dynamics], report
 
 
-def _certify_early_multiclass(record, ctx) -> list:
+def _certify_early_multiclass(ctx):
     ds = ctx["ds"]
-    out = []
     eta = ctx["schedule"].eta
     consts = certs.TheoryConstants(n=ds.n, d=ds.d, m=ctx["m"], delta=ctx["delta"], eta=eta,
                                    batch=ctx["batch_size"])
     budget = certs.probability_budget(consts, "multi_early") if ctx["batch_size"] else None
     ts = tstar(eta, "multi")
-    losses = {r.t: r.loss for r in record.records}
-    if 0 in losses and ts in losses:
-        bound = certs.descent_bound_multi()
-        measured = losses[0] - losses[ts]
-        out.append(certs.CertificateReport(
-            "early-descent-multi", bound, measured, measured >= bound,
-            measured - bound, context={"budget": budget, "t_star": ts}).as_dict())
-    if record.nets:
-        horizon = min(ts, len(record.nets) - 1)
-        minima = certs.multi_gram_min_entry(record.nets[1:horizon + 1], ds)
-        if minima:
-            worst = min(minima)
+    seen = _Records((0, ts))
+    gram = certs.MultiGramMin(ds, range(1, ts + 1))
+
+    def report(record) -> list:
+        out = []
+        losses = {r.t: r.loss for r in seen.records}
+        if ts in losses:
+            bound = certs.descent_bound_multi()
+            measured = losses[0] - losses[ts]
+            out.append(certs.CertificateReport(
+                "early-descent-multi", bound, measured, measured >= bound,
+                measured - bound, context={"budget": budget, "t_star": ts}).as_dict())
+        if gram.minima:
+            worst = min(gram.minima)
             out.append(certs.CertificateReport(
                 "multi-gram-entries-at-least-one", 1.0, worst, worst >= 1.0,
                 worst - 1.0).as_dict())
-    if record.batch_alignments:
-        worst_align = min(record.batch_alignments)
-        out.append(certs.CertificateReport(
-            "stochastic-gradient-alignment", certs.STOCHASTIC_ALIGNMENT_BOUND,
-            worst_align, worst_align >= certs.STOCHASTIC_ALIGNMENT_BOUND,
-            worst_align - certs.STOCHASTIC_ALIGNMENT_BOUND).as_dict())
-    return out
+        if record.batch_alignments:
+            worst_align = min(record.batch_alignments)
+            out.append(certs.CertificateReport(
+                "stochastic-gradient-alignment", certs.STOCHASTIC_ALIGNMENT_BOUND,
+                worst_align, worst_align >= certs.STOCHASTIC_ALIGNMENT_BOUND,
+                worst_align - certs.STOCHASTIC_ALIGNMENT_BOUND).as_dict())
+        return out
+
+    return [seen, gram], report
 
 
-def _certify_global(record, ctx, envelope: str) -> list:
+def _certify_global(ctx, envelope: str):
     ds = ctx["ds"]
     dc = compute_V(ds, ctx["m"], ctx["delta"])
-    rep = certs.fit_convergence_rate(record.records, envelope, dc.V, ctx["schedule"].c)
-    if dc.vacuous:
-        rep = dataclasses.replace(rep, inconclusive=True,
-                                  context=dict(rep.context, vacuous_V=True))
-    cc = part.check_correct_classification(record)
-    out = [rep.as_dict(), certs.CertificateReport(
-        "correct-classification", 0.0,
-        0.0 if cc is None else cc[1], cc is None,
-        0.0 if cc is None else cc[1],
-        context={"first_violation": cc}).as_dict()]
-    if record.nets:
-        out.append(_partition_report("partition-dynamics-global",
-                                     part.check_dynamics_global(record.nets, ds)))
-    return out
+    seen = _Records(EVERY_STEP)
+    dynamics = part.GlobalDynamics(ds)
+
+    def report(record) -> list:
+        rep = certs.fit_convergence_rate(seen.records, envelope, dc.V, ctx["schedule"].c)
+        if dc.vacuous:
+            rep = dataclasses.replace(rep, inconclusive=True,
+                                      context=dict(rep.context, vacuous_V=True))
+        cc = part.check_correct_classification(seen)
+        return [rep.as_dict(), certs.CertificateReport(
+            "correct-classification", 0.0,
+            0.0 if cc is None else cc[1], cc is None,
+            0.0 if cc is None else cc[1],
+            context={"first_violation": cc}).as_dict(),
+            _partition_report("partition-dynamics-global", dynamics.violations())]
+
+    return [seen, dynamics], report
 
 
-def _certify_dataset(record, ctx) -> list:
-    ds = ctx["ds"]
-    rep = validate_separable(ds)
-    g1, g2 = compute_gamma_constants(ds)
-    dc = compute_V(ds, ctx["m"], ctx["delta"])
-    return [certs.CertificateReport(
-        "gamma-sandwich", g2 / 2.0, g1, g2 / 2.0 <= g1 <= g2,
-        min(g1 - g2 / 2.0, g2 - g1),
-        context={"gamma1": g1, "gamma2": g2, "V": dc.V,
-                 "separable": rep.separable, "mu0": rep.mu0}).as_dict()]
+def _certify_dataset(ctx):
+    def report(record) -> list:
+        ds = ctx["ds"]
+        rep = validate_separable(ds)
+        g1, g2 = compute_gamma_constants(ds)
+        dc = compute_V(ds, ctx["m"], ctx["delta"])
+        return [certs.CertificateReport(
+            "gamma-sandwich", g2 / 2.0, g1, g2 / 2.0 <= g1 <= g2,
+            min(g1 - g2 / 2.0, g2 - g1),
+            context={"gamma1": g1, "gamma2": g2, "V": dc.V,
+                     "separable": rep.separable, "mu0": rep.mu0}).as_dict()]
+
+    return [], report
 
 
 @dataclass(frozen=True)
@@ -273,23 +301,26 @@ class Kind:
 
     variant: str                  # "binary" | "multi": the network and the label kind
     loss: str                     # default loss key
+    loss_kinds: Tuple[str, ...]   # LossFamily.kind values the certificates are derived for
     trained_layers: str           # default train.trained_layers
     schedules: Tuple[str, ...]    # schedule types the certificates can read
     kappa_cap: Callable[[float, LabeledDataset, Optional[int]], float]   # (eta, ds, batch)
-    certify: Callable[[object, dict], list]   # (record, ctx) -> report dicts
-    trains: bool = True           # False: the schedule is optional and no step is taken by default
+    certify: Callable[[dict], tuple]   # ctx -> (observers, report(record) -> report dicts)
+    trains: bool = True           # False: no schedule and no training steps by default
 
 
+_ANY_LOSS = ("quadratic", "general", "exptype")
 _KINDS = {
-    "early-binary": Kind("binary", "quadratic", "all", ("constant",),
+    "early-binary": Kind("binary", "quadratic", _ANY_LOSS, "all", ("constant",),
                          _kappa_early_binary, _certify_early_binary),
-    "early-multiclass": Kind("multi", "logistic", "all", ("constant",),
+    "early-multiclass": Kind("multi", "logistic", ("general", "exptype"), "all", ("constant",),
                              _kappa_early_multi, _certify_early_multiclass),
-    "global-poly": Kind("binary", "quadratic", "all", ("loss-inverse", "two-stage-poly"),
+    "global-poly": Kind("binary", "exp", ("exptype",), "all", ("loss-inverse", "two-stage-poly"),
                         _kappa_global, functools.partial(_certify_global, envelope="poly_stage1")),
-    "global-exp": Kind("binary", "quadratic", "input_only", ("loss-inverse", "two-stage-poly"),
+    "global-exp": Kind("binary", "exp", ("exptype",), "input_only",
+                       ("loss-inverse", "two-stage-poly"),
                        _kappa_global, functools.partial(_certify_global, envelope="exponential")),
-    "certify-only": Kind("binary", "quadratic", "all",
+    "certify-only": Kind("binary", "quadratic", _ANY_LOSS, "all",
                          ("constant", "loss-inverse", "two-stage-poly"),
                          _kappa_global, _certify_dataset, trains=False),
 }
@@ -302,11 +333,14 @@ _KINDS = {
 _TOP_KEYS = {"kind", "dataset", "model", "loss", "schedule", "train", "delta", "seed", "prm"}
 
 
-def run_experiment(config: dict, keep_params: bool = True):
+def run_experiment(config: dict, certify: bool = True, keep_params: bool = False):
     """Execute a non-PRM experiment config; returns (record, context dict).
 
-    Every mismatch between the kind and the config (dataset labels, loss,
-    schedule type) is a ``ConfigError`` raised before any training step.
+    With ``certify`` the kind's certificate observers watch every training
+    step and ``evaluate_certificates`` reads them afterwards; no trajectory
+    is kept unless ``keep_params`` asks for it.  Every mismatch between the
+    kind and the config (train keys, loss, dataset labels, schedule type) is
+    a ``ConfigError`` raised before any training step.
     """
     _strict(config, _TOP_KEYS, "config")
     kind = _require(config, "kind", "config")
@@ -314,17 +348,25 @@ def run_experiment(config: dict, keep_params: bool = True):
     if spec is None:
         raise ConfigError("use run_prm_experiment for prm configs" if kind == "prm" else
                           f"config: unknown kind {kind!r}; known: {', '.join(_KINDS)}, prm")
+    train_spec = dict(config.get("train", {}))
+    _strict(train_spec, {"steps", "batch", "trained_layers", "record_every"}, "train")
+    if not spec.trains and "steps" in train_spec:
+        raise ConfigError(f"{kind} certifies the dataset and takes no train.steps")
+    trained_layers = train_spec.get("trained_layers", spec.trained_layers)
+    if spec.variant == "multi" and trained_layers == "input_only":
+        raise ConfigError(f"{kind}: input-only training is defined for the binary network only")
+    loss_key = config.get("loss", spec.loss)
+    if loss_key not in LOSS_KEYS:
+        raise ConfigError(f"config: unknown loss {loss_key!r}; known: {', '.join(LOSS_KEYS)}")
+    loss = loss_family(loss_key)
+    if loss.kind not in spec.loss_kinds:
+        raise ConfigError(f"{kind} takes a loss of kind {' or '.join(spec.loss_kinds)}, "
+                          f"not {loss_key!r} ({loss.kind})")
     ds = build_dataset(_require(config, "dataset", "config"), default_seed=config.get("seed", 0))
     labels = "onehot" if spec.variant == "multi" else "binary"
     if ds.label_kind != labels:
         raise ConfigError(f"{kind} requires a dataset with {labels} labels")
     delta = float(config.get("delta", 0.01))
-    loss_key = config.get("loss", spec.loss)
-    if loss_key not in LOSS_KEYS:
-        raise ConfigError(f"config: unknown loss {loss_key!r}; known: {', '.join(LOSS_KEYS)}")
-    loss = loss_family(loss_key)
-    if loss.is_quadratic and spec.variant == "multi":
-        raise ConfigError(f"{kind}: the quadratic loss is defined for the binary network only")
     if spec.trains or "schedule" in config:
         schedule_spec = _require(config, "schedule", "config")
         schedule = build_schedule(schedule_spec)
@@ -338,8 +380,6 @@ def run_experiment(config: dict, keep_params: bool = True):
     _strict(model_spec, {"m", "kappa"}, "model")
     m = int(_require(model_spec, "m", "model"))
 
-    train_spec = dict(config.get("train", {}))
-    _strict(train_spec, {"steps", "batch", "trained_layers", "record_every"}, "train")
     batch_spec = train_spec.get("batch")
     batch_size = None
     if batch_spec is not None:
@@ -359,19 +399,20 @@ def run_experiment(config: dict, keep_params: bool = True):
         B=batch_size, seed=int(batch_spec.get("seed", seed + 1)))
     tconf = TrainConfig(
         steps=int(train_spec.get("steps", default_steps)), batching=batching,
-        trained_layers=train_spec.get("trained_layers", spec.trained_layers),
+        trained_layers=trained_layers,
         record_every=int(train_spec.get("record_every", 1)),
         keep_params=keep_params,
     )
-    record = run(net0, ds, loss, schedule, tconf)
     ctx = {"ds": ds, "net0": net0, "schedule": schedule, "kind": kind, "delta": delta,
            "kappa": kappa, "batch_size": batch_size, "seed": seed, "m": m}
+    observers, ctx["report"] = spec.certify(ctx) if certify else ((), None)
+    record = run(net0, ds, loss, schedule, tconf, observers)
     return record, ctx
 
 
 def evaluate_certificates(record, ctx) -> list:
-    """The experiment kind's certificates; a list of report dicts."""
-    return _KINDS[ctx["kind"]].certify(record, ctx)
+    """The experiment kind's certificates of a run made with ``certify``; a list of report dicts."""
+    return ctx["report"](record)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +476,7 @@ def _emit_run(outdir: Path, config: dict, certify: bool):
     Returns (record, ctx, report dicts, ok); ok is False when the run aborted
     or a certificate failed.
     """
-    record, ctx = run_experiment(config)
+    record, ctx = run_experiment(config, certify=certify)
     cert_dicts = evaluate_certificates(record, ctx) if certify else None
     first, last = record.records[0], record.records[-1]
     summary = {

@@ -155,11 +155,13 @@ def preactivation(net: Net, X: np.ndarray) -> np.ndarray:
     return H
 
 
-def _activations(net: Net, ds: LabeledDataset, subset: Optional[np.ndarray] = None):
+def _activations(net: Net, ds: LabeledDataset, subset: Optional[np.ndarray] = None,
+                 H: Optional[np.ndarray] = None):
     """One pass over the (multi)set of sample indices (full data by default).
 
     Returns (X, Y, S, D, f, z): inputs, labels, S = relu(H), D = [H > 0],
-    outputs f and margins z for H = preactivation(net, X).
+    outputs f and margins z for H = preactivation(net, X).  A caller that
+    already holds the full-data H passes it in place of forming it again.
     """
     kind = "binary" if isinstance(net, BinaryNet) else "onehot"
     if ds.label_kind != kind:
@@ -169,7 +171,8 @@ def _activations(net: Net, ds: LabeledDataset, subset: Optional[np.ndarray] = No
     else:
         idx = np.asarray(subset)
         X, Y = ds.inputs[idx], ds.labels[idx]
-    H = preactivation(net, X)
+    if H is None:
+        H = preactivation(net, X)
     S = np.maximum(H, 0.0)
     D = (H > 0.0).astype(np.float64)
     if isinstance(net, BinaryNet):
@@ -212,13 +215,14 @@ def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, f, 
     return gA, T.T @ X, T.sum(axis=0)
 
 
-def evaluate(net: Net, ds: LabeledDataset, loss: LossFamily,
-             subset: Optional[np.ndarray] = None, trained_layers: str = "all"):
-    """(L, z, f, grad parts) from one activation pass; see ``loss_value``,
-    ``per_sample_margins``, ``forward`` and ``grad_loss_struct``."""
-    X, Y, S, D, f, z = _activations(net, ds, subset)
+def evaluate(net: Net, ds: LabeledDataset, loss: LossFamily, trained_layers: str = "all"):
+    """(L, z, f, grad parts, H) from one activation pass over the full data;
+    see ``loss_value``, ``per_sample_margins``, ``forward`` and
+    ``grad_loss_struct``.  H is the preactivation the pass was built on."""
+    H = preactivation(net, ds.inputs)
+    X, Y, S, D, f, z = _activations(net, ds, H=H)
     return (_risk(net, loss, Y, f, z), z, f,
-            _grad_parts(net, loss, trained_layers, X, Y, S, D, f, z))
+            _grad_parts(net, loss, trained_layers, X, Y, S, D, f, z), H)
 
 
 def forward(net: Net, x: np.ndarray) -> np.ndarray:

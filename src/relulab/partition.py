@@ -13,8 +13,13 @@ Multi-output networks use y_i^T a_k in place of y_i a_k; under the
 all-positive output-weight initialization only TL/TD occur, and the checker
 verifies that positivity before relying on it.
 
-The dynamics checks walk the kept states once, forming X B^T (+ c) once per
-state.  The sign rule (S5) is checked exactly at the segment endpoints: the
+The dynamics checks are observers of a training run (``EarlyDynamics``,
+``GlobalDynamics``): each step hands them the preactivation H of the
+training pass, so they keep two states, not the trajectory.
+``check_dynamics_early`` / ``check_dynamics_global`` drive the same
+observers over a list of states.
+
+The sign rule (S5) is checked exactly at the segment endpoints: the
 preactivations are affine in the parameters, so a sign is constant and
 nonzero along theta(t) -> theta(t+1) iff it is so at both endpoints.  A
 failure names the entry that leaves its step-1 sign first, at lambda* =
@@ -27,13 +32,13 @@ import hashlib
 import io
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .datasets import LabeledDataset
 from .models import BinaryNet, Net, preactivation
-from .training import RunRecord
+from .training import EVERY_STEP
 
 __all__ = [
     "TL", "TD", "FL", "FD",
@@ -41,6 +46,8 @@ __all__ = [
     "DynamicsViolation",
     "compute_partition",
     "initial_partition_stats",
+    "EarlyDynamics",
+    "GlobalDynamics",
     "check_dynamics_early",
     "check_dynamics_global",
     "check_correct_classification",
@@ -105,9 +112,9 @@ def _table(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, boo
             raise ValueError(f"partition undefined: y_{i}^T a_{k} is exactly 0")
         agree = ya > 0.0
         four_way = bool(np.any(~agree))
-    living = H > 0.0
-    table = np.where(agree, np.where(living, TL, TD), np.where(living, FL, FD))
-    return table.astype(np.uint8), four_way
+    # TL, TD, FL, FD = 0, 1, 2, 3: twice "disagrees" plus "dead".
+    table = 2 * (~agree).view(np.uint8) + (~(H > 0.0)).view(np.uint8)
+    return table, four_way
 
 
 def compute_partition(net: Net, ds: LabeledDataset) -> PartitionSnapshot:
@@ -169,21 +176,22 @@ def initial_partition_stats(net0: BinaryNet, ds: LabeledDataset, delta: float) -
 # Dynamics checks
 # ---------------------------------------------------------------------------
 
-def _walk(nets: Sequence[Net], ds: LabeledDataset, rule: str,
-          signs: List[DynamicsViolation]) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (t, H_t, table_t) for every kept state, forming H_t once and
-    validating the state.  Alongside, append to ``signs`` the exact sign
-    violation of the first failing segment t -> t+1 (t >= 1) against sign(H_1).
-    """
-    ref = H0 = bad0 = None
-    for t, net in enumerate(nets):
-        H = preactivation(net, ds.inputs)
-        yield t, H, _table(net, ds, H)[0]
-        if t == 0 or signs:
-            continue
-        if ref is None:
-            ref = np.sign(H)
-        bad = (np.sign(H) != ref) | (H == 0.0)
+class _Segments:
+    """Exact sign rule on the segments t -> t+1 from step 1 on: the first
+    failing segment's entry that leaves sign(H_1) first, or nothing."""
+
+    def __init__(self, rule: str):
+        self.rule = rule
+        self.found: List[DynamicsViolation] = []
+        self._ref = self._H0 = self._bad0 = None
+
+    def step(self, t: int, H: np.ndarray) -> None:
+        if t == 0 or self.found:
+            return
+        if self._ref is None:
+            self._ref = np.sign(H)
+        bad = (np.sign(H) != self._ref) | (H == 0.0)
+        H0, bad0 = self._H0, self._bad0
         if H0 is not None and (bad0.any() or bad.any()):
             i, k = np.nonzero(bad0 | bad)
             lam = np.zeros(i.size)
@@ -191,11 +199,11 @@ def _walk(nets: Sequence[Net], ds: LabeledDataset, rule: str,
             h0, h1 = H0[i, k][on], H[i, k][on]
             lam[on] = h0 / (h0 - h1)
             j = int(np.argmin(lam))
-            signs.append(DynamicsViolation(
-                rule, t - 1, int(i[j]), int(k[j]),
+            self.found.append(DynamicsViolation(
+                self.rule, t - 1, int(i[j]), int(k[j]),
                 f"preactivation sign changed along segment t={t - 1}->{t} at lambda*={lam[j]:.6g}",
                 lam=float(lam[j])))
-        H0, bad0 = H, bad
+        self._H0, self._bad0 = H, bad
 
 
 def _record(out: List[DynamicsViolation], rule: str, t: int, mask: np.ndarray, detail: str) -> None:
@@ -205,9 +213,35 @@ def _record(out: List[DynamicsViolation], rule: str, t: int, mask: np.ndarray, d
         out.append(DynamicsViolation(rule=rule, step=t, sample=i, neuron=k, detail=detail))
 
 
-def check_dynamics_early(nets: Sequence[Net], ds: LabeledDataset,
-                         horizon: Optional[int] = None) -> List[DynamicsViolation]:
-    """Early-stage partition dynamics over a trajectory of parameter states.
+class _Dynamics:
+    """Checks partition rules on the states in ``steps``, one state at a time;
+    each state is validated as in ``compute_partition``.  Violations list
+    as persist + cells + signs + positive."""
+
+    def __init__(self, ds: LabeledDataset, steps: range, sign_rule: str):
+        self.ds, self.steps = ds, steps
+        self.seen = 0
+        self.persist, self.cells, self.positive = [], [], []
+        self.signs = _Segments(sign_rule)
+        self._prev = self._net = None
+
+    def step(self, t: int, net: Net, H: np.ndarray, record=None) -> None:
+        if t not in self.steps:
+            return
+        tbl = _table(net, self.ds, H)[0]
+        self._rules(t, net, H, tbl, self._prev)
+        self.signs.step(t, H)
+        self._prev, self._net = tbl, net
+        self.seen += 1
+
+    def violations(self) -> List[DynamicsViolation]:
+        if self.seen < 2:
+            return [DynamicsViolation("horizon", 0, -1, -1, "insufficient horizon: need at least steps 0 and 1")]
+        return self.persist + self.cells + self.signs.found + self.positive
+
+
+class EarlyDynamics(_Dynamics):
+    """Early-stage partition dynamics.
 
     Binary: TL and FD cells persist step to step (S1, S2); at the first step
     every TD cell flips to TL (S3) and every FL cell to FD (S4); from step 1
@@ -215,57 +249,72 @@ def check_dynamics_early(nets: Sequence[Net], ds: LabeledDataset,
     segment (S5).  Multi-output: TL persists, TD flips to TL at the first
     step, and segment signs stay constant and positive from step 1 on.
     """
-    if horizon is not None:
-        nets = nets[:horizon + 1]
-    if len(nets) < 2:
-        return [DynamicsViolation("horizon", 0, -1, -1, "insufficient horizon: need at least steps 0 and 1")]
-    is_binary = isinstance(nets[0], BinaryNet)
-    persist, first, signs, positive = [], [], [], []
-    prev = None
-    for t, H, tbl in _walk(nets, ds, "S5", signs):
+
+    def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
+        super().__init__(ds, steps, "S5")
+
+    def _rules(self, t, net, H, tbl, prev) -> None:
+        is_binary = isinstance(net, BinaryNet)
         if t >= 1:
-            _record(persist, "S1", t - 1, (prev == TL) & (tbl != TL), "true-living cell left TL at the next step")
+            _record(self.persist, "S1", t - 1, (prev == TL) & (tbl != TL),
+                    "true-living cell left TL at the next step")
             if is_binary:
-                _record(persist, "S2", t - 1, (prev == FD) & (tbl != FD), "false-dead cell left FD at the next step")
+                _record(self.persist, "S2", t - 1, (prev == FD) & (tbl != FD),
+                        "false-dead cell left FD at the next step")
         if t == 1:
-            _record(first, "S3", 0, (prev == TD) & (tbl != TL),
+            _record(self.cells, "S3", 0, (prev == TD) & (tbl != TL),
                     "true-dead cell did not turn true-living at the first step")
             if is_binary:
-                _record(first, "S4", 0, (prev == FL) & (tbl != FD),
+                _record(self.cells, "S4", 0, (prev == FL) & (tbl != FD),
                         "false-living cell did not turn false-dead at the first step")
             else:
                 # After the first step every preactivation must be positive;
                 # later steps are covered by the segment check.
-                _record(positive, "S5", 1, H <= 0.0, "nonpositive preactivation after the first step")
-        prev = tbl
-    return persist + first + signs + positive
+                _record(self.positive, "S5", 1, H <= 0.0, "nonpositive preactivation after the first step")
 
 
-def check_dynamics_global(nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsViolation]:
+class GlobalDynamics(_Dynamics):
     """Two-stage partition dynamics for the adaptive-rate runs.
 
     From step 1 on: |a_k| is non-decreasing (StageII-S1), TL and FD cells
     persist (S2, S3), every cell is TL or FD (S4), and preactivation signs
     are constant along inter-step segments (S5).
     """
-    if len(nets) < 2:
-        return [DynamicsViolation("horizon", 0, -1, -1, "insufficient horizon")]
-    persist, cells, signs = [], [], []
-    prev = None
-    for t, H, tbl in _walk(nets, ds, "StageII-S5", signs):
+
+    def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
+        super().__init__(ds, steps, "StageII-S5")
+
+    def _rules(self, t, net, H, tbl, prev) -> None:
         if t >= 2:
-            _record(persist, "StageII-S1", t - 1, np.abs(nets[t].a) < np.abs(nets[t - 1].a),
+            _record(self.persist, "StageII-S1", t - 1, np.abs(net.a) < np.abs(self._net.a),
                     "output-weight magnitude decreased")
-            _record(persist, "StageII-S2", t - 1, (prev == TL) & (tbl != TL), "true-living cell left TL")
-            _record(persist, "StageII-S3", t - 1, (prev == FD) & (tbl != FD), "false-dead cell left FD")
+            _record(self.persist, "StageII-S2", t - 1, (prev == TL) & (tbl != TL), "true-living cell left TL")
+            _record(self.persist, "StageII-S3", t - 1, (prev == FD) & (tbl != FD), "false-dead cell left FD")
         if t >= 1:
-            _record(cells, "StageII-S4", t, (tbl != TL) & (tbl != FD), "cell outside TL/FD at step >= 1")
-        prev = tbl
-    return persist + cells + signs
+            _record(self.cells, "StageII-S4", t, (tbl != TL) & (tbl != FD), "cell outside TL/FD at step >= 1")
 
 
-def check_correct_classification(record: RunRecord):
-    """First (t, min_margin) with a nonpositive margin at t >= 1, or None when all pass."""
+def _drive(observer, nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsViolation]:
+    for t, net in enumerate(nets):
+        observer.step(t, net, preactivation(net, ds.inputs))
+    return observer.violations()
+
+
+def check_dynamics_early(nets: Sequence[Net], ds: LabeledDataset,
+                         horizon: Optional[int] = None) -> List[DynamicsViolation]:
+    """``EarlyDynamics`` over a trajectory of parameter states (steps 0..horizon)."""
+    steps = EVERY_STEP if horizon is None else range(horizon + 1)
+    return _drive(EarlyDynamics(ds, steps), nets, ds)
+
+
+def check_dynamics_global(nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsViolation]:
+    """``GlobalDynamics`` over a trajectory of parameter states."""
+    return _drive(GlobalDynamics(ds), nets, ds)
+
+
+def check_correct_classification(record):
+    """First (t, min_margin) in ``record.records`` with a nonpositive margin at
+    t >= 1, or None when all pass."""
     for r in record.records:
         if r.t >= 1 and r.min_margin <= 0.0:
             return (r.t, r.min_margin)

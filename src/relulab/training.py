@@ -9,11 +9,17 @@ Learning-rate schedules:
   afterwards.
 
 Batching is either full-batch or i.i.d. uniform with replacement (the
-literal mini-batch model).  Every recorded step carries the quantities the
-certificate layer needs: loss, step size, full-batch gradient norm, margin
-extremes, parameter norm, prediction sup-norm, and whether every output
-weight kept its initial sign.  Each step makes one activation pass over the
-full data (``models.evaluate``), plus one over the mini-batch under SGD.
+literal mini-batch model).  Every step yields a ``StepRecord``: loss, step
+size, full-batch gradient norm, margin extremes, parameter norm, prediction
+sup-norm, and whether every output weight kept its initial sign.  Each step
+makes one activation pass over the full data (``models.evaluate``), plus one
+over the mini-batch under SGD.
+
+Certificates watch the run as observers: ``run`` calls
+``observer.step(t, net, H, record)`` on every step, with H the preactivation
+of that step's full-data pass, so a check needs no kept trajectory and sees
+every step whatever ``record_every`` is.  ``record_every`` thins only the
+records kept for ``steps.csv``; the last step reached is always kept.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +54,8 @@ __all__ = [
     "TrainConfig",
     "StepRecord",
     "RunRecord",
+    "Observer",
+    "EVERY_STEP",
     "run",
     "hitting_time_T",
     "tstar",
@@ -56,7 +64,8 @@ __all__ = [
     "NOT_YET_HIT",
 ]
 
-NOT_YET_HIT = -1  # sentinel: no violation observed within the recorded horizon
+NOT_YET_HIT = -1  # sentinel: no violation observed within the run
+EVERY_STEP = range(2 ** 63 - 1)   # an observer window without limits
 
 _EARLY_STOP_LOSS = 1e-14
 _MAX_ETA0 = 1.0 / (2.0 * math.sqrt(2.0))
@@ -150,8 +159,8 @@ class TrainConfig:
     steps: int
     batching: Batching = Full()
     trained_layers: str = "all"       # "all" | "input_only"
-    record_every: int = 1
-    keep_params: bool = False         # retain the parameter trajectory (memory permitting)
+    record_every: int = 1             # keep every k-th step record (and the last)
+    keep_params: bool = False         # keep the net of every kept record (tests inspect it)
 
     def __post_init__(self):
         if self.steps < 0:
@@ -175,6 +184,12 @@ class StepRecord:
     a_sign_ok: bool
 
 
+class Observer(Protocol):
+    """Sees every step of a run; each observer ignores the steps outside its window."""
+
+    def step(self, t: int, net: Net, H: np.ndarray, record: StepRecord) -> None: ...
+
+
 @dataclass
 class RunRecord:
     config: TrainConfig
@@ -196,16 +211,22 @@ def _a_sign_ok(net: Net, net0: Net) -> bool:
 
 
 def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
-        config: TrainConfig) -> RunRecord:
-    """Train and record.  Deterministic given (net0, ds, loss, schedule, config)."""
+        config: TrainConfig, observers: Sequence[Observer] = ()) -> RunRecord:
+    """Train and record.  Deterministic given (net0, ds, loss, schedule, config).
+
+    Each observer's ``step(t, net, H, record)`` runs on every step whose loss
+    is finite, before the parameter update.
+    """
     rec = RunRecord(config=config, schedule=schedule)
     net = net0
     batch_gen = None
     if isinstance(config.batching, Stochastic):
         batch_gen = rng.make_generator(config.batching.seed, stream=1)
+    last = None          # (record, net) of the last step reached, unless kept
+    first_violation = None
 
     for t in range(config.steps + 1):
-        L, z, f, parts = evaluate(net, ds, loss, trained_layers=config.trained_layers)
+        L, z, f, parts, H = evaluate(net, ds, loss, trained_layers=config.trained_layers)
         if not math.isfinite(L):
             rec.status = f"aborted:non-finite-loss-at-t={t}"
             break
@@ -217,16 +238,21 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
             eta_t = schedule.rate(t, L)
         else:
             eta_t = math.nan
-        if t % config.record_every == 0 or t == config.steps:
-            rec.records.append(StepRecord(
-                t=t, loss=L, eta=eta_t, grad_norm=gnorm,
-                min_margin=float(np.min(z)), max_margin=float(np.max(z)),
-                param_norm=param_norm(net),
-                max_abs_pred=float(np.max(np.abs(f))),
-                a_sign_ok=_a_sign_ok(net, net0),
-            ))
-            if config.keep_params:
-                rec.nets.append(net)
+        r = StepRecord(
+            t=t, loss=L, eta=eta_t, grad_norm=gnorm,
+            min_margin=float(np.min(z)), max_margin=float(np.max(z)),
+            param_norm=param_norm(net),
+            max_abs_pred=float(np.max(np.abs(f))),
+            a_sign_ok=_a_sign_ok(net, net0),
+        )
+        if first_violation is None and _violates(r):
+            first_violation = t
+        for observer in observers:
+            observer.step(t, net, H, r)
+        last = (r, net)
+        if t % config.record_every == 0:
+            _keep(rec, *last)
+            last = None
         if t == config.steps:
             break
         if L < _EARLY_STOP_LOSS:
@@ -253,28 +279,39 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
                 continue
             break
 
-    variant = "binary" if isinstance(net0, BinaryNet) else "multi"
-    rec.measured_T = hitting_time_T(rec, variant)
+    if last is not None:
+        _keep(rec, *last)
+    rec.measured_T = _hitting_time(first_violation)
     return rec
 
 
-def hitting_time_T(record: RunRecord, variant: str) -> int:
-    """Largest t with max_i |f(x_i)| <= 1 and preserved output-weight signs for all s <= t+1.
+def _keep(rec: RunRecord, r: StepRecord, net: Net) -> None:
+    rec.records.append(r)
+    if rec.config.keep_params:
+        rec.nets.append(net)
 
-    For the multi-output network the prediction condition is
-    max f_alpha(x_i) <= 1 (max_abs_pred is an upper envelope of both).
-    Returns the sentinel NOT_YET_HIT when no recorded step violates the
-    conditions (the true T is then at least the horizon).
-    """
-    first_violation = None
-    for r in record.records:
-        if r.max_abs_pred > 1.0 or not r.a_sign_ok:
-            first_violation = r.t
-            break
+
+def _violates(r: StepRecord) -> bool:
+    return r.max_abs_pred > 1.0 or not r.a_sign_ok
+
+
+def _hitting_time(first_violation: Optional[int]) -> int:
     if first_violation is None:
         return NOT_YET_HIT
     # Conditions must hold for every s <= t+1, so t+1 must precede the violation.
     return max(first_violation - 2, -1)
+
+
+def hitting_time_T(record: RunRecord, variant: str) -> int:
+    """Largest t with max_i |f(x_i)| <= 1 and preserved output-weight signs for all s <= t+1,
+    read from the kept step records (``run`` applies the same rule to every step).
+
+    For the multi-output network the prediction condition is
+    max f_alpha(x_i) <= 1 (max_abs_pred is an upper envelope of both).
+    Returns the sentinel NOT_YET_HIT when no step violates the conditions
+    (the true T is then at least the horizon).
+    """
+    return _hitting_time(next((r.t for r in record.records if _violates(r)), None))
 
 
 def tstar(eta: float, variant: str) -> int:

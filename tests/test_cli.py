@@ -1,12 +1,14 @@
 import csv
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from relulab import cli
 from relulab.certificates import CertificateReport
 from relulab.cli import evaluate_certificates, main, run_experiment
 from relulab.datasets import write_idx_images, write_idx_labels
@@ -168,17 +170,30 @@ def _gradient_lower(record, ctx):
     return rep
 
 
-def test_early_gradient_lower_reports_worst_step_once():
+class _ShrinkGradients:
+    """Hands an observer the gradient norm of step 2 divided by 4 and of step 5 by 2."""
+
+    def __init__(self, observer):
+        self.observer = observer
+
+    def step(self, t, net, H, r):
+        if t in (2, 5):
+            r = dataclasses.replace(r, grad_norm=r.grad_norm / (4.0 if t == 2 else 2.0))
+        self.observer.step(t, net, H, r)
+
+
+def test_early_gradient_lower_reports_worst_step_once(monkeypatch):
     record, ctx = run_experiment(EARLY_BINARY)
     rep = _gradient_lower(record, ctx)
     assert rep["passed"] and not rep["inconclusive"]
     assert rep["context"]["failing_steps"] == []
     # Shrinking the measured gradient below the bound at t = 2 and 5 fails
     # the one report, which names the worst of the failing steps.
-    worse = dataclasses.replace(record, records=[
-        dataclasses.replace(r, grad_norm=r.grad_norm / (4.0 if r.t == 2 else 2.0))
-        if r.t in (2, 5) else r for r in record.records])
-    rep = _gradient_lower(worse, ctx)
+    train = cli.run
+    monkeypatch.setattr(cli, "run", lambda *args: train(
+        *args[:-1], [_ShrinkGradients(o) for o in args[-1]]))
+    record, ctx = run_experiment(EARLY_BINARY)
+    rep = _gradient_lower(record, ctx)
     assert not rep["passed"] and not rep["inconclusive"]
     assert rep["context"] == {"t": 2, "failing_steps": [2, 5]}
     assert rep["slack"] == rep["measured"] - rep["theoretical"] < 0.0
@@ -269,7 +284,8 @@ MISMATCHED = {
     "early-multiclass-quadratic": dict(TINY, kind="early-multiclass", dataset=None),
     "global-exp-onehot": dict(TINY, kind="global-exp", loss="exp",
                               schedule=LOSS_INVERSE, dataset=None),
-    "certify-only-onehot": dict(TINY, kind="certify-only", dataset=None),
+    "certify-only-onehot": {k: v for k, v in dict(TINY, kind="certify-only", dataset=None).items()
+                            if k != "train"},
 }
 
 
@@ -300,10 +316,12 @@ JUNK = st.one_of(st.text(max_size=6), st.integers(-2, 2), st.none(), st.booleans
 
 
 def _valid_bases(onehot):
+    certify_only = dict(TINY, kind="certify-only")
+    del certify_only["train"]
     return [
         TINY,
         dict(TINY, kind="global-exp", loss="exp", schedule=LOSS_INVERSE),
-        dict(TINY, kind="certify-only"),
+        certify_only,
         dict(TINY, kind="early-multiclass", loss="logistic", dataset=onehot,
              train={"steps": 3, "batch": {"B": 8, "seed": 1}}),
     ]
@@ -326,3 +344,98 @@ def test_one_mutated_enum_field_never_raises(tmp_path_factory, onehot_spec, data
     tmp = tmp_path_factory.mktemp("mutated")
     cfg = write_config(tmp, "c.json", config)
     assert main([command, "--config", str(cfg), "--out", str(tmp / "run")]) in (0, 1, 2)
+
+
+GLOBAL_POLY = {
+    "kind": "global-poly",
+    "dataset": {"type": "synthetic", "n": 10, "d": 12, "seed": 3},
+    "model": {"m": 256, "kappa": "auto"},
+    "loss": "exp",
+    "schedule": {"type": "two-stage-poly", "eta0": 0.25, "c": 1.0 / 15.5, "T0": 10 ** 9,
+                 "cprime": 0.5, "r": 1.0},
+    "train": {"steps": 60},
+    "delta": 0.01,
+    "seed": 3,
+}
+
+
+def _small_config(name, onehot):
+    if name == "early-binary":
+        return EARLY_BINARY
+    if name == "global-poly":
+        return GLOBAL_POLY
+    return dict(TINY, kind="early-multiclass", loss="logistic", dataset=onehot,
+                model={"m": 32, "kappa": "auto"},
+                train={"steps": 40, "batch": {"B": 8, "seed": 1}})
+
+
+@pytest.mark.parametrize("name", ["early-binary", "early-multiclass", "global-poly"])
+def test_record_every_thins_only_the_step_records(onehot_spec, name):
+    config = _small_config(name, onehot_spec)
+    runs = {}
+    for k in (1, 5):
+        cfg = json.loads(json.dumps(config))
+        cfg["train"]["record_every"] = k
+        record, ctx = run_experiment(cfg)
+        runs[k] = record, evaluate_certificates(record, ctx)
+    (every, reports), (thinned, thinned_reports) = runs[1], runs[5]
+    # The certificates see every step: same ids, verdicts, worst steps and slacks.
+    assert thinned_reports == reports
+    assert len(reports) >= 3
+    last = every.records[-1].t
+    assert thinned.records == [r for r in every.records if r.t % 5 == 0 or r.t == last]
+    assert thinned.measured_T == every.measured_T
+
+
+def test_hitting_time_sentinel_is_the_last_step_reached():
+    record, ctx = run_experiment(EARLY_BINARY)
+    (rep,) = [c for c in evaluate_certificates(record, ctx)
+              if c["cert_id"] == "hitting-time-at-least-tstar"]
+    assert record.measured_T == -1 and rep["context"]["sentinel_not_yet_hit"]
+    assert rep["measured"] == 46.0 and rep["slack"] == 46.0 - 44.0
+
+
+def test_verify_memory_does_not_grow_with_the_horizon(tmp_path):
+    def peak(steps):
+        cfg = write_config(tmp_path, f"c{steps}.json", dict(GLOBAL_POLY, train={"steps": steps}))
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / str(steps))]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = peak(5000) - peak(500)
+    summary = json.loads((tmp_path / "5000" / "summary.json").read_text())
+    assert summary["status"] == "completed" and summary["steps"] == 5000
+    m, d = GLOBAL_POLY["model"]["m"], GLOBAL_POLY["dataset"]["d"]
+    one_net = 8 * m * (d + 1)                   # a (m,) and B (m, d), float64
+    assert growth < 0.1 * 4500 * one_net
+
+
+def test_global_kinds_default_to_the_exp_loss():
+    implicit = {k: v for k, v in GLOBAL_POLY.items() if k != "loss"}
+    assert run_experiment(implicit, certify=False)[0].records == \
+        run_experiment(GLOBAL_POLY, certify=False)[0].records
+
+
+@pytest.mark.parametrize("config,message", [
+    (dict(GLOBAL_POLY, loss="quadratic"), "global-poly takes a loss of kind exptype, not 'quadratic' (quadratic)"),
+    (dict(GLOBAL_POLY, kind="global-exp", loss="hinge"), "global-exp takes a loss of kind exptype, not 'hinge' (general)"),
+    (dict(TINY, kind="certify-only"), "certify-only certifies the dataset and takes no train.steps"),
+    (dict(TINY, kind="early-multiclass", loss="logistic",
+          train={"steps": 3, "trained_layers": "input_only"}),
+     "early-multiclass: input-only training is defined for the binary network only"),
+])
+def test_config_errors_come_before_dataset_and_init(tmp_path, capsys, monkeypatch,
+                                                    config, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dataset was built")
+
+    monkeypatch.setattr(cli, "build_dataset", refuse)
+    cfg = write_config(tmp_path, "c.json", config)
+    for command in ("train", "verify"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / command).exists()

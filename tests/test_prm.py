@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relulab import rng
+from relulab import prm, rng
 from relulab.prm import (
     TeacherStudentConfig,
     arccos_kernel,
@@ -171,3 +172,67 @@ def test_extension_mode_flag():
     assert cfg(d=5, M=8, m=4).extension_mode
     V = teacher_matrix(cfg(d=5, M=8, m=4))
     assert np.allclose(np.linalg.norm(V, axis=1), 1 / 8, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Streamed norm growth against a run that keeps every student
+# ---------------------------------------------------------------------------
+
+def _reference_T_and_growth(c):
+    """(measured_T, norm_monotone) from the kept trajectory W(0..steps)."""
+    Ws = [init_prm(c).W]
+    for _ in range(c.steps):
+        Ws.append(Ws[-1] - c.eta * prm.population_grad(Ws[-1], c))
+    norms = [np.linalg.norm(W, axis=1) for W in Ws]
+    threshold = (c.d / (math.pi * c.M)) * math.sqrt((c.d - 1) / c.d)
+    T = max((t for t in range(c.steps) if float(norms[t + 1].sum()) < threshold), default=-1)
+    monotone = all(np.all(norms[t] < norms[t + 1]) and np.all(norms[t + 1] < 2.0 * norms[t])
+                   for t in range(T + 1))
+    return T, monotone
+
+
+def _compliant(d, m, M, kappa, seed, steps):
+    c = cfg(d=d, m=m, M=M, kappa=kappa, eta=1.0, seed=seed)
+    return dataclasses.replace(c, eta=max_compliant_eta(c), steps=steps)
+
+
+@pytest.mark.parametrize("d,m,M,kappa", [(10, 10, 10, 0.1), (8, 5, 8, 0.1),
+                                         (12, 6, 10, 0.05), (6, 9, 6, 0.2)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_streamed_norm_growth_matches_kept_trajectory(d, m, M, kappa, seed):
+    c = _compliant(d, m, M, kappa, seed, steps=40)
+    rec = run_prm_gd(c)
+    assert (rec.measured_T, rec.norm_monotone) == _reference_T_and_growth(c)
+    assert 0 <= rec.measured_T < c.steps and rec.norm_monotone
+
+
+def _shrink_row_zero_at(grad, t):
+    """``grad`` with step t -> t+1 scaling student row 0 by 0.9, which breaks
+    the growth condition."""
+    calls = []
+
+    def planted(W, config):
+        G = grad(W, config)
+        calls.append(t)
+        if len(calls) == t + 1:
+            G[0] = 0.1 * W[0] / config.eta
+        return G
+
+    return planted
+
+
+@pytest.mark.parametrize("t,monotone", [(2, False), (24, True)])
+def test_streamed_norm_growth_with_a_planted_shrink(monkeypatch, t, monotone):
+    # Growth counts only up to measured_T: a shrink at t = 2 breaks it, one
+    # at t = 24 does not.
+    c = _compliant(8, 5, 8, 0.1, 0, steps=40)
+    grad = prm.population_grad
+    monkeypatch.setattr(prm, "population_grad", _shrink_row_zero_at(grad, t))
+    rec = run_prm_gd(c)
+    monkeypatch.setattr(prm, "population_grad", _shrink_row_zero_at(grad, t))
+    assert (rec.measured_T, rec.norm_monotone) == _reference_T_and_growth(c)
+    assert rec.norm_monotone is monotone
+    if monotone:
+        assert rec.measured_T < t       # the shrink lies beyond the certified horizon
+    else:
+        assert t <= rec.measured_T

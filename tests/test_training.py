@@ -256,6 +256,19 @@ def test_hitting_time_sentinel_when_never_violated():
     assert hitting_time_T(rec, "binary") == NOT_YET_HIT
 
 
+def test_run_hitting_time_sees_every_step():
+    # A step size of 0.5 first breaks |f| <= 1 at t = 11; with records kept
+    # every 7 steps the first recorded violation is at t = 14.
+    ds = gen_orthant_separable(n=8, d=6, seed=6)
+    net0 = init_binary(64, 6, InitSpec(kappa=1e-3, seed=6))
+    runs = [run(net0, ds, loss_family("quadratic"), Constant(eta=0.5),
+                TrainConfig(steps=30, batching=Full(), record_every=k)) for k in (1, 7)]
+    assert runs[0].measured_T == runs[1].measured_T == 9
+    assert hitting_time_T(runs[0], "binary") == 9
+    assert hitting_time_T(runs[1], "binary") == 12
+    assert [r.t for r in runs[1].records] == [0, 7, 14, 21, 28, 30]
+
+
 def test_immediate_violation_clamps_to_minus_one():
     rec = _FakeRecord([2.0, 2.0], [True, True])
     assert hitting_time_T(rec, "binary") == -1
