@@ -11,14 +11,14 @@ Checks that read the networks of a run are observers of the training run
 so they keep no trajectory.
 
 Two similar exponential envelopes appear in the early-stage analysis and are
-deliberately kept as distinct named functions because they are easy to
-conflate:
+easy to conflate:
 
-* ``phi(t, eta)``     = 251001((1+2eta)^{2t} - (1-2eta)^{2t}) / 1500000 —
-  used inside the per-step descent series;
 * ``varphi(t, ...)``  = (1/2 + 2 sqrt(log(2n^2/delta)/m)) *
   251001((1+2eta)^{2t} - (1-2eta)^{2t}) / 1000000 — the prediction envelope
-  used in the early gradient lower bound.
+  used in the early gradient lower bound;
+* ``oracles.phi(t, eta)`` = 251001((1+2eta)^{2t} - (1-2eta)^{2t}) / 1500000 —
+  used inside the per-step descent series, whose closed form the acceptance
+  tests check (criterion 2).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "CertificateReport",
     "verdict",
     "holds",
-    "phi",
     "varphi",
     "gram_matrix",
     "MultiGramMin",
@@ -53,8 +52,6 @@ __all__ = [
     "check_hessian_bound",
     "descent_bound_binary",
     "descent_bound_multi",
-    "descent_series_closed_form",
-    "descent_series_brute_force",
     "fit_convergence_rate",
     "probability_budget",
     "STOCHASTIC_ALIGNMENT_BOUND",
@@ -112,11 +109,6 @@ def holds(report: dict) -> bool:
 # ---------------------------------------------------------------------------
 # Exponential envelopes
 # ---------------------------------------------------------------------------
-
-def phi(t: float, eta: float) -> float:
-    """Descent-series envelope 251001((1+2eta)^{2t} - (1-2eta)^{2t}) / 1500000."""
-    return 251001.0 * ((1.0 + 2.0 * eta) ** (2 * t) - (1.0 - 2.0 * eta) ** (2 * t)) / 1_500_000.0
-
 
 def varphi(t: float, eta: float, n: int, m: int, delta: float) -> float:
     """Prediction envelope with the width-dependent leading factor."""
@@ -347,30 +339,6 @@ def descent_bound_multi() -> float:
     return 0.262533
 
 
-def descent_series_closed_form(eta: float, t_star: int) -> float:
-    """Closed form of sum_{t=1}^{T*-1} eta (1 - phi(t))^2 via geometric sums."""
-    a = 251001.0 / 1_500_000.0
-    up = (1.0 + 2.0 * eta) ** 2
-    dn = (1.0 - 2.0 * eta) ** 2
-    mix = up * dn
-    T = t_star
-
-    def geo(q: float) -> float:
-        # sum_{t=1}^{T-1} q^t
-        return (q - q ** T) / (1.0 - q)
-
-    # Expand (1 - a(u^t - v^t))^2 with u = up^t, v = dn^t and sum each
-    # geometric series separately.
-    total = (T - 1) - 2.0 * a * geo(up) + 2.0 * a * geo(dn) \
-        + a * a * geo(up * up) + a * a * geo(dn * dn) - 2.0 * a * a * geo(mix)
-    return eta * total
-
-
-def descent_series_brute_force(eta: float, t_star: int) -> float:
-    """Direct term-by-term evaluation of sum_{t=1}^{T*-1} eta (1 - phi(t))^2."""
-    return math.fsum(eta * (1.0 - phi(t, eta)) ** 2 for t in range(1, t_star))
-
-
 # ---------------------------------------------------------------------------
 # Convergence-rate envelopes
 # ---------------------------------------------------------------------------
@@ -380,23 +348,22 @@ def fit_convergence_rate(records, kind: str, V: float, c: float) -> CertificateR
 
     ``kind``: ``poly_stage1`` checks L(t) <= L(1)/t^{Vc/2};
     ``exponential`` checks L(t) <= (1 - Vc/2)^{t-1} L(1).  Also reports the
-    least-squares fitted decay for diagnostics.
+    least-squares fitted decay for diagnostics.  A run with no record at
+    t >= 1 (one that aborted at step 0) is inconclusive.
     """
+    if kind not in ("poly_stage1", "exponential"):
+        raise ValueError(f"unknown envelope kind {kind!r}")
+    rate = V * c / 2.0
     pts = [(r.t, r.loss) for r in records if r.t >= 1]
     if not pts:
-        raise ValueError("no records at t >= 1")
+        return CertificateReport(f"rate-{kind}", rate, math.nan, False, math.nan, inconclusive=True,
+                                 context={"worst_t": None, "fitted_decay": math.nan})
     L1 = dict(pts).get(1)
     if L1 is None:
         raise ValueError("record at t = 1 required")
-    rate = V * c / 2.0
     worst_slack, worst_t = math.inf, None
     for t, L in pts:
-        if kind == "poly_stage1":
-            env = L1 / t ** rate
-        elif kind == "exponential":
-            env = (1.0 - rate) ** (t - 1) * L1
-        else:
-            raise ValueError(f"unknown envelope kind {kind!r}")
+        env = L1 / t ** rate if kind == "poly_stage1" else (1.0 - rate) ** (t - 1) * L1
         slack = env - L
         if slack < worst_slack:
             worst_slack, worst_t = slack, t

@@ -67,16 +67,32 @@ class ConfigError(ValueError):
     pass
 
 
-def _strict(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object, not {json.dumps(obj)}")
+    return obj
+
+
+def _strict(obj, allowed: set, where: str) -> dict:
+    unknown = set(_object(obj, where)) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+    return obj
 
 
-def _require(obj: dict, key: str, where: str):
+def _require(obj: dict, key: str, where: str, cast=None):
     if key not in obj:
         raise ConfigError(f"{where}: missing required key {key!r}")
-    return obj[key]
+    return obj[key] if cast is None else _cast(obj[key], f"{where}.{key}", cast)
+
+
+def _cast(value, where: str, cast=float):
+    """``cast(value)``; a JSON type the cast refuses (null, an array, an object;
+    a number for a path) is a ConfigError, a malformed string a ValueError."""
+    try:
+        return cast(value)
+    except TypeError:
+        raise ConfigError(f"{where}: cannot read {json.dumps(value)} as {cast.__name__}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -85,43 +101,44 @@ def _require(obj: dict, key: str, where: str):
 
 def build_dataset(spec: dict, default_seed: int = 0) -> LabeledDataset:
     where = "dataset"
-    kind = _require(spec, "type", where)
+    kind = _require(_object(spec, where), "type", where)
     if kind == "synthetic":
         _strict(spec, {"type", "n", "d", "seed", "antipodal"}, where)
         return gen_orthant_separable(
-            n=int(_require(spec, "n", where)), d=int(_require(spec, "d", where)),
-            seed=int(spec.get("seed", default_seed)),
+            n=_require(spec, "n", where, int), d=_require(spec, "d", where, int),
+            seed=_cast(spec.get("seed", default_seed), "dataset.seed", int),
             include_antipodal=bool(spec.get("antipodal", True)))
     if kind == "mnist":
         _strict(spec, {"type", "images", "labels", "count", "normalize"}, where)
-        return load_mnist(_require(spec, "images", where), _require(spec, "labels", where),
-                          count=int(spec.get("count", 1000)),
+        return load_mnist(_require(spec, "images", where, Path),
+                          _require(spec, "labels", where, Path),
+                          count=_cast(spec.get("count", 1000), "dataset.count", int),
                           normalize=bool(spec.get("normalize", True)))
     if kind == "cifar10":
         _strict(spec, {"type", "path", "count", "normalize"}, where)
-        return load_cifar10(_require(spec, "path", where), count=int(spec.get("count", 1000)),
+        return load_cifar10(_require(spec, "path", where, Path),
+                            count=_cast(spec.get("count", 1000), "dataset.count", int),
                             normalize=bool(spec.get("normalize", True)))
     raise ConfigError(f"{where}: unknown type {kind!r}")
 
 
 def build_schedule(spec: dict):
     where = "schedule"
-    kind = _require(spec, "type", where)
+    kind = _require(_object(spec, where), "type", where)
     if kind == "constant":
         _strict(spec, {"type", "eta"}, where)
-        return Constant(eta=float(_require(spec, "eta", where)))
+        return Constant(eta=_require(spec, "eta", where, float))
     if kind == "loss-inverse":
         _strict(spec, {"type", "eta0", "c"}, where)
-        return LossInverse(eta0=float(_require(spec, "eta0", where)),
-                           c=float(_require(spec, "c", where)))
+        return LossInverse(eta0=_require(spec, "eta0", where, float),
+                           c=_require(spec, "c", where, float))
     if kind == "two-stage-poly":
-        _strict(spec, {"type", "eta0", "c", "T0", "cprime", "r", "force_stage2_at"}, where)
-        return TwoStagePoly(eta0=float(_require(spec, "eta0", where)),
-                            c=float(_require(spec, "c", where)),
-                            T0=int(_require(spec, "T0", where)),
-                            cprime=float(_require(spec, "cprime", where)),
-                            r=float(_require(spec, "r", where)),
-                            force_stage2_at=spec.get("force_stage2_at"))
+        _strict(spec, {"type", "eta0", "c", "T0", "cprime", "r"}, where)
+        return TwoStagePoly(eta0=_require(spec, "eta0", where, float),
+                            c=_require(spec, "c", where, float),
+                            T0=_require(spec, "T0", where, int),
+                            cprime=_require(spec, "cprime", where, float),
+                            r=_require(spec, "r", where, float))
     raise ConfigError(f"{where}: unknown type {kind!r}")
 
 
@@ -167,12 +184,13 @@ class _Records:
 
 def _hitting_time_report(record, ts: int) -> dict:
     mt = record.measured_T
-    # Not hit: the true T is at least the last step the run reached.
-    measured = mt if mt >= 0 else record.records[-1].t
+    # Not hit: the true T is at least the last step the run reached.  A run
+    # that reached no step measured nothing.
+    measured = mt if mt >= 0 else record.records[-1].t if record.records else math.nan
     return certs.CertificateReport(
         "hitting-time-at-least-tstar", float(ts), float(measured),
-        mt < 0 or mt >= ts, float(measured - ts),
-        context={"sentinel_not_yet_hit": mt < 0}).as_dict()
+        bool(record.records) and (mt < 0 or mt >= ts), float(measured - ts),
+        inconclusive=not record.records, context={"sentinel_not_yet_hit": mt < 0}).as_dict()
 
 
 # Each ``_certify_*`` takes the run context before training and returns
@@ -333,14 +351,14 @@ _KINDS = {
 _TOP_KEYS = {"kind", "dataset", "model", "loss", "schedule", "train", "delta", "seed", "prm"}
 
 
-def run_experiment(config: dict, certify: bool = True, keep_params: bool = False):
+def run_experiment(config: dict, certify: bool = True):
     """Execute a non-PRM experiment config; returns (record, context dict).
 
     With ``certify`` the kind's certificate observers watch every training
     step and ``evaluate_certificates`` reads them afterwards; no trajectory
-    is kept unless ``keep_params`` asks for it.  Every mismatch between the
-    kind and the config (train keys, loss, dataset labels, schedule type) is
-    a ``ConfigError`` raised before any training step.
+    is kept.  A malformed section or value, or a kind that cannot use the
+    config's train keys, loss, schedule or dataset labels, is a ``ConfigError``
+    raised before training and, but for the labels, before the dataset is built.
     """
     _strict(config, _TOP_KEYS, "config")
     kind = _require(config, "kind", "config")
@@ -348,8 +366,8 @@ def run_experiment(config: dict, certify: bool = True, keep_params: bool = False
     if spec is None:
         raise ConfigError("use run_prm_experiment for prm configs" if kind == "prm" else
                           f"config: unknown kind {kind!r}; known: {', '.join(_KINDS)}, prm")
-    train_spec = dict(config.get("train", {}))
-    _strict(train_spec, {"steps", "batch", "trained_layers", "record_every"}, "train")
+    train_spec = _strict(config.get("train", {}), {"steps", "batch", "trained_layers", "record_every"},
+                         "train")
     if not spec.trains and "steps" in train_spec:
         raise ConfigError(f"{kind} certifies the dataset and takes no train.steps")
     trained_layers = train_spec.get("trained_layers", spec.trained_layers)
@@ -362,11 +380,6 @@ def run_experiment(config: dict, certify: bool = True, keep_params: bool = False
     if loss.kind not in spec.loss_kinds:
         raise ConfigError(f"{kind} takes a loss of kind {' or '.join(spec.loss_kinds)}, "
                           f"not {loss_key!r} ({loss.kind})")
-    ds = build_dataset(_require(config, "dataset", "config"), default_seed=config.get("seed", 0))
-    labels = "onehot" if spec.variant == "multi" else "binary"
-    if ds.label_kind != labels:
-        raise ConfigError(f"{kind} requires a dataset with {labels} labels")
-    delta = float(config.get("delta", 0.01))
     if spec.trains or "schedule" in config:
         schedule_spec = _require(config, "schedule", "config")
         schedule = build_schedule(schedule_spec)
@@ -375,33 +388,35 @@ def run_experiment(config: dict, certify: bool = True, keep_params: bool = False
                               f"not {schedule_spec['type']!r}")
     else:
         schedule = Constant(eta=0.01)   # certify-only takes no training steps
-
-    model_spec = dict(_require(config, "model", "config"))
-    _strict(model_spec, {"m", "kappa"}, "model")
-    m = int(_require(model_spec, "m", "model"))
-
-    batch_spec = train_spec.get("batch")
-    batch_size = None
-    if batch_spec is not None:
-        _strict(batch_spec, {"B", "seed"}, "train.batch")
-        batch_size = int(_require(batch_spec, "B", "train.batch"))
-
-    eta = schedule.eta if isinstance(schedule, Constant) else schedule.eta0
+    delta = _cast(config.get("delta", 0.01), "config.delta")
+    if not 0.0 < delta < 1.0:
+        raise ConfigError(f"config: delta must lie in (0, 1), not {delta!r}")
+    seed = _cast(config.get("seed", 0), "config.seed", int)
+    model_spec = _strict(_require(config, "model", "config"), {"m", "kappa"}, "model")
+    m = _require(model_spec, "m", "model", int)
     kappa = model_spec.get("kappa", "auto")
-    kappa = spec.kappa_cap(eta, ds, batch_size) if kappa == "auto" else float(kappa)
-    seed = int(config.get("seed", 0))
+    kappa = kappa if kappa == "auto" else _cast(kappa, "model.kappa")
+    batch_spec = train_spec.get("batch")
+    batch_size = (None if batch_spec is None else
+                  _require(_strict(batch_spec, {"B", "seed"}, "train.batch"), "B", "train.batch", int))
+
+    ds = build_dataset(_require(config, "dataset", "config"), default_seed=seed)
+    labels = "onehot" if spec.variant == "multi" else "binary"
+    if ds.label_kind != labels:
+        raise ConfigError(f"{kind} requires a dataset with {labels} labels")
+    eta = schedule.eta if isinstance(schedule, Constant) else schedule.eta0
+    kappa = spec.kappa_cap(eta, ds, batch_size) if kappa == "auto" else kappa
     init = InitSpec(kappa=kappa, seed=seed)
     net0 = (init_multi(m, ds.d, ds.num_classes, init) if spec.variant == "multi"
             else init_binary(m, ds.d, init))
     default_steps = (0 if not spec.trains else
                      tstar(eta, spec.variant) if isinstance(schedule, Constant) else 1000)
     batching = Full() if batch_spec is None else Stochastic(
-        B=batch_size, seed=int(batch_spec.get("seed", seed + 1)))
+        B=batch_size, seed=_cast(batch_spec.get("seed", seed + 1), "train.batch.seed", int))
     tconf = TrainConfig(
-        steps=int(train_spec.get("steps", default_steps)), batching=batching,
-        trained_layers=trained_layers,
-        record_every=int(train_spec.get("record_every", 1)),
-        keep_params=keep_params,
+        steps=_cast(train_spec.get("steps", default_steps), "train.steps", int),
+        batching=batching, trained_layers=trained_layers,
+        record_every=_cast(train_spec.get("record_every", 1), "train.record_every", int),
     )
     ctx = {"ds": ds, "net0": net0, "schedule": schedule, "kind": kind, "delta": delta,
            "kappa": kappa, "batch_size": batch_size, "seed": seed, "m": m}
@@ -421,18 +436,18 @@ def evaluate_certificates(record, ctx) -> list:
 
 def run_prm_experiment(config: dict):
     _strict(config, {"kind", "prm", "seed"}, "config")
-    spec = dict(_require(config, "prm", "config"))
-    _strict(spec, {"d", "m", "M", "kappa", "eta", "steps", "seed"}, "prm")
-    d = int(_require(spec, "d", "prm"))
+    spec = _strict(_require(config, "prm", "config"),
+                   {"d", "m", "M", "kappa", "eta", "steps", "seed"}, "prm")
+    d = _require(spec, "d", "prm", int)
     cfg = prm_mod.TeacherStudentConfig(
-        d=d, m=int(_require(spec, "m", "prm")), M=int(spec.get("M", d)),
-        kappa=float(_require(spec, "kappa", "prm")), eta=1.0,
-        seed=int(spec.get("seed", config.get("seed", 0))), steps=0)
+        d=d, m=_require(spec, "m", "prm", int), M=_cast(spec.get("M", d), "prm.M", int),
+        kappa=_require(spec, "kappa", "prm", float), eta=1.0,
+        seed=_cast(spec.get("seed", config.get("seed", 0)), "prm.seed", int), steps=0)
     eta = spec.get("eta", "auto")
     cfg = dataclasses.replace(
-        cfg, eta=prm_mod.max_compliant_eta(cfg) if eta == "auto" else float(eta))
+        cfg, eta=prm_mod.max_compliant_eta(cfg) if eta == "auto" else _cast(eta, "prm.eta"))
     steps = spec["steps"] if "steps" in spec else math.ceil(prm_mod.prm_tstar_plus_one(cfg)) + 2
-    cfg = dataclasses.replace(cfg, steps=int(steps))
+    cfg = dataclasses.replace(cfg, steps=_cast(steps, "prm.steps", int))
     record = prm_mod.run_prm_gd(cfg)
     cert = prm_mod.prm_descent_certificate(cfg, record)
     return cfg, record, cert
@@ -473,31 +488,33 @@ def _write_run_dir(outdir: Path, config: dict, steps_text: str, summary: dict,
 def _emit_run(outdir: Path, config: dict, certify: bool):
     """Run an experiment config and write its run directory.
 
-    Returns (record, ctx, report dicts, ok); ok is False when the run aborted
+    Returns (summary, report dicts, ok); ok is False when the run aborted
     or a certificate failed.
     """
     record, ctx = run_experiment(config, certify=certify)
     cert_dicts = evaluate_certificates(record, ctx) if certify else None
-    first, last = record.records[0], record.records[-1]
     summary = {
         "kind": ctx["kind"],
         "status": record.status,
         "n": ctx["ds"].n, "d": ctx["ds"].d, "m": ctx["m"],
         "kappa": ctx["kappa"], "delta": ctx["delta"],
         "seed": ctx["seed"],
-        "initial_loss": first.loss, "final_loss": last.loss,
-        "descent": first.loss - last.loss,
+        # A run that aborts at step 0 reaches no step: no losses, no step count.
+        "initial_loss": None, "final_loss": None, "descent": None, "steps": None,
         "measured_T": record.measured_T,
-        "steps": last.t,
         "dataset_digest": ctx["ds"].digest(),
         "net0_digest": ctx["net0"].digest(),
         "run_digest": record.digest(),
     }
+    if record.records:
+        first, last = record.records[0], record.records[-1]
+        summary.update(initial_loss=first.loss, final_loss=last.loss,
+                       descent=first.loss - last.loss, steps=last.t)
     _write_run_dir(outdir, config, steps_csv(record), summary, cert_dicts)
     cert_dicts = cert_dicts or []
     ok = (record.status in ("completed", "converged-exactly")
           and all(certs.holds(c) for c in cert_dicts))
-    return record, ctx, cert_dicts, ok
+    return summary, cert_dicts, ok
 
 
 def _print_certificates(cert_dicts: list) -> None:
@@ -521,16 +538,17 @@ def cmd_gen_data(config: dict, outdir: Path, seed: Optional[int]) -> int:
 def cmd_train(config: dict, outdir: Path, seed: Optional[int]) -> int:
     if seed is not None:
         config = dict(config, seed=seed)
-    record, ctx, _, ok = _emit_run(outdir, config, certify=False)
-    print(f"run {ctx['kind']}: status={record.status} "
-          f"loss {record.records[0].loss:.6g} -> {record.records[-1].loss:.6g}")
+    summary, _, ok = _emit_run(outdir, config, certify=False)
+    losses = ("" if summary["steps"] is None else
+              f" loss {summary['initial_loss']:.6g} -> {summary['final_loss']:.6g}")
+    print(f"run {summary['kind']}: status={summary['status']}{losses}")
     return 0 if ok else 1
 
 
 def cmd_verify(config: dict, outdir: Path, seed: Optional[int]) -> int:
     if seed is not None:
         config = dict(config, seed=seed)
-    _, _, cert_dicts, ok = _emit_run(outdir, config, certify=True)
+    _, cert_dicts, ok = _emit_run(outdir, config, certify=True)
     _print_certificates(cert_dicts)
     return 0 if ok else 1
 
@@ -559,26 +577,22 @@ def _sweep_entry(args):
     row["run_dir"] = str(subdir)
     row.update(assignment)
     try:
-        record, _, cert_dicts, ok = _emit_run(Path(subdir), config, certify=True)
+        summary, cert_dicts, ok = _emit_run(Path(subdir), config, certify=True)
     except (ValueError, FileNotFoundError) as exc:   # ConfigError included
         row["status"] = f"error:{exc}"
         return False, row
-    first, last = record.records[0], record.records[-1]
-    row.update({
-        "status": record.status,
-        "initial_loss": first.loss,
-        "final_loss": last.loss,
-        "descent": first.loss - last.loss,
-        "measured_T": record.measured_T,
-        "certificates_failed": sum(not certs.holds(c) for c in cert_dicts),
-    })
+    row.update({key: "" if summary[key] is None else summary[key]
+                for key in ("status", "initial_loss", "final_loss", "descent", "measured_T")})
+    row["certificates_failed"] = sum(not certs.holds(c) for c in cert_dicts)
     return ok, row
 
 
 def cmd_sweep(spec: dict, outdir: Path, jobs: int) -> int:
     _strict(spec, {"base", "axes"}, "sweep")
-    base = _require(spec, "base", "sweep")
+    base = _object(_require(spec, "base", "sweep"), "sweep.base")
     axes = _require(spec, "axes", "sweep")
+    if not isinstance(axes, list):
+        raise ConfigError(f"sweep.axes: expected a JSON array, not {json.dumps(axes)}")
     for ax in axes:
         _strict(ax, {"path", "values"}, "sweep.axes")
     combos = list(itertools.product(*[[(ax["path"], v) for v in ax["values"]] for ax in axes]))
@@ -613,9 +627,7 @@ def cmd_sweep(spec: dict, outdir: Path, jobs: int) -> int:
 
 def cmd_prm(config: dict, outdir: Path, seed: Optional[int]) -> int:
     if seed is not None:
-        config = dict(config)
-        config.setdefault("prm", {})
-        config["prm"] = dict(config["prm"], seed=seed)
+        config = dict(config, prm=dict(_object(config.get("prm", {}), "prm"), seed=seed))
     cfg, record, cert = run_prm_experiment(config)
     summary = {
         "kind": "prm",
@@ -665,7 +677,7 @@ def main(argv=None) -> int:
             return cmd_report(args.out)
         if args.config is None:
             parser.error("--config is required for this command")
-        config = json.loads(args.config.read_text())
+        config = _object(json.loads(args.config.read_text()), "config")
         if args.command == "gen-data":
             return cmd_gen_data(config, args.out, args.seed)
         if args.command == "train":

@@ -116,8 +116,6 @@ class SeparabilityReport:
 class DataConstants:
     """Data-dependent certificate constants (given width m and failure prob delta)."""
 
-    gamma1: float
-    gamma2: float
     lambda_min_plus: float
     lambda_min_minus: float
     V: float
@@ -399,7 +397,6 @@ def compute_V(ds: LabeledDataset, m: int, delta: float) -> DataConstants:
     x, y = ds.inputs, ds.labels
     n = ds.n
     half = n // 2
-    g1, g2 = compute_gamma_constants(ds)
     gram = x @ x.T
     same = np.outer(y, y) > 0
     gamma = float(np.min(gram[same]))
@@ -408,8 +405,8 @@ def compute_V(ds: LabeledDataset, m: int, delta: float) -> DataConstants:
     spread = 2.0 / n + ((n - 2.0) / n) * gamma
     bracket = 0.5 - math.sqrt(8.0 * math.log(n * n / delta) / m)
     V = (bracket / 16.0) * max(spread, min(lam_p, lam_m))
-    return DataConstants(gamma1=g1, gamma2=g2, lambda_min_plus=lam_p,
-                         lambda_min_minus=lam_m, V=V, vacuous=bracket <= 0.0)
+    return DataConstants(lambda_min_plus=lam_p, lambda_min_minus=lam_m, V=V,
+                         vacuous=bracket <= 0.0)
 
 
 # ---------------------------------------------------------------------------

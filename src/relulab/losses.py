@@ -12,8 +12,9 @@ kinds of constant certificates are supported:
   is at most g_b and ltilde''(z)/ltilde(z) lies in [0, h]; for z >= 0 the
   ratio -ltilde'/ltilde is at least g_a.
 
-``verify_*`` routines check those inequalities on dense grids and report the
-worst-case slack, so a wrongly declared constant fails loudly.
+``oracles.verify_range_constants`` / ``verify_exptype_constants`` check those
+inequalities on dense grids and report the worst-case slack, so a wrongly
+declared constant fails loudly.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ __all__ = [
     "LossFamily",
     "loss_family",
     "LOSS_KEYS",
-    "verify_range_constants",
-    "verify_exptype_constants",
 ]
 
 
@@ -139,83 +138,3 @@ def loss_family(key: str) -> LossFamily:
         return _FAMILIES[key]
     except KeyError:
         raise KeyError(f"unknown loss key {key!r}; known: {', '.join(LOSS_KEYS)}") from None
-
-
-@dataclass(frozen=True)
-class ConstantsReport:
-    passed: bool
-    min_slack: float
-    detail: str
-
-
-def verify_range_constants(family: LossFamily, grid_points: int = 1001,
-                           z0: Optional[float] = None,
-                           g_min: Optional[float] = None,
-                           g_max: Optional[float] = None,
-                           h_max: Optional[float] = None) -> ConstantsReport:
-    """Check g_min <= -ltilde' <= g_max and 0 <= ltilde'' <= h_max on [0, z0].
-
-    Constants default to the family's declared values; overrides allow
-    probing wrong declarations.
-    """
-    if family.is_quadratic:
-        raise TypeError("quadratic loss has no margin-range constants")
-    z0 = family.z0 if z0 is None else z0
-    g_min = family.g_min if g_min is None else g_min
-    g_max = family.g_max if g_max is None else g_max
-    h_max = family.h_max if h_max is None else h_max
-    z = np.linspace(0.0, z0, grid_points)
-    neg_d = -family.deriv(z)
-    dd = family.second_deriv(z)
-    slacks = {
-        "g_min": float(np.min(neg_d - g_min)),
-        "g_max": float(np.min(g_max - neg_d)),
-        "h_lo": float(np.min(dd)),
-        "h_max": float(np.min(h_max - dd)),
-    }
-    tol = -1e-12
-    worst = min(slacks, key=slacks.get)
-    return ConstantsReport(
-        passed=all(v >= tol for v in slacks.values()),
-        min_slack=slacks[worst],
-        detail=f"worst inequality {worst}, slack {slacks[worst]:.3e} over [0,{z0}] with {grid_points} points",
-    )
-
-
-def verify_exptype_constants(family: LossFamily, z_range: float = 50.0,
-                             grid_points: int = 100_000,
-                             g_a: Optional[float] = None,
-                             g_b: Optional[float] = None,
-                             h: Optional[float] = None) -> ConstantsReport:
-    """Check the ratio inequalities of exponential-type losses on a grid.
-
-    -ltilde'/ltilde <= g_b and 0 <= ltilde''/ltilde <= h on [-R, R];
-    -ltilde'/ltilde >= g_a on [0, R].  The grid is a desk-scale certificate:
-    both implemented families have monotone ratios outside any bounded
-    interval, but that is documented, not proven here.
-    """
-    if family.kind != "exptype":
-        raise TypeError(f"loss {family.name!r} is not exponential-type")
-    g_a = family.g_a if g_a is None else g_a
-    g_b = family.g_b if g_b is None else g_b
-    h = family.h if h is None else h
-    z = np.linspace(-z_range, z_range, grid_points)
-    val = family.value(z)
-    if np.any(val <= 0.0):
-        return ConstantsReport(False, float(np.min(val)), "loss not positive on grid")
-    ratio1 = -family.deriv(z) / val
-    ratio2 = family.second_deriv(z) / val
-    pos = z >= 0.0
-    slacks = {
-        "g_b": float(np.min(g_b - ratio1)),
-        "h_lo": float(np.min(ratio2)),
-        "h": float(np.min(h - ratio2)),
-        "g_a": float(np.min(ratio1[pos] - g_a)),
-    }
-    tol = -1e-12
-    worst = min(slacks, key=slacks.get)
-    return ConstantsReport(
-        passed=all(v >= tol for v in slacks.values()),
-        min_slack=slacks[worst],
-        detail=f"worst inequality {worst}, slack {slacks[worst]:.3e} on [-{z_range},{z_range}]",
-    )

@@ -24,10 +24,8 @@ indicator is the strict comparison ``preactivation > 0``.  All arithmetic is
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -46,15 +44,12 @@ __all__ = [
     "forward",
     "loss_value",
     "per_sample_margins",
-    "grad_loss",
     "grad_loss_struct",
     "apply_gradient",
     "flatten_params",
     "param_norm",
     "hessian_loss",
     "hessian_spectral_norm",
-    "save_snapshot",
-    "load_snapshot",
 ]
 
 Net = Union["BinaryNet", "MultiNet"]
@@ -237,15 +232,14 @@ def forward(net: Net, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def per_sample_margins(net: Net, ds: LabeledDataset, subset: Optional[np.ndarray] = None) -> np.ndarray:
+def per_sample_margins(net: Net, ds: LabeledDataset) -> np.ndarray:
     """z_i = y_i f(x_i) (binary) or y_i^T f(x_i) (one-hot)."""
-    return _activations(net, ds, subset)[5]
+    return _activations(net, ds)[5]
 
 
-def loss_value(net: Net, ds: LabeledDataset, loss: LossFamily,
-               subset: Optional[np.ndarray] = None) -> float:
-    """Empirical risk over the (multi)set of sample indices (full data by default)."""
-    _, Y, _, _, f, z = _activations(net, ds, subset)
+def loss_value(net: Net, ds: LabeledDataset, loss: LossFamily) -> float:
+    """Empirical risk over the full data."""
+    _, Y, _, _, f, z = _activations(net, ds)
     return _risk(net, loss, Y, f, z)
 
 
@@ -273,13 +267,6 @@ def flatten_params(net: Net) -> np.ndarray:
 
 def _flatten_struct(parts) -> np.ndarray:
     return np.concatenate([np.asarray(p).ravel() for p in parts])
-
-
-def grad_loss(net: Net, ds: LabeledDataset, loss: LossFamily,
-              subset: Optional[np.ndarray] = None,
-              trained_layers: str = "all") -> np.ndarray:
-    """Flat gradient in the canonical parameter order."""
-    return _flatten_struct(grad_loss_struct(net, ds, loss, subset, trained_layers))
 
 
 def apply_gradient(net: Net, parts, eta: float) -> Net:
@@ -418,50 +405,3 @@ def hessian_spectral_norm(net: Net, ds: LabeledDataset, loss: LossFamily,
     vals = eigsh(op, k=1, which="LM", tol=1e-10, maxiter=5000,
                  return_eigenvectors=False)
     return float(np.max(np.abs(vals)))
-
-
-# ---------------------------------------------------------------------------
-# Snapshots
-# ---------------------------------------------------------------------------
-
-_SNAP_MAGIC = b"RLB1"
-
-
-def save_snapshot(net: Net, path, kappa: Optional[float] = None,
-                  seed: Optional[int] = None, step: Optional[int] = None) -> None:
-    """Serialize parameters as a JSON header plus flat little-endian float64 data."""
-    if isinstance(net, BinaryNet):
-        header = {"variant": "binary", "m": net.m, "d": net.d, "C": None}
-    else:
-        header = {"variant": "multi", "m": net.m, "d": net.d, "C": net.C}
-    header.update({"kappa": kappa, "seed": seed, "step": step})
-    blob = json.dumps(header, sort_keys=True).encode()
-    flat = flatten_params(net).astype("<f8")
-    with open(path, "wb") as f:
-        f.write(_SNAP_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(flat.tobytes())
-
-
-def load_snapshot(path) -> Tuple[Net, dict]:
-    """Inverse of save_snapshot."""
-    with open(path, "rb") as f:
-        if f.read(4) != _SNAP_MAGIC:
-            raise ValueError(f"{path}: not a parameter snapshot")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode())
-        flat = np.frombuffer(f.read(), dtype="<f8").astype(np.float64)
-    m, d = header["m"], header["d"]
-    if header["variant"] == "binary":
-        if flat.size != m + m * d:
-            raise ValueError("snapshot payload size mismatch")
-        net: Net = BinaryNet(a=flat[:m].copy(), B=flat[m:].reshape(m, d).copy())
-    else:
-        C = header["C"]
-        if flat.size != m * C + m * d + m:
-            raise ValueError("snapshot payload size mismatch")
-        net = MultiNet(A=flat[:m * C].reshape(m, C).copy(),
-                       B=flat[m * C:m * C + m * d].reshape(m, d).copy(),
-                       c=flat[m * C + m * d:].copy())
-    return net, header

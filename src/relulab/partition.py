@@ -28,9 +28,7 @@ h0 / (h0 - h1) on the segment (0 or 1 for an exact zero at an endpoint).
 
 from __future__ import annotations
 
-import hashlib
 import io
-import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -52,11 +50,9 @@ __all__ = [
     "check_dynamics_global",
     "check_correct_classification",
     "partition_counts_csv",
-    "pack_partition_tables",
 ]
 
 TL, TD, FL, FD = 0, 1, 2, 3
-_CELL_NAMES = ("TL", "TD", "FL", "FD")
 
 
 @dataclass(frozen=True)
@@ -74,12 +70,6 @@ class PartitionSnapshot:
         for cell in range(4):
             out[:, cell] = np.sum(self.table == cell, axis=1)
         return out
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(struct.pack("<q?", self.step, self.four_way))
-        h.update(np.ascontiguousarray(self.table).tobytes())
-        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -300,11 +290,9 @@ def _drive(observer, nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsVi
     return observer.violations()
 
 
-def check_dynamics_early(nets: Sequence[Net], ds: LabeledDataset,
-                         horizon: Optional[int] = None) -> List[DynamicsViolation]:
-    """``EarlyDynamics`` over a trajectory of parameter states (steps 0..horizon)."""
-    steps = EVERY_STEP if horizon is None else range(horizon + 1)
-    return _drive(EarlyDynamics(ds, steps), nets, ds)
+def check_dynamics_early(nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsViolation]:
+    """``EarlyDynamics`` over a trajectory of parameter states."""
+    return _drive(EarlyDynamics(ds), nets, ds)
 
 
 def check_dynamics_global(nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsViolation]:
@@ -335,24 +323,3 @@ def partition_counts_csv(snapshots: Sequence[PartitionSnapshot]) -> str:
             tl, td, fl, fd = counts[i]
             buf.write(f"{snap.step},{i},{tl},{td},{fl},{fd}\n")
     return buf.getvalue()
-
-
-def pack_partition_tables(snapshots: Sequence[PartitionSnapshot]) -> bytes:
-    """Compact dump: JSON header line, then 2 bits per cell, row-major per snapshot."""
-    import json
-    if not snapshots:
-        return b"{}\n"
-    n, m = snapshots[0].table.shape
-    header = json.dumps({"snapshots": len(snapshots), "n": n, "m": m,
-                         "steps": [s.step for s in snapshots],
-                         "cells": list(_CELL_NAMES)}).encode() + b"\n"
-    chunks = [header]
-    for snap in snapshots:
-        flat = snap.table.ravel()
-        pad = (-flat.size) % 4
-        if pad:
-            flat = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)])
-        quads = flat.reshape(-1, 4)
-        packed = (quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6))
-        chunks.append(packed.astype(np.uint8).tobytes())
-    return b"".join(chunks)

@@ -9,17 +9,17 @@ where k(w; v) = (1/2pi) |w| |v| (sin theta + (pi - theta) cos theta) equals
 E[sigma(w^T x) sigma(v^T x)] for x ~ N(0, I).  Teachers are the scaled basis
 vectors v_i = e_i / M.  The module provides the exact loss and gradient,
 plain gradient descent under the compliant step-size cap, hitting-time
-measurement, the final two-term descent certificate, and a Monte-Carlo
-oracle for the closed forms.
+measurement and the final two-term descent certificate.  The scalar kernel
+and a Monte-Carlo estimate of the risk, which the tests compare the closed
+forms against, live in ``oracles``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -28,10 +28,7 @@ from .certificates import CertificateReport
 
 __all__ = [
     "TeacherStudentConfig",
-    "StudentState",
     "PrmRunRecord",
-    "arccos_kernel",
-    "kernel_grad_w",
     "teacher_matrix",
     "population_loss",
     "population_grad",
@@ -42,7 +39,6 @@ __all__ = [
     "run_prm_gd",
     "descent_bound_two_term",
     "prm_descent_certificate",
-    "mc_population_loss",
     "prm_csv",
 ]
 
@@ -73,20 +69,8 @@ class TeacherStudentConfig:
         return self.M > self.d
 
 
-@dataclass(frozen=True)
-class StudentState:
-    W: np.ndarray        # (m, d)
-    step: int
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.W).tobytes())
-        return h.hexdigest()
-
-
 @dataclass
 class PrmRunRecord:
-    config: TeacherStudentConfig
     losses: List[float] = field(default_factory=list)
     sum_norms: List[float] = field(default_factory=list)
     min_norms: List[float] = field(default_factory=list)
@@ -98,38 +82,8 @@ class PrmRunRecord:
 
 
 # ---------------------------------------------------------------------------
-# Kernel
+# Kernel, loss and gradient
 # ---------------------------------------------------------------------------
-
-def arccos_kernel(w: np.ndarray, v: np.ndarray) -> float:
-    """k(w; v) = (1/2pi) |w| |v| (sin theta + (pi - theta) cos theta)."""
-    nw = float(np.linalg.norm(w))
-    nv = float(np.linalg.norm(v))
-    if nw == 0.0 or nv == 0.0:
-        raise ValueError("arc-cosine kernel undefined for zero vectors")
-    cos = float(np.clip(np.dot(w, v) / (nw * nv), -1.0, 1.0))
-    theta = math.acos(cos)
-    return nw * nv * (math.sin(theta) + (math.pi - theta) * cos) / (2.0 * math.pi)
-
-
-def kernel_grad_w(w: np.ndarray, v: np.ndarray, same_object: bool = False) -> np.ndarray:
-    """Gradient of k(w; v) in w.
-
-    The self term (``same_object=True``, i.e. k(w; w) = |w|^2/2) has gradient
-    w.  Otherwise the generic branch (1/2pi)|v|(sin(theta) w/|w| +
-    (pi - theta) v/|v|) applies; it is continuous at theta = 0, so
-    collinear-but-distinct vectors use it too.
-    """
-    if same_object:
-        return np.array(w, dtype=np.float64, copy=True)
-    nw = float(np.linalg.norm(w))
-    nv = float(np.linalg.norm(v))
-    if nw == 0.0 or nv == 0.0:
-        raise ValueError("arc-cosine kernel undefined for zero vectors")
-    cos = float(np.clip(np.dot(w, v) / (nw * nv), -1.0, 1.0))
-    theta = math.acos(cos)
-    return (nv / (2.0 * math.pi)) * (math.sin(theta) * (w / nw) + (math.pi - theta) * (v / nv))
-
 
 def _kernel_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """k(a_i; b_j) for all row pairs."""
@@ -141,10 +95,6 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     theta = np.arccos(cos)
     return np.outer(na, nb) * (np.sin(theta) + (np.pi - theta) * cos) / (2.0 * np.pi)
 
-
-# ---------------------------------------------------------------------------
-# Loss and gradient
-# ---------------------------------------------------------------------------
 
 def teacher_matrix(config: TeacherStudentConfig) -> np.ndarray:
     """Teacher rows e_i / M for i < d; extras uniform on the (1/M)-sphere (extension mode)."""
@@ -220,11 +170,11 @@ def _init_radius(config: TeacherStudentConfig) -> float:
     return (config.d * config.kappa / (config.m * config.M)) * math.sqrt((config.d - 1) / config.d)
 
 
-def init_prm(config: TeacherStudentConfig) -> StudentState:
-    """Student rows uniform on the sphere of radius (d kappa / (m M)) sqrt((d-1)/d)."""
+def init_prm(config: TeacherStudentConfig) -> np.ndarray:
+    """Student rows W (m, d) uniform on the sphere of radius (d kappa / (m M)) sqrt((d-1)/d)."""
     gen = rng.make_generator(config.seed, stream=0)
     dirs = rng.unit_sphere(gen, config.m, config.d)
-    return StudentState(W=dirs * _init_radius(config), step=0)
+    return dirs * _init_radius(config)
 
 
 def max_compliant_eta(config: TeacherStudentConfig) -> float:
@@ -257,11 +207,9 @@ def run_prm_gd(config: TeacherStudentConfig) -> PrmRunRecord:
     Growth is checked step by step, so no student is kept: the run notes
     the first step t whose successor breaks it.
     """
-    rec = PrmRunRecord(config=config,
-                       eta_compliant=config.eta <= max_compliant_eta(config) * (1.0 + 1e-12))
-    state = init_prm(config)
+    rec = PrmRunRecord(eta_compliant=config.eta <= max_compliant_eta(config) * (1.0 + 1e-12))
+    W = init_prm(config)
     threshold = (config.d / (math.pi * config.M)) * math.sqrt((config.d - 1) / config.d)
-    W = state.W
     prev = None
     first_bad_growth = None      # first t with |w_k(t)| < |w_k(t+1)| < 2 |w_k(t)| broken
     for t in range(config.steps + 1):
@@ -323,37 +271,6 @@ def prm_descent_certificate(config: TeacherStudentConfig,
     return CertificateReport(
         "prm-two-term-descent", bound, measured, measured >= bound, measured - bound,
         context={"detail": f"evaluated at step {t_eval}; loss at the zero student {L0!r}"})
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo oracle
-# ---------------------------------------------------------------------------
-
-def mc_population_loss(W: np.ndarray, config: TeacherStudentConfig,
-                       samples: int, seed: int) -> Tuple[float, float]:
-    """Monte-Carlo estimate (mean, standard error) of the population risk.
-
-    Gaussian inputs in antithetic pairs (x, -x) for variance reduction; the
-    per-pair average is an unbiased estimator of the risk.
-    """
-    gen = rng.make_generator(seed, stream=11)
-    V = teacher_matrix(config)
-    pairs = samples // 2
-    chunk = 65536
-    vals: List[np.ndarray] = []
-    done = 0
-    while done < pairs:
-        b = min(chunk, pairs - done)
-        X = rng.normal(gen, (b, config.d))
-        for Xs in (X, -X):
-            student = np.maximum(Xs @ W.T, 0.0).sum(axis=1)
-            teacher = np.maximum(Xs @ V.T, 0.0).sum(axis=1)
-            vals.append(0.5 * (student - teacher) ** 2)
-        done += b
-    pair_means = 0.5 * (np.concatenate(vals[0::2]) + np.concatenate(vals[1::2]))
-    mean = float(np.mean(pair_means))
-    sem = float(np.std(pair_means, ddof=1) / math.sqrt(pair_means.size))
-    return mean, sem
 
 
 def prm_csv(record: PrmRunRecord) -> str:

@@ -56,8 +56,8 @@ __all__ = [
     "RunRecord",
     "Observer",
     "EVERY_STEP",
+    "HittingTime",
     "run",
-    "hitting_time_T",
     "tstar",
     "exp_hitting_time_Te",
     "steps_csv",
@@ -78,10 +78,6 @@ class Constant:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-
-    @property
-    def within_theorem_range(self) -> bool:
-        return self.eta <= 0.01
 
     def rate(self, t: int, loss: float) -> float:
         return self.eta
@@ -109,8 +105,6 @@ class TwoStagePoly:
     T0: int
     cprime: float
     r: float
-    # Non-compliant override for exploratory runs: switch to stage 2 early.
-    force_stage2_at: Optional[int] = None
 
     def __post_init__(self):
         cap = 1.0 / (6.0 * (1.0 + 2.0 * self.eta0) ** 2 + 2.0)
@@ -121,14 +115,10 @@ class TwoStagePoly:
         if not (0 < self.eta0 <= _MAX_ETA0):
             raise ValueError("TwoStagePoly requires eta0 in (0, 1/(2*sqrt(2))]")
 
-    @property
-    def stage2_start(self) -> int:
-        return self.T0 if self.force_stage2_at is None else self.force_stage2_at
-
     def rate(self, t: int, loss: float) -> float:
         if t == 0:
             return self.eta0
-        if t < self.stage2_start:
+        if t < self.T0:
             return self.c / (t * loss)
         return self.cprime / loss ** (1.0 - 1.0 / (2.0 * self.r))
 
@@ -160,7 +150,6 @@ class TrainConfig:
     batching: Batching = Full()
     trained_layers: str = "all"       # "all" | "input_only"
     record_every: int = 1             # keep every k-th step record (and the last)
-    keep_params: bool = False         # keep the net of every kept record (tests inspect it)
 
     def __post_init__(self):
         if self.steps < 0:
@@ -192,10 +181,8 @@ class Observer(Protocol):
 
 @dataclass
 class RunRecord:
-    config: TrainConfig
-    schedule: Schedule
     records: List[StepRecord] = field(default_factory=list)
-    nets: List[Net] = field(default_factory=list)      # populated when keep_params
+    nets: List[Net] = field(default_factory=list)      # always empty; perfbench/tracing.py reads its length
     batch_alignments: List[float] = field(default_factory=list)  # <full grad, batch grad> per step
     measured_T: int = NOT_YET_HIT
     status: str = "completed"          # completed | converged-exactly | aborted
@@ -210,6 +197,30 @@ def _a_sign_ok(net: Net, net0: Net) -> bool:
     return bool(np.all(net.A * net0.A > 0.0))
 
 
+class HittingTime:
+    """The hitting-time rule, which ``run`` applies to every step.
+
+    T is the largest t with max_i |f(x_i)| <= 1 and preserved output-weight
+    signs for all s <= t+1 (for the multi-output network max_abs_pred is an
+    upper envelope of max f_alpha(x_i)).  ``T`` is NOT_YET_HIT when no step
+    violates the conditions: the true T is then at least the horizon.
+    """
+
+    def __init__(self):
+        self.first_violation: Optional[int] = None
+
+    def step(self, t: int, net: Net, H: np.ndarray, record: StepRecord) -> None:
+        if self.first_violation is None and (record.max_abs_pred > 1.0 or not record.a_sign_ok):
+            self.first_violation = t
+
+    @property
+    def T(self) -> int:
+        if self.first_violation is None:
+            return NOT_YET_HIT
+        # Conditions must hold for every s <= t+1, so t+1 must precede the violation.
+        return max(self.first_violation - 2, -1)
+
+
 def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
         config: TrainConfig, observers: Sequence[Observer] = ()) -> RunRecord:
     """Train and record.  Deterministic given (net0, ds, loss, schedule, config).
@@ -217,13 +228,13 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
     Each observer's ``step(t, net, H, record)`` runs on every step whose loss
     is finite, before the parameter update.
     """
-    rec = RunRecord(config=config, schedule=schedule)
+    rec = RunRecord()
     net = net0
     batch_gen = None
     if isinstance(config.batching, Stochastic):
         batch_gen = rng.make_generator(config.batching.seed, stream=1)
-    last = None          # (record, net) of the last step reached, unless kept
-    first_violation = None
+    hitting = HittingTime()
+    last = None          # the record of the last step reached, unless kept
 
     for t in range(config.steps + 1):
         L, z, f, parts, H = evaluate(net, ds, loss, trained_layers=config.trained_layers)
@@ -245,13 +256,11 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
             max_abs_pred=float(np.max(np.abs(f))),
             a_sign_ok=_a_sign_ok(net, net0),
         )
-        if first_violation is None and _violates(r):
-            first_violation = t
-        for observer in observers:
+        for observer in (hitting, *observers):
             observer.step(t, net, H, r)
-        last = (r, net)
+        last = r
         if t % config.record_every == 0:
-            _keep(rec, *last)
+            rec.records.append(r)
             last = None
         if t == config.steps:
             break
@@ -280,38 +289,9 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
             break
 
     if last is not None:
-        _keep(rec, *last)
-    rec.measured_T = _hitting_time(first_violation)
+        rec.records.append(last)
+    rec.measured_T = hitting.T
     return rec
-
-
-def _keep(rec: RunRecord, r: StepRecord, net: Net) -> None:
-    rec.records.append(r)
-    if rec.config.keep_params:
-        rec.nets.append(net)
-
-
-def _violates(r: StepRecord) -> bool:
-    return r.max_abs_pred > 1.0 or not r.a_sign_ok
-
-
-def _hitting_time(first_violation: Optional[int]) -> int:
-    if first_violation is None:
-        return NOT_YET_HIT
-    # Conditions must hold for every s <= t+1, so t+1 must precede the violation.
-    return max(first_violation - 2, -1)
-
-
-def hitting_time_T(record: RunRecord, variant: str) -> int:
-    """Largest t with max_i |f(x_i)| <= 1 and preserved output-weight signs for all s <= t+1,
-    read from the kept step records (``run`` applies the same rule to every step).
-
-    For the multi-output network the prediction condition is
-    max f_alpha(x_i) <= 1 (max_abs_pred is an upper envelope of both).
-    Returns the sentinel NOT_YET_HIT when no step violates the conditions
-    (the true T is then at least the horizon).
-    """
-    return _hitting_time(next((r.t for r in record.records if _violates(r)), None))
 
 
 def tstar(eta: float, variant: str) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from relulab.datasets import LabeledDataset, gen_orthant_separable
 from relulab.models import InitSpec, init_binary, init_multi
+from relulab.training import EVERY_STEP, run
 
 
 def make_onehot_dataset(n: int, d: int, num_classes: int, seed: int) -> LabeledDataset:
@@ -16,6 +17,23 @@ def make_onehot_dataset(n: int, d: int, num_classes: int, seed: int) -> LabeledD
     labels[np.arange(n), np.arange(n) % num_classes] = 1.0
     return LabeledDataset(inputs=x, labels=labels, label_kind="onehot",
                           source=f"test-onehot:n={n},d={d},C={num_classes},seed={seed}")
+
+
+class KeepNets:
+    """A step observer that keeps the network of each step in ``steps``."""
+
+    def __init__(self, steps=EVERY_STEP):
+        self.steps, self.nets = steps, []
+
+    def step(self, t, net, H, record):
+        if t in self.steps:
+            self.nets.append(net)
+
+
+def run_keeping_nets(net0, ds, loss, schedule, config, steps=EVERY_STEP):
+    """``training.run`` plus the networks of the steps in ``steps``: (record, nets)."""
+    keep = KeepNets(steps)
+    return run(net0, ds, loss, schedule, config, [keep]), keep.nets
 
 
 @pytest.fixture(scope="session")

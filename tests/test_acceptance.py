@@ -27,15 +27,9 @@ from relulab.datasets import (
     validate_separable,
 )
 from relulab.losses import loss_family
-from relulab.models import (
-    InitSpec,
-    flatten_params,
-    grad_loss,
-    init_binary,
-    init_multi,
-    loss_value,
-)
-from relulab.oracles import fd_gradient, loss_of_flat, min_preactivation_gap
+from relulab.models import InitSpec, flatten_params, init_binary, init_multi, loss_value
+from relulab import oracles as O
+from relulab.oracles import fd_gradient, grad_loss, loss_of_flat, min_preactivation_gap
 from relulab.partition import check_dynamics_early, check_dynamics_global
 from relulab.training import (
     Constant,
@@ -47,7 +41,7 @@ from relulab.training import (
     run,
     tstar,
 )
-from tests.conftest import make_onehot_dataset
+from tests.conftest import make_onehot_dataset, run_keeping_nets
 
 ETA = 0.01
 TSTAR_BINARY = 44
@@ -76,9 +70,9 @@ def test_criterion_01_hitting_time_constants():
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_closed_series():
-    closed = C.descent_series_closed_form(0.01, 44)
+    closed = O.descent_series_closed_form(0.01, 44)
     assert abs(closed - 0.19659127915806962) <= 1e-14
-    assert abs(closed - C.descent_series_brute_force(0.01, 44)) <= 1e-14
+    assert abs(closed - O.descent_series_brute_force(0.01, 44)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +112,8 @@ def compliant_binary_summaries():
         mu0 = validate_separable(ds).mu0
         kappa = min(ETA / 2000.0, ETA * mu0 / (3.0 * n))
         net0 = init_binary(m, d, InitSpec(kappa=kappa, seed=seed))
-        rec = run(net0, ds, loss_family("quadratic"), Constant(eta=ETA),
-                  TrainConfig(steps=TSTAR_BINARY + 2, batching=Full(),
-                              keep_params=True))
+        rec, nets = run_keeping_nets(net0, ds, loss_family("quadratic"), Constant(eta=ETA),
+                                     TrainConfig(steps=TSTAR_BINARY + 2, batching=Full()))
         g1, g2 = compute_gamma_constants(ds)
         consts = C.TheoryConstants(n=n, d=d, m=m, delta=delta, eta=ETA,
                                    gamma1=g1, gamma2=g2)
@@ -128,7 +121,7 @@ def compliant_binary_summaries():
         cross_zero = True
         gram_lower_worst = math.inf
         for t in range(1, TSTAR_BINARY + 1):
-            G = C.gram_matrix(rec.nets[t], ds)
+            G = C.gram_matrix(nets[t], ds)
             cross_zero &= C.check_block_structure(G, ds).passed
             gram_lower_worst = min(gram_lower_worst,
                                    C.check_gram_lower_bound(G, ds, consts).slack)
@@ -139,7 +132,7 @@ def compliant_binary_summaries():
             "budget_strict": C.probability_budget(
                 C.TheoryConstants(n=n, d=d, m=m, delta=1e-10), "binary_early"),
             "early_violations": len(check_dynamics_early(
-                rec.nets[:TSTAR_BINARY + 2], ds)),
+                nets[:TSTAR_BINARY + 2], ds)),
             "cross_zero": cross_zero,
             "gram_lower_worst": gram_lower_worst,
             "measured_T": rec.measured_T,
@@ -164,18 +157,18 @@ def test_criterion_05_partition_dynamics_global():
         mu0 = validate_separable(ds).mu0
         kappa = min(1e-3, 0.25 * mu0 / (3.0 * ds.n))
         net0 = init_binary(512, 25, InitSpec(kappa=kappa, seed=seed))
-        rec = run(net0, ds, loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
-                  TrainConfig(steps=150, batching=Full(),
-                              trained_layers="input_only", keep_params=True))
-        assert check_dynamics_global(rec.nets, ds) == [], seed
+        _, nets = run_keeping_nets(net0, ds, loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
+                                   TrainConfig(steps=150, batching=Full(),
+                                               trained_layers="input_only"))
+        assert check_dynamics_global(nets, ds) == [], seed
 
 
 def test_criterion_05_negative_control_produces_violations():
     ds = gen_orthant_separable(n=40, d=30, seed=0)
     net0 = init_binary(4096, 30, InitSpec(kappa=5e-6, seed=0))
-    rec = run(net0, ds, loss_family("quadratic"), Constant(eta=10.0),
-              TrainConfig(steps=6, batching=Full(), keep_params=True))
-    assert [(v.rule, v.step) for v in check_dynamics_early(rec.nets, ds)] == [
+    _, nets = run_keeping_nets(net0, ds, loss_family("quadratic"), Constant(eta=10.0),
+                               TrainConfig(steps=6, batching=Full()))
+    assert [(v.rule, v.step) for v in check_dynamics_early(nets, ds)] == [
         ("S1", 1), ("S2", 1), ("S5", 1)]
 
 
@@ -207,11 +200,10 @@ def test_criterion_06_multi_gram_entries_at_least_one():
     B = 64
     kappa = min(ETA / 10.0, ETA / (3.0 * B))
     net0 = init_multi(256, ds.d, 10, InitSpec(kappa=kappa, seed=0))
-    rec = run(net0, ds, loss_family("logistic"), Constant(eta=ETA),
-              TrainConfig(steps=34, batching=Stochastic(B=B, seed=1),
-                          keep_params=True, record_every=1))
+    _, nets = run_keeping_nets(net0, ds, loss_family("logistic"), Constant(eta=ETA),
+                               TrainConfig(steps=34, batching=Stochastic(B=B, seed=1)))
     for t in range(1, 35):
-        assert C.multi_gram_min_entry([rec.nets[t]], ds)[0] >= 1.0, t
+        assert C.multi_gram_min_entry([nets[t]], ds)[0] >= 1.0, t
 
 
 def test_criterion_04_hitting_time_covers_tstar(compliant_binary_summaries):
@@ -249,10 +241,9 @@ def test_criterion_07_stochastic_gradient_alignment_refuted_for_logistic():
 def test_criterion_07_hessian_binary_early():
     ds = gen_orthant_separable(n=10, d=10, seed=0)
     net0 = init_binary(1100, 10, InitSpec(kappa=5e-6, seed=0))
-    rec = run(net0, ds, loss_family("quadratic"), Constant(eta=ETA),
-              TrainConfig(steps=45, batching=Full(), keep_params=True,
-                          record_every=5))
-    points = rec.nets[:10]
+    _, nets = run_keeping_nets(net0, ds, loss_family("quadratic"), Constant(eta=ETA),
+                               TrainConfig(steps=45, batching=Full()), steps=range(0, 46, 5))
+    points = nets[:10]
     assert len(points) == 10
     for net in points:
         rep = C.check_hessian_bound(net, ds, loss_family("quadratic"), "binary_early")
@@ -262,10 +253,9 @@ def test_criterion_07_hessian_binary_early():
 def test_criterion_07_hessian_multi_early():
     ds = make_onehot_dataset(n=30, d=20, num_classes=3, seed=1)
     net0 = init_multi(64, ds.d, 3, InitSpec(kappa=3e-4, seed=1))
-    rec = run(net0, ds, loss_family("logistic"), Constant(eta=ETA),
-              TrainConfig(steps=36, batching=Full(), keep_params=True,
-                          record_every=4))
-    points = rec.nets[:10]
+    _, nets = run_keeping_nets(net0, ds, loss_family("logistic"), Constant(eta=ETA),
+                               TrainConfig(steps=36, batching=Full()), steps=range(0, 37, 4))
+    points = nets[:10]
     assert len(points) == 10
     for net in points:
         rep = C.check_hessian_bound(net, ds, loss_family("logistic"), "multi_early")
@@ -278,10 +268,10 @@ def test_criterion_07_hessian_input_only_exp_type():
     kappa = min(1e-3, 0.25 * mu0 / (3.0 * ds.n))
     net0 = init_binary(1024, 25, InitSpec(kappa=kappa, seed=2))
     lf = loss_family("exp")
-    rec = run(net0, ds, lf, LossInverse(eta0=0.25, c=0.5),
-              TrainConfig(steps=99, batching=Full(), trained_layers="input_only",
-                          keep_params=True, record_every=11))
-    points = rec.nets[:10]
+    _, nets = run_keeping_nets(net0, ds, lf, LossInverse(eta0=0.25, c=0.5),
+                               TrainConfig(steps=99, batching=Full(), trained_layers="input_only"),
+                               steps=range(0, 100, 11))
+    points = nets[:10]
     assert len(points) == 10
     for net in points:
         L = loss_value(net, ds, lf)
@@ -328,7 +318,7 @@ def test_criterion_09_polynomial_stage1_envelope(global_setting):
     assert rec.records[-1].t == 2000
     # Stage 2 is deliberately not certified: its start T0 is astronomically
     # large at these scales, so the run never leaves stage 1.
-    assert sched.stage2_start > 2000
+    assert sched.T0 > 2000
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +358,7 @@ def test_criterion_10_kernel_loss_matches_monte_carlo():
         gen = np.random.default_rng(state)
         W = 0.3 * gen.standard_normal((cfg.m, cfg.d))
         exact = P.population_loss(W, cfg)
-        mc, sem = P.mc_population_loss(W, cfg, samples=1_000_000, seed=1000 + state)
+        mc, sem = O.mc_population_loss(W, cfg, samples=1_000_000, seed=1000 + state)
         assert abs(mc - exact) <= 4.0 * sem, (state, exact, mc, sem)
 
 
@@ -382,8 +372,8 @@ def test_criterion_10_homogeneity_identity():
         G = P.population_grad(W, cfg)
         for i in range(cfg.m):
             lhs = float(W[i] @ G[i])
-            rhs = math.fsum(P.arccos_kernel(W[i], W[j]) for j in range(cfg.m)) \
-                - math.fsum(P.arccos_kernel(W[i], V[j]) for j in range(cfg.M))
+            rhs = math.fsum(O.arccos_kernel(W[i], W[j]) for j in range(cfg.m)) \
+                - math.fsum(O.arccos_kernel(W[i], V[j]) for j in range(cfg.M))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)), (state, i)
 
 
@@ -423,7 +413,7 @@ def test_criterion_11_origin_loss_equals_one_half(prm_reference_run):
 def test_criterion_11_origin_loss_matches_monte_carlo(prm_reference_run):
     cfg, _ = prm_reference_run
     exact = P.loss_at_origin(cfg)
-    mc, sem = P.mc_population_loss(np.full((1, cfg.d), 1e-300), cfg,
+    mc, sem = O.mc_population_loss(np.full((1, cfg.d), 1e-300), cfg,
                                    samples=1_000_000, seed=77)
     assert abs(mc - exact) <= 4.0 * sem + 1e-6
 

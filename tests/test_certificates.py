@@ -5,23 +5,24 @@ import pytest
 
 from relulab.datasets import compute_gamma_constants, compute_V, gen_orthant_separable
 from relulab.losses import loss_family
-from relulab.models import InitSpec, MultiNet, grad_loss, init_binary, init_multi
-from relulab.training import Constant, Full, TrainConfig, run, tstar
+from relulab.models import InitSpec, MultiNet, init_binary, init_multi
+from relulab.oracles import descent_series_brute_force, descent_series_closed_form, grad_loss, phi
+from relulab.training import Constant, Full, TrainConfig, run
 from relulab import certificates as C
-from tests.conftest import make_onehot_dataset
+from tests.conftest import make_onehot_dataset, run_keeping_nets
 
 
 def test_closed_series_matches_brute_force_and_reference():
-    closed = C.descent_series_closed_form(0.01, 44)
-    brute = C.descent_series_brute_force(0.01, 44)
+    closed = descent_series_closed_form(0.01, 44)
+    brute = descent_series_brute_force(0.01, 44)
     assert abs(closed - brute) <= 1e-14
     assert abs(closed - 0.19659127915806962) <= 1e-14
 
 
 @pytest.mark.parametrize("eta,ts", [(0.005, 69), (0.002, 173), (0.001, 346)])
 def test_closed_series_matches_brute_force_other_rates(eta, ts):
-    assert C.descent_series_closed_form(eta, ts) == pytest.approx(
-        C.descent_series_brute_force(eta, ts), abs=1e-14)
+    assert descent_series_closed_form(eta, ts) == pytest.approx(
+        descent_series_brute_force(eta, ts), abs=1e-14)
 
 
 def test_phi_and_varphi_shapes():
@@ -29,7 +30,7 @@ def test_phi_and_varphi_shapes():
     # width/confidence-dependent lead and the 1/10^6 scaling.
     eta = 0.01
     base = 251001.0 * ((1 + 2 * eta) ** 2 - (1 - 2 * eta) ** 2)
-    assert C.phi(1, eta) == pytest.approx(base / 1_500_000.0, rel=1e-15)
+    assert phi(1, eta) == pytest.approx(base / 1_500_000.0, rel=1e-15)
     lead = 0.5 + 2.0 * math.sqrt(math.log(2.0 * 400 / 0.01) / 10_000)
     assert C.varphi(1, eta, 20, 10_000, 0.01) == pytest.approx(
         lead * base / 1_000_000.0, rel=1e-15)
@@ -58,18 +59,18 @@ def test_probability_budgets():
 def binary_run():
     ds = gen_orthant_separable(n=16, d=25, seed=9)
     net0 = init_binary(2048, 25, InitSpec(kappa=5e-6, seed=9))
-    rec = run(net0, ds, loss_family("quadratic"), Constant(eta=0.01),
-              TrainConfig(steps=45, batching=Full(), keep_params=True))
+    _, nets = run_keeping_nets(net0, ds, loss_family("quadratic"), Constant(eta=0.01),
+                               TrainConfig(steps=45, batching=Full()))
     g1, g2 = compute_gamma_constants(ds)
     consts = C.TheoryConstants(n=16, d=25, m=2048, delta=0.01, eta=0.01,
                                gamma1=g1, gamma2=g2)
-    return ds, rec, consts
+    return ds, nets, consts
 
 
 def test_gram_cross_class_block_is_exactly_zero(binary_run):
-    ds, rec, consts = binary_run
+    ds, nets, consts = binary_run
     for t in (1, 10, 44):
-        G = C.gram_matrix(rec.nets[t], ds)
+        G = C.gram_matrix(nets[t], ds)
         rep = C.check_block_structure(G, ds)
         assert rep.passed
         cross = np.outer(ds.labels, ds.labels) < 0
@@ -77,14 +78,14 @@ def test_gram_cross_class_block_is_exactly_zero(binary_run):
 
 
 def test_gram_matrix_is_psd(binary_run):
-    ds, rec, _ = binary_run
-    G = C.gram_matrix(rec.nets[5], ds)
+    ds, nets, _ = binary_run
+    G = C.gram_matrix(nets[5], ds)
     assert float(np.linalg.eigvalsh(G)[0]) >= -1e-10 * float(np.trace(G))
 
 
 def test_gram_matches_direct_per_sample_gradients(binary_run, small_onehot_ds):
-    ds, rec, _ = binary_run
-    net = rec.nets[3]
+    ds, nets, _ = binary_run
+    net = nets[3]
     G = C.gram_matrix(net, ds)
     # Direct computation from per-sample prediction gradients.
     D = (ds.inputs @ net.B.T > 0).astype(float)
@@ -125,8 +126,8 @@ def test_gram_matches_direct_per_sample_gradients(binary_run, small_onehot_ds):
 
 
 def test_squared_gradient_norm_matches_gram_expansion(binary_run):
-    ds, rec, _ = binary_run
-    net = rec.nets[2]
+    ds, nets, _ = binary_run
+    net = nets[2]
     lf = loss_family("quadratic")
     g = grad_loss(net, ds, lf)
     lhs = float(g @ g)
@@ -140,10 +141,10 @@ def test_squared_gradient_norm_matches_gram_expansion(binary_run):
 def test_multi_gram_entries_at_least_one(small_onehot_ds):
     ds = small_onehot_ds
     net0 = init_multi(128, ds.d, ds.num_classes, InitSpec(kappa=1e-4, seed=3))
-    rec = run(net0, ds, loss_family("logistic"), Constant(eta=0.01),
-              TrainConfig(steps=10, batching=Full(), keep_params=True))
+    _, nets = run_keeping_nets(net0, ds, loss_family("logistic"), Constant(eta=0.01),
+                               TrainConfig(steps=10, batching=Full()))
     for t in (1, 5, 10):
-        assert C.multi_gram_min_entry([rec.nets[t]], ds)[0] >= 1.0
+        assert C.multi_gram_min_entry([nets[t]], ds)[0] >= 1.0
 
 
 def test_multi_gram_min_entry_matches_dense(small_onehot_ds):
@@ -210,20 +211,20 @@ def test_multi_gram_min_entry_negative_weight_takes_dense_fallback(monkeypatch):
 def test_multi_gram_min_entry_trajectory_matches_per_net_calls(small_onehot_ds):
     ds = small_onehot_ds
     net0 = init_multi(32, ds.d, ds.num_classes, InitSpec(kappa=0.5, seed=2))
-    rec = run(net0, ds, loss_family("logistic"), Constant(eta=0.05),
-              TrainConfig(steps=6, batching=Full(), keep_params=True))
-    negative = MultiNet(A=rec.nets[3].A.copy(), B=rec.nets[3].B, c=rec.nets[3].c)
+    _, nets = run_keeping_nets(net0, ds, loss_family("logistic"), Constant(eta=0.05),
+                               TrainConfig(steps=6, batching=Full()))
+    negative = MultiNet(A=nets[3].A.copy(), B=nets[3].B, c=nets[3].c)
     negative.A[2, 0] = -1.0
-    nets = rec.nets + [negative]
+    nets = nets + [negative]
     assert C.multi_gram_min_entry(nets, ds) == [C.multi_gram_min_entry([n], ds)[0] for n in nets]
     assert C.multi_gram_min_entry([], ds) == []
 
 
 def test_hessian_certificates_on_trajectory(binary_run):
-    ds, rec, _ = binary_run
+    ds, nets, _ = binary_run
     lf = loss_family("quadratic")
     for t in (0, 20, 44):
-        rep = C.check_hessian_bound(rec.nets[t], ds, lf, "binary_early")
+        rep = C.check_hessian_bound(nets[t], ds, lf, "binary_early")
         assert rep.passed and rep.theoretical == pytest.approx(7 / (2 * 2048) + 2)
 
 

@@ -303,13 +303,15 @@ def test_kind_mismatch_is_a_config_error(tmp_path, capsys, onehot_spec, name, co
     assert not (tmp_path / "run").exists()
 
 
-ENUM_FIELDS = {
+MUTATED_FIELDS = {
     "kind": ["early-binary", "early-multiclass", "global-poly", "global-exp",
              "certify-only", "prm"],
     "schedule.type": ["constant", "loss-inverse", "two-stage-poly"],
     "loss": list(LOSS_KEYS),
     "dataset.type": ["synthetic", "mnist", "cifar10"],
     "train.trained_layers": ["all", "input_only"],
+    "model.kappa": [1e-300, 1e300],
+    "delta": [0, 2],
 }
 JUNK = st.one_of(st.text(max_size=6), st.integers(-2, 2), st.none(), st.booleans(),
                  st.lists(st.integers(0, 2), max_size=2))
@@ -329,12 +331,12 @@ def _valid_bases(onehot):
 
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), field=st.sampled_from(sorted(ENUM_FIELDS)),
+@given(data=st.data(), field=st.sampled_from(sorted(MUTATED_FIELDS)),
        command=st.sampled_from(["train", "verify"]))
 def test_one_mutated_enum_field_never_raises(tmp_path_factory, onehot_spec, data,
                                              field, command):
     base = data.draw(st.sampled_from(_valid_bases(onehot_spec)), label="base")
-    value = data.draw(st.one_of(st.sampled_from(ENUM_FIELDS[field]), JUNK), label="value")
+    value = data.draw(st.one_of(st.sampled_from(MUTATED_FIELDS[field]), JUNK), label="value")
     config = json.loads(json.dumps(base))
     cur = config
     *parents, leaf = field.split(".")
@@ -439,3 +441,55 @@ def test_config_errors_come_before_dataset_and_init(tmp_path, capsys, monkeypatc
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
         assert not (tmp_path / command).exists()
+
+
+# Runs that abort at step 0 (or have no step after it) and malformed inputs:
+# (config, exit code).  An aborted run exits 1 and still writes its run
+# directory; a config error exits 2 before anything is written.
+BROKEN = {
+    "early-binary-kappa-1e300": (dict(TINY, model={"m": 16, "kappa": 1e300}), 1),
+    "global-poly-kappa-1e150": (dict(GLOBAL_POLY, model={"m": 256, "kappa": 1e150},
+                                     schedule=LOSS_INVERSE), 1),
+    "global-poly-kappa-1e3": (dict(GLOBAL_POLY, model={"m": 256, "kappa": 1e3},
+                                   schedule=LOSS_INVERSE), 1),
+    "model-not-an-object": (dict(TINY, model=5), 2),
+    "schedule-null": (dict(TINY, schedule=None), 2),
+    "train-an-array": (dict(TINY, train=[]), 2),
+    "batch-an-array": (dict(TINY, train={"steps": 3, "batch": [64]}), 2),
+    "kappa-null": (dict(TINY, model={"m": 16, "kappa": None}), 2),
+    "images-an-array": (dict(TINY, dataset={"type": "mnist", "images": [1], "labels": "x"}), 2),
+    "delta-0": (dict(TINY, delta=0), 2),
+    "delta-2": (dict(TINY, delta=2.0), 2),
+    "delta-null": (dict(TINY, delta=None), 2),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "verify"])
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_aborted_runs_and_malformed_configs_keep_the_exit_code_contract(
+        tmp_path, capsys, monkeypatch, name, command):
+    config, expected = BROKEN[name]
+    if expected == 2:
+        for loader in ("gen_orthant_separable", "load_mnist", "load_cifar10"):
+            monkeypatch.setattr(cli, loader, lambda *a, **k: pytest.fail("dataset built"))
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert out.exists() == (expected == 1)
+    if expected == 1:
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"].startswith("aborted:")
+    else:
+        assert err.startswith("error: ")
+
+
+def test_a_run_with_no_step_reports_inconclusive_where_nothing_was_measured(tmp_path):
+    for name, cert_id in (("early-binary-kappa-1e300", "hitting-time-at-least-tstar"),
+                          ("global-poly-kappa-1e3", "rate-poly_stage1")):
+        with np.errstate(over="ignore", invalid="ignore"):
+            record, ctx = run_experiment(BROKEN[name][0])
+        (rep,) = [c for c in evaluate_certificates(record, ctx) if c["cert_id"] == cert_id]
+        assert rep["inconclusive"] and not rep["passed"], name

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relulab.losses import (
-    LOSS_KEYS,
-    loss_family,
-    verify_exptype_constants,
-    verify_range_constants,
-)
+from relulab.losses import LOSS_KEYS, loss_family
+from relulab.oracles import verify_exptype_constants, verify_range_constants
 
 _E = math.e
 

@@ -13,21 +13,19 @@ from relulab.models import (
     apply_gradient,
     flatten_params,
     forward,
-    grad_loss,
     grad_loss_struct,
     hessian_loss,
     hessian_spectral_norm,
     init_binary,
     init_multi,
-    load_snapshot,
     loss_value,
     param_norm,
     per_sample_margins,
-    save_snapshot,
 )
 from relulab.oracles import (
     fd_gradient,
     fd_hessian_vector,
+    grad_loss,
     loss_of_flat,
     min_preactivation_gap,
     unflatten_like,
@@ -186,7 +184,7 @@ def test_input_only_spectral_norm_fast_path_matches_dense(small_binary_ds):
 
 
 # ---------------------------------------------------------------------------
-# Flatten / snapshot round trips
+# Flatten round trip
 # ---------------------------------------------------------------------------
 
 def test_unflatten_round_trip(small_binary_net, small_multi_net):
@@ -198,15 +196,6 @@ def test_unflatten_round_trip(small_binary_net, small_multi_net):
 def test_param_norm_matches_flat_norm(small_multi_net):
     assert param_norm(small_multi_net) == pytest.approx(
         float(np.linalg.norm(flatten_params(small_multi_net))), rel=1e-15)
-
-
-def test_snapshot_round_trip(tmp_path, small_binary_net, small_multi_net):
-    for name, net in (("b.snap", small_binary_net), ("m.snap", small_multi_net)):
-        path = tmp_path / name
-        save_snapshot(net, path, kappa=0.01, seed=5, step=7)
-        back, header = load_snapshot(path)
-        assert back.digest() == net.digest()
-        assert header["step"] == 7 and header["kappa"] == 0.01
 
 
 def test_apply_gradient_is_one_descent_step(small_binary_ds):

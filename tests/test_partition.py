@@ -15,11 +15,10 @@ from relulab.partition import (
     check_dynamics_global,
     compute_partition,
     initial_partition_stats,
-    pack_partition_tables,
     partition_counts_csv,
 )
-from relulab.training import Constant, Full, LossInverse, TrainConfig, run
-from tests.conftest import make_onehot_dataset
+from relulab.training import Constant, Full, LossInverse, TrainConfig
+from tests.conftest import run_keeping_nets
 
 
 @given(st.integers(0, 10_000))
@@ -62,23 +61,23 @@ def test_initial_partition_fractions_match_angular_prediction():
 def _compliant_binary_run(seed, steps=45):
     ds = gen_orthant_separable(n=16, d=25, seed=seed)
     net0 = init_binary(2048, 25, InitSpec(kappa=5e-6, seed=seed))
-    rec = run(net0, ds, loss_family("quadratic"), Constant(eta=0.01),
-              TrainConfig(steps=steps, batching=Full(), keep_params=True))
-    return ds, rec
+    _, nets = run_keeping_nets(net0, ds, loss_family("quadratic"), Constant(eta=0.01),
+                               TrainConfig(steps=steps, batching=Full()))
+    return ds, nets
 
 
 def test_early_dynamics_clean_on_compliant_run():
-    ds, rec = _compliant_binary_run(seed=2)
-    assert check_dynamics_early(rec.nets, ds) == []
+    ds, nets = _compliant_binary_run(seed=2)
+    assert check_dynamics_early(nets, ds) == []
 
 
 def _overshooting_run():
     """A non-compliant trajectory: quadratic loss at eta = 10."""
     ds = gen_orthant_separable(n=16, d=25, seed=3)
     net0 = init_binary(2048, 25, InitSpec(kappa=5e-6, seed=3))
-    rec = run(net0, ds, loss_family("quadratic"), Constant(eta=10.0),
-              TrainConfig(steps=6, batching=Full(), keep_params=True))
-    return ds, rec
+    _, nets = run_keeping_nets(net0, ds, loss_family("quadratic"), Constant(eta=10.0),
+                               TrainConfig(steps=6, batching=Full()))
+    return ds, nets
 
 
 def _rule_steps(violations):
@@ -86,14 +85,14 @@ def _rule_steps(violations):
 
 
 def test_early_dynamics_negative_control_reports_violations():
-    ds, rec = _overshooting_run()
-    assert _rule_steps(check_dynamics_early(rec.nets, ds)) == [
+    ds, nets = _overshooting_run()
+    assert _rule_steps(check_dynamics_early(nets, ds)) == [
         ("S1", 1), ("S2", 1), ("S2", 2), ("S5", 1)]
 
 
 def test_global_dynamics_negative_control_reports_violations():
-    ds, rec = _overshooting_run()
-    assert _rule_steps(check_dynamics_global(rec.nets, ds)) == [
+    ds, nets = _overshooting_run()
+    assert _rule_steps(check_dynamics_global(nets, ds)) == [
         ("StageII-S2", 1), ("StageII-S3", 1), ("StageII-S1", 2), ("StageII-S3", 2),
         ("StageII-S4", 2), ("StageII-S4", 3), ("StageII-S4", 4), ("StageII-S4", 5),
         ("StageII-S4", 6), ("StageII-S5", 1)]
@@ -111,26 +110,18 @@ def test_early_dynamics_insufficient_horizon():
 def test_global_dynamics_clean_on_adaptive_run():
     ds = gen_orthant_separable(n=12, d=25, seed=5)
     net0 = init_binary(1024, 25, InitSpec(kappa=1e-5, seed=5))
-    rec = run(net0, ds, loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
-              TrainConfig(steps=200, batching=Full(), trained_layers="input_only",
-                          keep_params=True))
-    assert check_dynamics_global(rec.nets, ds) == []
+    rec, nets = run_keeping_nets(net0, ds, loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
+                                 TrainConfig(steps=200, batching=Full(), trained_layers="input_only"))
+    assert check_dynamics_global(nets, ds) == []
     assert check_correct_classification(rec) is None
 
 
-def test_counts_csv_and_packed_tables(small_binary_ds, small_binary_net):
+def test_counts_csv(small_binary_ds, small_binary_net):
     snaps = [compute_partition(small_binary_net, small_binary_ds)]
     csv = partition_counts_csv(snaps)
     lines = csv.strip().split("\n")
     assert lines[0] == "t,sample,TL,TD,FL,FD"
     assert len(lines) == 1 + small_binary_ds.n
-    blob = pack_partition_tables(snaps)
-    header_end = blob.index(b"\n")
-    assert header_end > 0
-    payload = blob[header_end + 1:]
-    # Two bits per cell, packed.
-    cells = small_binary_ds.n * small_binary_net.m
-    assert len(payload) == (2 * cells + 7) // 8
 
 
 def test_partition_rejects_exactly_zero_output_weight(small_binary_ds):

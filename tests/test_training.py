@@ -22,6 +22,7 @@ from relulab.training import (
     NOT_YET_HIT,
     Constant,
     Full,
+    HittingTime,
     LossInverse,
     RunRecord,
     StepRecord,
@@ -29,7 +30,6 @@ from relulab.training import (
     TrainConfig,
     TwoStagePoly,
     exp_hitting_time_Te,
-    hitting_time_T,
     run,
     steps_csv,
     tstar,
@@ -74,8 +74,6 @@ def test_schedule_parameter_guards():
         LossInverse(eta0=0.25, c=0.75)         # c > 1/2
     with pytest.raises(ValueError):
         TwoStagePoly(eta0=0.25, c=0.5, T0=10, cprime=0.5, r=1.0)  # c above cap
-    assert Constant(eta=0.01).within_theorem_range
-    assert not Constant(eta=0.02).within_theorem_range
 
 
 def test_loss_inverse_rate_identity():
@@ -89,12 +87,12 @@ def test_loss_inverse_rate_identity():
     assert rec.records[0].eta == 0.25
 
 
-def test_two_stage_poly_switches_at_forced_step():
-    sched = TwoStagePoly(eta0=0.25, c=0.05, T0=10**9, cprime=0.5, r=1.0,
-                         force_stage2_at=5)
-    assert sched.stage2_start == 5
-    # Stage 1: c/(t L); stage 2: c'/L^{1-1/(2r)}.
+def test_two_stage_poly_switches_at_T0():
+    sched = TwoStagePoly(eta0=0.25, c=0.05, T0=5, cprime=0.5, r=1.0)
+    # Stage 1: c/(t L) for t < T0; stage 2: c'/L^{1-1/(2r)} from T0 on.
     assert sched.rate(2, 0.5) == pytest.approx(0.05 / (2 * 0.5))
+    assert sched.rate(4, 0.5) == pytest.approx(0.05 / (4 * 0.5))
+    assert sched.rate(5, 0.25) == pytest.approx(0.5 / 0.25 ** 0.5)
     assert sched.rate(7, 0.25) == pytest.approx(0.5 / 0.25 ** 0.5)
 
 
@@ -148,7 +146,7 @@ def test_output_sign_preservation_along_compliant_run():
 def _reference_run(net0, ds, loss, schedule, config):
     """The training loop spelled out with the four public model functions,
     each making its own activation pass: (steps.csv text, batch alignments)."""
-    rec = RunRecord(config=config, schedule=schedule)
+    rec = RunRecord()
     net = net0
     stochastic = isinstance(config.batching, Stochastic)
     gen = rng.make_generator(config.batching.seed, stream=1) if stochastic else None
@@ -230,48 +228,44 @@ def test_run_makes_one_full_pass_per_step_plus_one_per_batch(case, passes, monke
 # Hitting-time semantics
 # ---------------------------------------------------------------------------
 
-class _FakeRecord:
-    def __init__(self, preds, signs):
-        from relulab.training import StepRecord
-        self.records = [
-            StepRecord(t=t, loss=0.1, eta=0.01, grad_norm=0.0, min_margin=0.0,
-                       max_margin=p, param_norm=1.0, max_abs_pred=p, a_sign_ok=s)
-            for t, (p, s) in enumerate(zip(preds, signs))
-        ]
+def _hitting_time(preds, signs):
+    """T by the rule ``run`` applies, over steps with the given prediction
+    sup-norms and output-sign flags."""
+    rule = HittingTime()
+    for t, (p, s) in enumerate(zip(preds, signs)):
+        rule.step(t, None, None, StepRecord(
+            t=t, loss=0.1, eta=0.01, grad_norm=0.0, min_margin=0.0,
+            max_margin=p, param_norm=1.0, max_abs_pred=p, a_sign_ok=s))
+    return rule.T
 
 
 def test_hitting_time_counts_back_two_from_first_violation():
     # First violation at s=3 -> conditions hold for all s <= 2 -> T = 1.
-    rec = _FakeRecord([0.5, 0.5, 0.5, 1.5, 1.5], [True] * 5)
-    assert hitting_time_T(rec, "binary") == 1
+    assert _hitting_time([0.5, 0.5, 0.5, 1.5, 1.5], [True] * 5) == 1
 
 
 def test_hitting_time_sign_flip_counts_as_violation():
-    rec = _FakeRecord([0.5] * 5, [True, True, False, True, True])
-    assert hitting_time_T(rec, "binary") == 0
+    assert _hitting_time([0.5] * 5, [True, True, False, True, True]) == 0
 
 
 def test_hitting_time_sentinel_when_never_violated():
-    rec = _FakeRecord([0.5] * 5, [True] * 5)
-    assert hitting_time_T(rec, "binary") == NOT_YET_HIT
+    assert _hitting_time([0.5] * 5, [True] * 5) == NOT_YET_HIT
 
 
 def test_run_hitting_time_sees_every_step():
     # A step size of 0.5 first breaks |f| <= 1 at t = 11; with records kept
-    # every 7 steps the first recorded violation is at t = 14.
+    # every 7 steps the first recorded violation is at t = 14, which a rule
+    # read from the records would turn into T = 12.
     ds = gen_orthant_separable(n=8, d=6, seed=6)
     net0 = init_binary(64, 6, InitSpec(kappa=1e-3, seed=6))
     runs = [run(net0, ds, loss_family("quadratic"), Constant(eta=0.5),
                 TrainConfig(steps=30, batching=Full(), record_every=k)) for k in (1, 7)]
     assert runs[0].measured_T == runs[1].measured_T == 9
-    assert hitting_time_T(runs[0], "binary") == 9
-    assert hitting_time_T(runs[1], "binary") == 12
     assert [r.t for r in runs[1].records] == [0, 7, 14, 21, 28, 30]
 
 
 def test_immediate_violation_clamps_to_minus_one():
-    rec = _FakeRecord([2.0, 2.0], [True, True])
-    assert hitting_time_T(rec, "binary") == -1
+    assert _hitting_time([2.0, 2.0], [True, True]) == -1
 
 
 # ---------------------------------------------------------------------------
