@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Check that two checkouts write byte-identical outputs for the seed-0 configs.
+
+Usage:
+
+    python3 scripts/same_outputs.py PARENT_DIR CHANGE_DIR
+
+The inputs are written once, from the change tree: the regimes of
+``scripts/run_suite.py`` (the early-multiclass regime on the benchmark's
+IDX corpus), the four workload configs of ``perfbench/workloads.py`` (read,
+never changed), a ``train`` run at its default horizon, at ``train.steps:
+10`` and at ``train.record_every: 5``, ``gen-data`` on a binary dataset with
+and without the antipodal pair and on the IDX corpus, a two-cell ``sweep``,
+and ``report`` on every verify and prm run directory.  Each command then runs
+through each tree's own CLI (``python -m relulab.cli`` with that tree's
+``src`` on the path), in a fresh working directory per tree, with relative
+output paths.  Every output file, and each command's exit code, stdout and
+stderr, is compared byte for byte.  Exit code 0 only when all of them match.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_inputs(change: Path, inputs: Path) -> list:
+    """Write every config and the IDX corpus under ``inputs``; return the
+    commands as (name, argv) with output paths relative to the working directory."""
+    sys.path.insert(0, str(change / "src"))
+    suite = _load(change / "scripts" / "run_suite.py", "run_suite")
+    workloads = _load(change / "perfbench" / "workloads.py", "perfbench_workloads")
+    corpus = inputs / "corpus"
+    corpus.mkdir(parents=True)
+    images, labels = workloads.write_corpus(corpus, 0)
+    shutil.copy(images, corpus / "train-images-idx3-ubyte")
+    shutil.copy(labels, corpus / "train-labels-idx1-ubyte")
+
+    configs = {   # name -> (subcommand, config)
+        "suite-early-binary": ("verify", suite.EARLY_BINARY),
+        "suite-global-exp": ("verify", suite.GLOBAL_EXP),
+        "suite-global-poly": ("verify", suite.GLOBAL_POLY),
+        "suite-certify-only": ("verify", suite.CERTIFY_ONLY),
+        "suite-prm": ("prm", suite.PRM),
+        "suite-early-multiclass": ("verify", suite.early_multiclass_config(corpus)),
+        "train-early-binary": ("train", suite.EARLY_BINARY),
+        "train-steps-10": ("train", dict(suite.EARLY_BINARY, train={"steps": 10})),
+        "train-record-every-5": ("train", dict(suite.GLOBAL_POLY,
+                                               train={"steps": 2000, "record_every": 5})),
+        "gen-data-antipodal": ("gen-data", {"type": "synthetic", "n": 40, "d": 30, "seed": 0}),
+        "gen-data-no-antipodal": ("gen-data", {"type": "synthetic", "n": 12, "d": 6, "seed": 0,
+                                               "antipodal": False}),
+        "gen-data-idx": ("gen-data", {"type": "mnist", "images": str(images),
+                                      "labels": str(labels), "count": 200}),
+        "sweep": ("sweep", {"base": dict(suite.EARLY_BINARY, model={"m": 256, "kappa": "auto"}),
+                            "axes": [{"path": "seed", "values": [0, 1]}]}),
+    }
+    for name in ("early-binary", "global-poly", "multiclass-sgd", "prm-population"):
+        command, cfg = workloads.config(name, 0, (images, labels))
+        configs[f"perfbench-{name}"] = (command, cfg)
+
+    commands = []
+    for name, (command, cfg) in configs.items():
+        path = inputs / f"{name}.json"
+        path.write_text(json.dumps(cfg, indent=2))
+        commands.append((name, [command, "--config", str(path), "--out", name]))
+    commands += [(f"report-{name}", ["report", "--out", name])
+                 for name, (command, _) in configs.items() if command in ("verify", "prm")]
+    return commands
+
+
+def run_tree(tree: Path, commands: list, workdir: Path) -> dict:
+    """Run every command through ``tree``'s CLI in ``workdir``; return
+    {relative path: bytes} of every output plus each command's transcript."""
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    outputs = {}
+    for name, argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "relulab.cli", *argv], cwd=workdir,
+                              env=env, capture_output=True)
+        outputs[f"<{name}: exit code>"] = str(proc.returncode).encode()
+        outputs[f"<{name}: stdout>"] = proc.stdout
+        outputs[f"<{name}: stderr>"] = proc.stderr
+    for path in sorted(workdir.rglob("*")):
+        if path.is_file():
+            outputs[str(path.relative_to(workdir))] = path.read_bytes()
+    return outputs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        commands = write_inputs(args.change.resolve(), root / "inputs")
+        runs = {side: run_tree(tree, commands, root / side)
+                for side, tree in (("parent", args.parent), ("change", args.change))}
+    parent, change = runs["parent"], runs["change"]
+    differing = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
+    for key in differing:
+        state = ("only in parent" if key not in change else
+                 "only in change" if key not in parent else "differs")
+        print(f"{state}: {key}")
+    print(f"{len(commands)} commands, {len(parent.keys() | change.keys())} outputs compared, "
+          f"{len(differing)} differ")
+    return 0 if not differing else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

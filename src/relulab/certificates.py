@@ -289,8 +289,7 @@ def gradient_lower_bound_global(loss: float, V: float) -> float:
 # ---------------------------------------------------------------------------
 
 def check_hessian_bound(net: Net, ds: LabeledDataset, loss: LossFamily,
-                        regime: str, loss_at_point: Optional[float] = None,
-                        dense_limit: int = 1200) -> CertificateReport:
+                        regime: str, loss_at_point: Optional[float] = None) -> CertificateReport:
     """Spectral norm of the risk Hessian against the regime's closed-form cap.
 
     Regimes: ``binary_early`` (7/(2m)+2), ``multi_early`` (25/(4m)+2 sqrt 2),
@@ -314,8 +313,7 @@ def check_hessian_bound(net: Net, ds: LabeledDataset, loss: LossFamily,
         layers = "input_only"
     else:
         raise ValueError(f"unknown Hessian regime {regime!r}")
-    measured = hessian_spectral_norm(net, ds, loss, trained_layers=layers,
-                                     dense_limit=dense_limit)
+    measured = hessian_spectral_norm(net, ds, loss, trained_layers=layers)
     return CertificateReport(
         cert_id=f"hessian-{regime}",
         theoretical=cap, measured=measured,

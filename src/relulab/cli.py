@@ -44,7 +44,7 @@ from .datasets import (
     validate_separable,
 )
 from .losses import LOSS_KEYS, loss_family
-from .models import InitSpec, init_binary, init_multi
+from .models import InitSpec, digest, init_binary, init_multi
 from .training import (
     EVERY_STEP,
     Constant,
@@ -184,13 +184,27 @@ class _Records:
 
 def _hitting_time_report(record, ts: int) -> dict:
     mt = record.measured_T
-    # Not hit: the true T is at least the last step the run reached.  A run
-    # that reached no step measured nothing.
+    # Not hit: the true T is at least the last step the run reached, which
+    # shows T >= t* only when that step is t* or later.  A run that reached
+    # no step measured nothing.
     measured = mt if mt >= 0 else record.records[-1].t if record.records else math.nan
+    passed = measured >= ts
     return certs.CertificateReport(
-        "hitting-time-at-least-tstar", float(ts), float(measured),
-        bool(record.records) and (mt < 0 or mt >= ts), float(measured - ts),
-        inconclusive=not record.records, context={"sentinel_not_yet_hit": mt < 0}).as_dict()
+        "hitting-time-at-least-tstar", float(ts), float(measured), passed, float(measured - ts),
+        inconclusive=mt < 0 and not passed, context={"sentinel_not_yet_hit": mt < 0}).as_dict()
+
+
+def _early_descent_report(cert_id: str, bound: float, seen, ts: int,
+                          inconclusive: bool = False, **context) -> list:
+    """L(0) - L(t*) against the early-descent bound; no report when the run
+    did not reach t*."""
+    losses = {r.t: r.loss for r in seen.records}
+    if ts not in losses:
+        return []
+    measured = losses[0] - losses[ts]
+    return [certs.CertificateReport(
+        cert_id, bound, measured, measured >= bound, measured - bound,
+        inconclusive=inconclusive, context=dict(context, t_star=ts)).as_dict()]
 
 
 # Each ``_certify_*`` takes the run context before training and returns
@@ -210,15 +224,8 @@ def _certify_early_binary(ctx):
     dynamics = part.EarlyDynamics(ds, range(ts + 1))
 
     def report(record) -> list:
-        out = []
-        losses = {r.t: r.loss for r in seen.records}
-        if ts in losses:
-            bound = certs.descent_bound_binary(consts)
-            measured = losses[0] - losses[ts]
-            out.append(certs.CertificateReport(
-                "early-descent-binary", bound, measured, measured >= bound,
-                measured - bound, inconclusive=budget >= 1.0,
-                context={"budget": budget, "t_star": ts, "T_e": te}).as_dict())
+        out = _early_descent_report("early-descent-binary", certs.descent_bound_binary(consts),
+                                    seen, ts, inconclusive=budget >= 1.0, budget=budget, T_e=te)
         out.append(_hitting_time_report(record, ts))
         grad_lower = []   # (slack, t, bound, measured) for every t in 1..t*
         for r in seen.records[1:]:
@@ -252,14 +259,8 @@ def _certify_early_multiclass(ctx):
     gram = certs.MultiGramMin(ds, range(1, ts + 1))
 
     def report(record) -> list:
-        out = []
-        losses = {r.t: r.loss for r in seen.records}
-        if ts in losses:
-            bound = certs.descent_bound_multi()
-            measured = losses[0] - losses[ts]
-            out.append(certs.CertificateReport(
-                "early-descent-multi", bound, measured, measured >= bound,
-                measured - bound, context={"budget": budget, "t_star": ts}).as_dict())
+        out = _early_descent_report("early-descent-multi", certs.descent_bound_multi(),
+                                    seen, ts, budget=budget)
         if gram.minima:
             worst = min(gram.minima)
             out.append(certs.CertificateReport(
@@ -288,11 +289,12 @@ def _certify_global(ctx, envelope: str):
             rep = dataclasses.replace(rep, inconclusive=True,
                                       context=dict(rep.context, vacuous_V=True))
         cc = part.check_correct_classification(seen)
+        # A run with no step at t >= 1 measured no margin.
+        unmeasured = not any(r.t >= 1 for r in seen.records)
+        margin = math.nan if unmeasured else 0.0 if cc is None else cc[1]
         return [rep.as_dict(), certs.CertificateReport(
-            "correct-classification", 0.0,
-            0.0 if cc is None else cc[1], cc is None,
-            0.0 if cc is None else cc[1],
-            context={"first_violation": cc}).as_dict(),
+            "correct-classification", 0.0, margin, cc is None and not unmeasured, margin,
+            inconclusive=unmeasured, context={"first_violation": cc}).as_dict(),
             _partition_report("partition-dynamics-global", dynamics.violations())]
 
     return [seen, dynamics], report
@@ -348,7 +350,7 @@ _KINDS = {
 # Experiment execution
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"kind", "dataset", "model", "loss", "schedule", "train", "delta", "seed", "prm"}
+_TOP_KEYS = {"kind", "dataset", "model", "loss", "schedule", "train", "delta", "seed"}
 
 
 def run_experiment(config: dict, certify: bool = True):
@@ -360,12 +362,12 @@ def run_experiment(config: dict, certify: bool = True):
     config's train keys, loss, schedule or dataset labels, is a ``ConfigError``
     raised before training and, but for the labels, before the dataset is built.
     """
-    _strict(config, _TOP_KEYS, "config")
-    kind = _require(config, "kind", "config")
+    kind = _require(_object(config, "config"), "kind", "config")
     spec = _KINDS.get(kind) if isinstance(kind, str) else None
     if spec is None:
         raise ConfigError("use run_prm_experiment for prm configs" if kind == "prm" else
                           f"config: unknown kind {kind!r}; known: {', '.join(_KINDS)}, prm")
+    _strict(config, _TOP_KEYS, "config")
     train_spec = _strict(config.get("train", {}), {"steps", "batch", "trained_layers", "record_every"},
                          "train")
     if not spec.trains and "steps" in train_spec:
@@ -503,7 +505,7 @@ def _emit_run(outdir: Path, config: dict, certify: bool):
         "initial_loss": None, "final_loss": None, "descent": None, "steps": None,
         "measured_T": record.measured_T,
         "dataset_digest": ctx["ds"].digest(),
-        "net0_digest": ctx["net0"].digest(),
+        "net0_digest": digest(ctx["net0"]),
         "run_digest": record.digest(),
     }
     if record.records:

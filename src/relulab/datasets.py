@@ -24,7 +24,6 @@ __all__ = [
     "DataConstants",
     "gen_orthant_separable",
     "validate_separable",
-    "validate_concentrated",
     "load_idx_images",
     "load_idx_labels",
     "load_mnist",
@@ -96,13 +95,14 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    """Outcome of the separation / concentration validators.
+    """Outcome of ``validate_separable``.
 
     ``mu0`` is the margin constant from the min-max separation condition,
     evaluated over a finite witness family (sound on that family, possibly
     conservative); it is exactly 1 when an antipodal labeled pair exists.
     ``s`` is the minimum pairwise inner product; ``gamma`` the minimum
-    same-class inner product (binary datasets only, else nan).
+    same-class inner product.  One-hot datasets are never reported
+    separable: ``mu0`` is None and ``gamma`` nan.
     """
 
     separable: bool
@@ -116,8 +116,6 @@ class SeparabilityReport:
 class DataConstants:
     """Data-dependent certificate constants (given width m and failure prob delta)."""
 
-    lambda_min_plus: float
-    lambda_min_minus: float
     V: float
     vacuous: bool    # True when m is too small for the V bracket to be positive
 
@@ -162,15 +160,10 @@ def gen_orthant_separable(n: int, d: int, seed: int, include_antipodal: bool = T
 
 def _has_antipodal_pair(ds: LabeledDataset, tol: float = 1e-12) -> bool:
     x, y = ds.inputs, ds.labels
-    cross = x @ x.T
     sq = np.sum(x * x, axis=1)
-    for i in range(ds.n):
-        # x_j == -x_i  <=>  ||x_i + x_j||^2 == 0
-        dist = sq[i] + sq + 2.0 * cross[i]
-        hits = np.where((dist <= tol) & (y * y[i] < 0))[0]
-        if hits.size:
-            return True
-    return False
+    # x_j == -x_i  <=>  ||x_i + x_j||^2 == 0
+    dist = sq[:, None] + sq[None, :] + 2.0 * (x @ x.T)
+    return bool(np.any((dist <= tol) & (np.outer(y, y) < 0)))
 
 
 def _mu0_witness_search(ds: LabeledDataset) -> Optional[float]:
@@ -211,15 +204,18 @@ def _mu0_witness_search(ds: LabeledDataset) -> Optional[float]:
 
 
 def validate_separable(ds: LabeledDataset) -> SeparabilityReport:
-    """Check the sign-pattern separation condition and estimate its margin constant."""
-    if ds.label_kind != "binary":
-        raise TypeError("separation validation requires binary labels")
+    """Check concentration (all pairwise inner products bounded away from -1)
+    and, for binary labels, the sign-pattern separation condition and its
+    margin constant."""
     x, y = ds.inputs, ds.labels
     gram = x @ x.T
-    same = np.outer(y, y) > 0
     off = ~np.eye(ds.n, dtype=bool)
-    separable = bool(np.all(gram[same & off] >= -1e-12) and np.all(gram[~same] <= 1e-12))
     s = float(np.min(gram[off])) if ds.n > 1 else 1.0
+    if ds.label_kind != "binary":
+        return SeparabilityReport(separable=False, mu0=None,
+                                  concentrated=s > -1.0 + 1e-9, s=s, gamma=math.nan)
+    same = np.outer(y, y) > 0
+    separable = bool(np.all(gram[same & off] >= -1e-12) and np.all(gram[~same] <= 1e-12))
     gamma = float(np.min(gram[same])) if ds.n > 0 else math.nan
     mu0: Optional[float] = None
     if separable:
@@ -230,22 +226,6 @@ def validate_separable(ds: LabeledDataset) -> SeparabilityReport:
         if mu0 is not None and mu0 <= 0.0:
             mu0 = None
     return SeparabilityReport(separable=separable, mu0=mu0,
-                              concentrated=s > -1.0 + 1e-9, s=s, gamma=gamma)
-
-
-def validate_concentrated(ds: LabeledDataset) -> SeparabilityReport:
-    """Check that all pairwise inner products are bounded away from -1."""
-    x = ds.inputs
-    gram = x @ x.T
-    off = ~np.eye(ds.n, dtype=bool)
-    s = float(np.min(gram[off])) if ds.n > 1 else 1.0
-    if ds.label_kind == "binary":
-        y = ds.labels
-        same = np.outer(y, y) > 0
-        gamma = float(np.min(gram[same]))
-    else:
-        gamma = math.nan
-    return SeparabilityReport(separable=False, mu0=None,
                               concentrated=s > -1.0 + 1e-9, s=s, gamma=gamma)
 
 
@@ -405,8 +385,7 @@ def compute_V(ds: LabeledDataset, m: int, delta: float) -> DataConstants:
     spread = 2.0 / n + ((n - 2.0) / n) * gamma
     bracket = 0.5 - math.sqrt(8.0 * math.log(n * n / delta) / m)
     V = (bracket / 16.0) * max(spread, min(lam_p, lam_m))
-    return DataConstants(lambda_min_plus=lam_p, lambda_min_minus=lam_m, V=V,
-                         vacuous=bracket <= 0.0)
+    return DataConstants(V=V, vacuous=bracket <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +406,7 @@ def export_dataset_csv(ds: LabeledDataset, csv_path, sidecar_path=None) -> None:
             row = ",".join(repr(float(v)) for v in ds.inputs[i])
             f.write(f"{i},{label},{row}\n")
     if sidecar_path is not None:
-        if ds.label_kind == "binary":
-            rep = validate_separable(ds)
-        else:
-            rep = validate_concentrated(ds)
+        rep = validate_separable(ds)
         payload = {
             "source": ds.source,
             "n": n, "d": d,

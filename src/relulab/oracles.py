@@ -5,7 +5,8 @@ Nothing in here is used by the training, certificate or command-line
 machinery itself; these routines exist so that tests can compare every
 closed form against an independent computation (central finite differences,
 brute-force summation, dense grids, Monte-Carlo estimation) or against a
-plainer formulation (the flat gradient, the scalar arc-cosine kernel).
+plainer formulation (the flat gradient, the dense Hessian, the scalar
+arc-cosine kernel).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 from . import rng
 from .datasets import LabeledDataset
 from .losses import LossFamily
-from .models import BinaryNet, MultiNet, Net, _flatten_struct, grad_loss_struct, loss_value
+from .models import (BinaryNet, MultiNet, Net, _flatten_struct, _hessian_matvec, grad_loss_struct,
+                     loss_value)
 from .prm import TeacherStudentConfig, teacher_matrix
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "loss_of_flat",
     "min_preactivation_gap",
     "grad_loss",
+    "hessian_loss",
     "phi",
     "descent_series_closed_form",
     "descent_series_brute_force",
@@ -63,6 +66,33 @@ def grad_loss(net: Net, ds: LabeledDataset, loss: LossFamily,
               trained_layers: str = "all") -> np.ndarray:
     """Flat gradient of the empirical risk in the canonical parameter order."""
     return _flatten_struct(grad_loss_struct(net, ds, loss, trained_layers=trained_layers))
+
+
+_DENSE_GUARD = 20_000
+
+
+def hessian_loss(net: Net, ds: LabeledDataset, loss: LossFamily,
+                 trained_layers: str = "all") -> np.ndarray:
+    """Dense Hessian of the empirical risk in flat parameter order.
+
+    Its columns are the exact Hessian-vector products of the unit vectors,
+    so it is the matrix that ``models.hessian_spectral_norm`` solves for
+    without forming it.  The input-only Hessian (binary network) is the
+    input-layer block.  Guarded at 20000 parameters.
+    """
+    if isinstance(net, MultiNet) and trained_layers != "all":
+        raise ValueError("input-only training is defined for the binary network")
+    matvec, dim = _hessian_matvec(net, ds, loss)
+    first = net.m if trained_layers == "input_only" else 0
+    if dim - first > _DENSE_GUARD:
+        raise ValueError(f"dense Hessian guard exceeded: {dim - first} > {_DENSE_GUARD}")
+    Hmat = np.empty((dim - first, dim - first))
+    e = np.zeros(dim)
+    for j in range(first, dim):
+        e[j] = 1.0
+        Hmat[:, j - first] = matvec(e)[first:]
+        e[j] = 0.0
+    return 0.5 * (Hmat + Hmat.T)
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6) -> np.ndarray:

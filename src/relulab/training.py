@@ -36,7 +36,6 @@ from . import rng
 from .datasets import LabeledDataset
 from .losses import LossFamily
 from .models import (
-    BinaryNet,
     Net,
     _flatten_struct,
     apply_gradient,
@@ -191,12 +190,6 @@ class RunRecord:
         return hashlib.sha256(steps_csv(self).encode()).hexdigest()
 
 
-def _a_sign_ok(net: Net, net0: Net) -> bool:
-    if isinstance(net, BinaryNet):
-        return bool(np.all(net.a * net0.a > 0.0))
-    return bool(np.all(net.A * net0.A > 0.0))
-
-
 class HittingTime:
     """The hitting-time rule, which ``run`` applies to every step.
 
@@ -254,7 +247,7 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
             min_margin=float(np.min(z)), max_margin=float(np.max(z)),
             param_norm=param_norm(net),
             max_abs_pred=float(np.max(np.abs(f))),
-            a_sign_ok=_a_sign_ok(net, net0),
+            a_sign_ok=bool(np.all(net.output_weights * net0.output_weights > 0.0)),
         )
         for observer in (hitting, *observers):
             observer.step(t, net, H, r)
@@ -267,26 +260,17 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
         if L < _EARLY_STOP_LOSS:
             rec.status = "converged-exactly"
             break
-        if isinstance(config.batching, Stochastic):
+        step = parts
+        if batch_gen is not None:
             idx = (batch_gen.random(config.batching.B) * ds.n).astype(np.int64)
             idx = np.minimum(idx, ds.n - 1)
-            bparts = grad_loss_struct(net, ds, loss, subset=idx,
-                                      trained_layers=config.trained_layers)
-            full_flat, bflat = _flatten_struct(parts), _flatten_struct(bparts)
-            rec.batch_alignments.append(float(full_flat @ bflat))
-            if not np.all(np.isfinite(bflat)):
-                rec.status = f"aborted:non-finite-gradient-at-t={t}"
-                break
-            net = apply_gradient(net, bparts, eta_t)
-        else:
-            for p in parts:
-                if not np.all(np.isfinite(p)):
-                    rec.status = f"aborted:non-finite-gradient-at-t={t}"
-                    break
-            else:
-                net = apply_gradient(net, parts, eta_t)
-                continue
+            step = grad_loss_struct(net, ds, loss, subset=idx,
+                                    trained_layers=config.trained_layers)
+            rec.batch_alignments.append(float(_flatten_struct(parts) @ _flatten_struct(step)))
+        if not all(np.all(np.isfinite(p)) for p in step):
+            rec.status = f"aborted:non-finite-gradient-at-t={t}"
             break
+        net = apply_gradient(net, step, eta_t)
 
     if last is not None:
         rec.records.append(last)

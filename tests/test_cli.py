@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relulab import cli
-from relulab.certificates import CertificateReport
+from relulab import cli, training
+from relulab.certificates import CertificateReport, verdict
 from relulab.cli import evaluate_certificates, main, run_experiment
 from relulab.datasets import write_idx_images, write_idx_labels
 from relulab.losses import LOSS_KEYS
+from relulab.training import RunRecord
 
 
 def write_config(tmp_path, name, obj):
@@ -428,6 +430,7 @@ def test_global_kinds_default_to_the_exp_loss():
     (dict(TINY, kind="early-multiclass", loss="logistic",
           train={"steps": 3, "trained_layers": "input_only"}),
      "early-multiclass: input-only training is defined for the binary network only"),
+    (PRM, "use run_prm_experiment for prm configs"),
 ])
 def test_config_errors_come_before_dataset_and_init(tmp_path, capsys, monkeypatch,
                                                     config, message):
@@ -461,6 +464,7 @@ BROKEN = {
     "delta-0": (dict(TINY, delta=0), 2),
     "delta-2": (dict(TINY, delta=2.0), 2),
     "delta-null": (dict(TINY, delta=None), 2),
+    "prm-5": (dict(TINY, prm=5), 2),
 }
 
 
@@ -488,8 +492,50 @@ def test_aborted_runs_and_malformed_configs_keep_the_exit_code_contract(
 
 def test_a_run_with_no_step_reports_inconclusive_where_nothing_was_measured(tmp_path):
     for name, cert_id in (("early-binary-kappa-1e300", "hitting-time-at-least-tstar"),
-                          ("global-poly-kappa-1e3", "rate-poly_stage1")):
+                          ("global-poly-kappa-1e3", "rate-poly_stage1"),
+                          ("global-poly-kappa-1e150", "correct-classification")):
         with np.errstate(over="ignore", invalid="ignore"):
             record, ctx = run_experiment(BROKEN[name][0])
         (rep,) = [c for c in evaluate_certificates(record, ctx) if c["cert_id"] == cert_id]
         assert rep["inconclusive"] and not rep["passed"], name
+        assert math.isnan(rep["measured"]), name
+
+
+def test_hitting_time_is_inconclusive_when_the_run_stops_before_tstar():
+    record, ctx = run_experiment(dict(EARLY_BINARY, train={"steps": 10}))
+    (rep,) = [c for c in evaluate_certificates(record, ctx)
+              if c["cert_id"] == "hitting-time-at-least-tstar"]
+    assert record.measured_T == -1 and rep["context"]["sentinel_not_yet_hit"]
+    assert rep["theoretical"] == 44.0 and rep["measured"] == 10.0
+    assert rep["inconclusive"] and not rep["passed"]
+    # A violation before t* is measured, whenever the run stops: it fails.
+    hit = RunRecord(records=record.records, measured_T=7)
+    rep = cli._hitting_time_report(hit, 44)
+    assert verdict(rep) == "FAIL" and rep["measured"] == 7.0 and rep["slack"] == -37.0
+
+
+@pytest.mark.parametrize("batch", [None, {"B": 4, "seed": 1}], ids=["full", "stochastic"])
+def test_a_non_finite_gradient_aborts_the_run_at_its_step(tmp_path, monkeypatch, batch):
+    """A NaN gradient entry at t = 2 (in the full gradient under Full(), in the
+    batch gradient under Stochastic) stops the run there: the status names the
+    step, t = 2 is the last record, and verify exits 1 with a run directory."""
+    name = "evaluate" if batch is None else "grad_loss_struct"
+    original, calls = getattr(training, name), []
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 3:     # the gradient of step t = 2
+            (out[3] if batch is None else out)[1][0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(training, name, poisoned)
+    config = dict(TINY, train={"steps": 5} if batch is None else {"steps": 5, "batch": batch})
+    record, _ = run_experiment(config, certify=False)
+    assert record.status == "aborted:non-finite-gradient-at-t=2"
+    assert record.records[-1].t == 2
+    calls.clear()
+    cfg, out = write_config(tmp_path, "c.json", config), tmp_path / "run"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "aborted:non-finite-gradient-at-t=2" and summary["steps"] == 2

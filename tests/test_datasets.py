@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from relulab.datasets import (
     LabeledDataset,
+    _has_antipodal_pair,
     compute_gamma_constants,
     compute_V,
     export_dataset_csv,
@@ -14,7 +15,6 @@ from relulab.datasets import (
     load_idx_images,
     load_idx_labels,
     load_mnist,
-    validate_concentrated,
     validate_separable,
     write_idx_images,
     write_idx_labels,
@@ -50,6 +50,29 @@ def test_antipodal_pair_gives_mu0_one():
     assert validate_separable(ds).mu0 == 1.0
 
 
+def _has_antipodal_pair_loop(ds, tol=1e-12):
+    """Row-by-row reference: some x_j with opposite label and ||x_i + x_j||^2 <= tol."""
+    x, y = ds.inputs, ds.labels
+    cross, sq = x @ x.T, np.sum(x * x, axis=1)
+    return any(np.any((sq[i] + sq + 2.0 * cross[i] <= tol) & (y * y[i] < 0))
+               for i in range(ds.n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_antipodal_pair_check_matches_the_row_loop(seed):
+    for antipodal in (True, False):
+        ds = gen_orthant_separable(n=12, d=5, seed=seed, include_antipodal=antipodal)
+        assert _has_antipodal_pair(ds) == _has_antipodal_pair_loop(ds) == antipodal
+    # Either side of the tolerance (||x_i + x_j||^2 = 1e-10 and 1e-14), and an
+    # antipodal pair with one label, which does not count.
+    e1, e2, e3 = np.eye(3)
+    for scale, expected in ((1 - 1e-5, False), (1 - 1e-7, True)):
+        ds = binary_ds([e1, -scale * e1], [1.0, -1.0])
+        assert _has_antipodal_pair(ds) == _has_antipodal_pair_loop(ds) == expected
+    ds = binary_ds([e1, -e1, e2, e3], [1.0, 1.0, -1.0, -1.0])
+    assert not _has_antipodal_pair(ds) and not _has_antipodal_pair_loop(ds)
+
+
 def test_separability_violation_detected():
     d = 4
     e1 = np.eye(d)[0]
@@ -60,9 +83,15 @@ def test_separability_violation_detected():
 def test_concentration_examples():
     d = 3
     e1, e2 = np.eye(d)[0], np.eye(d)[1]
-    assert validate_concentrated(binary_ds([e1, e2], [1.0, -1.0])).s == 0.0
-    rep = validate_concentrated(binary_ds([e1, -e1], [1.0, -1.0]))
+    assert validate_separable(binary_ds([e1, e2], [1.0, -1.0])).s == 0.0
+    rep = validate_separable(binary_ds([e1, -e1], [1.0, -1.0]))
     assert rep.s == -1.0 and not rep.concentrated
+    # One-hot labels: concentration only, never separable.
+    onehot = LabeledDataset(inputs=np.array([e1, -e1, e2]), labels=np.eye(3),
+                            label_kind="onehot", source="test")
+    rep = validate_separable(onehot)
+    assert (rep.separable, rep.mu0, rep.s, rep.concentrated) == (False, None, -1.0, False)
+    assert math.isnan(rep.gamma)
 
 
 def test_unit_ball_constraint_enforced():

@@ -13,8 +13,8 @@ from relulab.models import (
     apply_gradient,
     flatten_params,
     forward,
+    digest,
     grad_loss_struct,
-    hessian_loss,
     hessian_spectral_norm,
     init_binary,
     init_multi,
@@ -26,6 +26,7 @@ from relulab.oracles import (
     fd_gradient,
     fd_hessian_vector,
     grad_loss,
+    hessian_loss,
     loss_of_flat,
     min_preactivation_gap,
     unflatten_like,
@@ -57,8 +58,8 @@ def test_multi_init_exact_constants():
 def test_init_is_deterministic():
     a = init_binary(16, 4, InitSpec(kappa=0.1, seed=9))
     b = init_binary(16, 4, InitSpec(kappa=0.1, seed=9))
-    assert a.digest() == b.digest()
-    assert a.digest() != init_binary(16, 4, InitSpec(kappa=0.1, seed=10)).digest()
+    assert digest(a) == digest(b)
+    assert digest(a) != digest(init_binary(16, 4, InitSpec(kappa=0.1, seed=10)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +169,15 @@ def test_spectral_norm_dense_and_operator_paths_agree(small_binary_ds):
     ds = small_binary_ds
     net = init_binary(10, ds.d, InitSpec(kappa=0.4, seed=23))
     lf = loss_family("exp")
-    dense = hessian_spectral_norm(net, ds, lf, dense_limit=10_000)
-    operator = hessian_spectral_norm(net, ds, lf, dense_limit=1)
+    dense = float(np.max(np.abs(np.linalg.eigvalsh(hessian_loss(net, ds, lf)))))
+    operator = hessian_spectral_norm(net, ds, lf)
     assert operator == pytest.approx(dense, rel=1e-8)
+
+
+def test_spectral_norm_is_the_same_on_every_call(small_binary_ds):
+    net = init_binary(200, small_binary_ds.d, InitSpec(kappa=0.4, seed=23))   # 2200 parameters
+    lf = loss_family("exp")
+    assert len({hessian_spectral_norm(net, small_binary_ds, lf) for _ in range(5)}) == 1
 
 
 def test_input_only_spectral_norm_fast_path_matches_dense(small_binary_ds):
@@ -183,6 +190,13 @@ def test_input_only_spectral_norm_fast_path_matches_dense(small_binary_ds):
     assert fast == pytest.approx(dense, rel=1e-9)
 
 
+def test_input_only_spectral_norm_is_defined_for_the_binary_network_only(small_onehot_ds,
+                                                                         small_multi_net):
+    with pytest.raises(ValueError, match="binary network"):
+        hessian_spectral_norm(small_multi_net, small_onehot_ds, loss_family("logistic"),
+                              trained_layers="input_only")
+
+
 # ---------------------------------------------------------------------------
 # Flatten round trip
 # ---------------------------------------------------------------------------
@@ -190,7 +204,7 @@ def test_input_only_spectral_norm_fast_path_matches_dense(small_binary_ds):
 def test_unflatten_round_trip(small_binary_net, small_multi_net):
     for net in (small_binary_net, small_multi_net):
         back = unflatten_like(net, flatten_params(net))
-        assert back.digest() == net.digest()
+        assert digest(back) == digest(net)
 
 
 def test_param_norm_matches_flat_norm(small_multi_net):
