@@ -9,13 +9,15 @@ The inputs are written once, from the change tree: the regimes of
 ``scripts/run_suite.py`` (the early-multiclass regime on the benchmark's
 IDX corpus), the four workload configs of ``perfbench/workloads.py`` (read,
 never changed), a ``train`` run at its default horizon, at ``train.steps:
-10`` and at ``train.record_every: 5``, ``gen-data`` on a binary dataset with
-and without the antipodal pair and on the IDX corpus, a two-cell ``sweep``,
-and ``report`` on every verify and prm run directory.  Each command then runs
-through each tree's own CLI (``python -m relulab.cli`` with that tree's
-``src`` on the path), in a fresh working directory per tree, with relative
-output paths.  Every output file, and each command's exit code, stdout and
-stderr, is compared byte for byte.  Exit code 0 only when all of them match.
+10`` and at ``train.record_every: 5``, ``prm`` in extension mode (M > d, so
+some teachers are random) and at a fixed numeric ``eta``, ``gen-data`` on a
+binary dataset with and without the antipodal pair and on the IDX corpus, a
+two-cell ``sweep``, and ``report`` on every verify and prm run directory.
+Each command then runs through each tree's own CLI (``python -m
+relulab.cli`` with that tree's ``src`` on the path), in a fresh working
+directory per tree, with relative output paths.  Every output file, and
+each command's exit code, stdout and stderr, is compared byte for byte.
+Exit code 0 only when all of them match.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ def write_inputs(change: Path, inputs: Path) -> list:
         "suite-global-poly": ("verify", suite.GLOBAL_POLY),
         "suite-certify-only": ("verify", suite.CERTIFY_ONLY),
         "suite-prm": ("prm", suite.PRM),
+        "prm-extension-mode": ("prm", {"kind": "prm", "prm": dict(suite.PRM["prm"], M=14)}),
+        "prm-fixed-eta": ("prm", {"kind": "prm", "prm": dict(suite.PRM["prm"], eta=0.003,
+                                                              steps=20)}),
         "suite-early-multiclass": ("verify", suite.early_multiclass_config(corpus)),
         "train-early-binary": ("train", suite.EARLY_BINARY),
         "train-steps-10": ("train", dict(suite.EARLY_BINARY, train={"steps": 10})),

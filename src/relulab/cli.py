@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 from .datasets import (
     LabeledDataset,
+    SeparabilityReport,
     compute_gamma_constants,
     compute_V,
     export_dataset_csv,
@@ -146,27 +147,40 @@ def build_schedule(spec: dict):
 # Experiment kinds
 # ---------------------------------------------------------------------------
 
-def _mu0(ds: LabeledDataset) -> float:
-    rep = validate_separable(ds)
+def _separability(ctx) -> SeparabilityReport:
+    """``validate_separable`` of the run's dataset, computed at most once per
+    run: without an antipodal pair it is an O(n^3) witness search."""
+    if "separability" not in ctx:
+        ctx["separability"] = validate_separable(ctx["ds"])
+    return ctx["separability"]
+
+
+def _mu0(ctx) -> float:
+    rep = _separability(ctx)
     return rep.mu0 if rep.mu0 is not None else 1.0
 
 
-def _kappa_early_binary(eta: float, ds: LabeledDataset, batch: Optional[int]) -> float:
-    return min(1e-3, eta / 2000.0, eta / (3.0 * ds.n), eta * _mu0(ds) / (3.0 * ds.n))
+def _kappa_early_binary(eta: float, ctx) -> float:
+    n = ctx["ds"].n
+    return min(1e-3, eta / 2000.0, eta / (3.0 * n), eta * _mu0(ctx) / (3.0 * n))
 
 
-def _kappa_early_multi(eta: float, ds: LabeledDataset, batch: Optional[int]) -> float:
-    B = batch if batch is not None else ds.n
+def _kappa_early_multi(eta: float, ctx) -> float:
+    B = ctx["batch_size"] if ctx["batch_size"] is not None else ctx["ds"].n
     return min(eta / 10.0, eta / (3.0 * B))
 
 
-def _kappa_global(eta: float, ds: LabeledDataset, batch: Optional[int]) -> float:
-    return min(1e-3, eta * _mu0(ds) / (3.0 * ds.n))
+def _kappa_global(eta: float, ctx) -> float:
+    return min(1e-3, eta * _mu0(ctx) / (3.0 * ctx["ds"].n))
 
 
 def _partition_report(cert_id: str, viols: list) -> dict:
+    # A run that reached no step t >= 1 checked no segment: its only
+    # violation is the horizon rule, and it measured nothing.
+    unmeasured = [v.rule for v in viols] == ["horizon"]
+    count = math.nan if unmeasured else float(len(viols))
     return certs.CertificateReport(
-        cert_id, 0.0, float(len(viols)), len(viols) == 0, -float(len(viols)),
+        cert_id, 0.0, count, len(viols) == 0, -count, inconclusive=unmeasured,
         context={"first": viols[0].__dict__ if viols else None}).as_dict()
 
 
@@ -303,7 +317,7 @@ def _certify_global(ctx, envelope: str):
 def _certify_dataset(ctx):
     def report(record) -> list:
         ds = ctx["ds"]
-        rep = validate_separable(ds)
+        rep = _separability(ctx)
         g1, g2 = compute_gamma_constants(ds)
         dc = compute_V(ds, ctx["m"], ctx["delta"])
         return [certs.CertificateReport(
@@ -324,7 +338,7 @@ class Kind:
     loss_kinds: Tuple[str, ...]   # LossFamily.kind values the certificates are derived for
     trained_layers: str           # default train.trained_layers
     schedules: Tuple[str, ...]    # schedule types the certificates can read
-    kappa_cap: Callable[[float, LabeledDataset, Optional[int]], float]   # (eta, ds, batch)
+    kappa_cap: Callable[[float, dict], float]   # (eta, run context) -> kappa for "auto"
     certify: Callable[[dict], tuple]   # ctx -> (observers, report(record) -> report dicts)
     trains: bool = True           # False: no schedule and no training steps by default
 
@@ -406,8 +420,10 @@ def run_experiment(config: dict, certify: bool = True):
     labels = "onehot" if spec.variant == "multi" else "binary"
     if ds.label_kind != labels:
         raise ConfigError(f"{kind} requires a dataset with {labels} labels")
+    ctx = {"ds": ds, "schedule": schedule, "kind": kind, "delta": delta,
+           "batch_size": batch_size, "seed": seed, "m": m}
     eta = schedule.eta if isinstance(schedule, Constant) else schedule.eta0
-    kappa = spec.kappa_cap(eta, ds, batch_size) if kappa == "auto" else kappa
+    kappa = spec.kappa_cap(eta, ctx) if kappa == "auto" else kappa
     init = InitSpec(kappa=kappa, seed=seed)
     net0 = (init_multi(m, ds.d, ds.num_classes, init) if spec.variant == "multi"
             else init_binary(m, ds.d, init))
@@ -420,8 +436,7 @@ def run_experiment(config: dict, certify: bool = True):
         batching=batching, trained_layers=trained_layers,
         record_every=_cast(train_spec.get("record_every", 1), "train.record_every", int),
     )
-    ctx = {"ds": ds, "net0": net0, "schedule": schedule, "kind": kind, "delta": delta,
-           "kappa": kappa, "batch_size": batch_size, "seed": seed, "m": m}
+    ctx.update(net0=net0, kappa=kappa)
     observers, ctx["report"] = spec.certify(ctx) if certify else ((), None)
     record = run(net0, ds, loss, schedule, tconf, observers)
     return record, ctx

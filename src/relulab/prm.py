@@ -16,10 +16,11 @@ forms against, live in ``oracles``.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -85,19 +86,26 @@ class PrmRunRecord:
 # Kernel, loss and gradient
 # ---------------------------------------------------------------------------
 
-def _kernel_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """k(a_i; b_j) for all row pairs."""
-    na = np.linalg.norm(A, axis=1)
-    nb = np.linalg.norm(B, axis=1)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(A, axis=1)
+    if np.any(n == 0.0):
         raise ValueError("arc-cosine kernel undefined for zero rows")
-    cos = np.clip((A @ B.T) / np.outer(na, nb), -1.0, 1.0)
+    return n
+
+
+def _kernel_matrix(A: np.ndarray, B: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """k(a_i; b_j) for all row pairs, given the nonzero row norms na, nb."""
+    nn = np.outer(na, nb)
+    cos = np.clip((A @ B.T) / nn, -1.0, 1.0)
     theta = np.arccos(cos)
-    return np.outer(na, nb) * (np.sin(theta) + (np.pi - theta) * cos) / (2.0 * np.pi)
+    return nn * (np.sin(theta) + (np.pi - theta) * cos) / (2.0 * np.pi)
 
 
 def teacher_matrix(config: TeacherStudentConfig) -> np.ndarray:
-    """Teacher rows e_i / M for i < d; extras uniform on the (1/M)-sphere (extension mode)."""
+    """Teacher rows e_i / M for i < d; extras uniform on the (1/M)-sphere (extension mode).
+
+    Reads only ``d``, ``M`` and ``seed``, and builds a fresh array on every call.
+    """
     V = np.zeros((config.M, config.d))
     base = min(config.M, config.d)
     V[:base] = np.eye(config.d)[:base] / config.M
@@ -107,21 +115,51 @@ def teacher_matrix(config: TeacherStudentConfig) -> np.ndarray:
     return V
 
 
+class _TeacherKey(NamedTuple):
+    """The config fields ``teacher_matrix`` reads.  ``_teacher_terms`` builds the
+    teacher from the key itself, so a field read but missing here raises."""
+    d: int
+    M: int
+    seed: int
+
+
+class _Teacher(NamedTuple):
+    V: np.ndarray            # teacher rows (M, d)
+    nv: np.ndarray           # their norms
+    Vbar: np.ndarray         # unit rows V / nv
+    half_kvv: float          # 1/2 sum_{i,j} k(v_i; v_j), the loss at the zero student
+
+
+@functools.lru_cache(maxsize=8)
+def _teacher_terms(key: _TeacherKey) -> _Teacher:
+    V = teacher_matrix(key)
+    nv = _row_norms(V)
+    Vbar = V / nv[:, None]
+    half_kvv = 0.5 * math.fsum(_kernel_matrix(V, V, nv, nv).ravel().tolist())
+    for a in (V, nv, Vbar):
+        a.setflags(write=False)     # every caller shares them
+    return _Teacher(V, nv, Vbar, half_kvv)
+
+
+def _teacher(config: TeacherStudentConfig) -> _Teacher:
+    """The teacher-side terms of the loss and gradient, computed once per (d, M, seed)."""
+    return _teacher_terms(_TeacherKey(config.d, config.M, config.seed))
+
+
 def population_loss(W: np.ndarray, config: TeacherStudentConfig) -> float:
     """Exact population risk of student rows W against the configured teacher."""
-    V = teacher_matrix(config)
-    Kww = _kernel_matrix(W, W)
-    Kwv = _kernel_matrix(W, V)
-    Kvv = _kernel_matrix(V, V)
+    teacher = _teacher(config)
+    nw = _row_norms(W)
+    Kww = _kernel_matrix(W, W, nw, nw)
+    Kwv = _kernel_matrix(W, teacher.V, nw, teacher.nv)
     return float(0.5 * math.fsum(Kww.ravel().tolist())
                  - math.fsum(Kwv.ravel().tolist())
-                 + 0.5 * math.fsum(Kvv.ravel().tolist()))
+                 + teacher.half_kvv)
 
 
 def loss_at_origin(config: TeacherStudentConfig) -> float:
     """Population risk of the all-zero student: 1/2 sum_{i,j} k(v_i; v_j)."""
-    V = teacher_matrix(config)
-    return float(0.5 * math.fsum(_kernel_matrix(V, V).ravel().tolist()))
+    return _teacher(config).half_kvv
 
 
 def population_grad(W: np.ndarray, config: TeacherStudentConfig) -> np.ndarray:
@@ -132,14 +170,12 @@ def population_grad(W: np.ndarray, config: TeacherStudentConfig) -> np.ndarray:
     turns the 1/2 prefactor into a full cross-gradient per distinct pair,
     while the self pair contributes w_k/2.
     """
-    V = teacher_matrix(config)
-    m, d = W.shape
+    teacher = _teacher(config)
+    nv, Vbar = teacher.nv, teacher.Vbar
     nw = np.linalg.norm(W, axis=1)
-    nv = np.linalg.norm(V, axis=1)
     if np.any(nw == 0.0):
         raise ValueError("gradient undefined: zero student row")
     Wbar = W / nw[:, None]
-    Vbar = V / nv[:, None]
 
     cos_ww = np.clip((Wbar @ Wbar.T), -1.0, 1.0)
     th_ww = np.arccos(cos_ww)

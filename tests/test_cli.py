@@ -14,6 +14,7 @@ from relulab.certificates import CertificateReport, verdict
 from relulab.cli import evaluate_certificates, main, run_experiment
 from relulab.datasets import write_idx_images, write_idx_labels
 from relulab.losses import LOSS_KEYS
+from relulab.partition import DynamicsViolation
 from relulab.training import RunRecord
 
 
@@ -492,13 +493,43 @@ def test_aborted_runs_and_malformed_configs_keep_the_exit_code_contract(
 
 def test_a_run_with_no_step_reports_inconclusive_where_nothing_was_measured(tmp_path):
     for name, cert_id in (("early-binary-kappa-1e300", "hitting-time-at-least-tstar"),
+                          ("early-binary-kappa-1e300", "partition-dynamics-early"),
                           ("global-poly-kappa-1e3", "rate-poly_stage1"),
-                          ("global-poly-kappa-1e150", "correct-classification")):
+                          ("global-poly-kappa-1e150", "correct-classification"),
+                          ("global-poly-kappa-1e150", "partition-dynamics-global")):
         with np.errstate(over="ignore", invalid="ignore"):
             record, ctx = run_experiment(BROKEN[name][0])
         (rep,) = [c for c in evaluate_certificates(record, ctx) if c["cert_id"] == cert_id]
-        assert rep["inconclusive"] and not rep["passed"], name
-        assert math.isnan(rep["measured"]), name
+        assert verdict(rep) == "INCONCLUSIVE", (name, cert_id)
+        assert math.isnan(rep["measured"]) and math.isnan(rep["slack"]), (name, cert_id)
+
+
+def test_a_partition_violation_still_fails():
+    viol = [DynamicsViolation("S1", 3, 0, 2, "planted")]
+    rep = cli._partition_report("partition-dynamics-early", viol)
+    assert verdict(rep) == "FAIL" and rep["measured"] == 1.0 and rep["slack"] == -1.0
+    assert verdict(cli._partition_report("partition-dynamics-early", [])) == "PASS"
+
+
+def test_certify_only_validates_the_dataset_once(monkeypatch):
+    # kappa "auto" reads mu0 for the cap and the report reads the same
+    # separability report; without an antipodal pair each call would run
+    # the O(n^3) witness search.
+    calls = []
+
+    def counted(ds):
+        calls.append(ds)
+        return validate(ds)
+
+    validate = cli.validate_separable
+    monkeypatch.setattr(cli, "validate_separable", counted)
+    record, ctx = run_experiment({
+        "kind": "certify-only",
+        "dataset": {"type": "synthetic", "n": 12, "d": 6, "seed": 0, "antipodal": False},
+        "model": {"m": 16, "kappa": "auto"}, "delta": 0.05, "seed": 0})
+    (rep,) = evaluate_certificates(record, ctx)
+    assert len(calls) == 1
+    assert rep["context"]["mu0"] == validate(ctx["ds"]).mu0
 
 
 def test_hitting_time_is_inconclusive_when_the_run_stops_before_tstar():

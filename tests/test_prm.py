@@ -116,6 +116,56 @@ def test_mc_oracle_agrees_with_closed_form():
     assert abs(mc - exact) <= 4 * sem
 
 
+def _prm_terms_from_fresh_teacher(W, c):
+    """The loss at the zero student, the loss and the gradient, rebuilt on a
+    fresh ``teacher_matrix(c)``."""
+    V = teacher_matrix(c)
+    nw, nv = np.linalg.norm(W, axis=1), np.linalg.norm(V, axis=1)
+    origin = 0.5 * math.fsum(prm._kernel_matrix(V, V, nv, nv).ravel().tolist())
+    loss = float(0.5 * math.fsum(prm._kernel_matrix(W, W, nw, nw).ravel().tolist())
+                 - math.fsum(prm._kernel_matrix(W, V, nw, nv).ravel().tolist())
+                 + origin)
+    Wbar, Vbar = W / nw[:, None], V / nv[:, None]
+    th_ww = np.arccos(np.clip(Wbar @ Wbar.T, -1.0, 1.0))
+    cos_wv = np.clip(Wbar @ Vbar.T, -1.0, 1.0)
+    th_wv = np.arccos(cos_wv)
+    sin_ww = np.sin(th_ww)
+    np.fill_diagonal(sin_ww, 0.0)
+    pi_minus = (np.pi - th_ww) / (2.0 * np.pi)
+    np.fill_diagonal(pi_minus, 0.0)
+    G = ((sin_ww @ nw) / (2.0 * np.pi))[:, None] * Wbar + (pi_minus * nw[None, :]) @ Wbar
+    G += 0.5 * W
+    G -= (((np.sin(th_wv) @ nv) / (2.0 * np.pi))[:, None] * Wbar
+          + (((np.pi - th_wv) / (2.0 * np.pi)) * nv[None, :]) @ Vbar)
+    return origin, loss, G
+
+
+def test_cached_teacher_terms_are_keyed_on_d_M_and_seed():
+    # Extension-mode configs that differ only in seed, interleaved with ones
+    # that differ only in d or M: more keys than the cache holds, visited
+    # twice, so entries are evicted and rebuilt.
+    configs = [cfg(d=5, m=4, M=8, seed=s) for s in (0, 1, 2)]
+    configs += [cfg(d=d, m=4, M=8) for d in (6, 7, 8, 9)]
+    configs += [cfg(d=5, m=4, M=M) for M in (5, 9, 10)]
+    assert not np.array_equal(teacher_matrix(configs[0]), teacher_matrix(configs[1]))
+    prm._teacher_terms.cache_clear()
+    gen = np.random.default_rng(3)
+    for c in configs[0::2] + configs[1::2] + configs:
+        W = 0.05 * gen.standard_normal((c.m, c.d))
+        origin, loss, G = _prm_terms_from_fresh_teacher(W, c)
+        assert loss_at_origin(c) == origin
+        assert population_loss(W, c) == loss
+        assert np.array_equal(population_grad(W, c), G)
+
+    c = configs[0]
+    cached = prm._teacher(c)
+    assert not any(a.flags.writeable for a in (cached.V, cached.nv, cached.Vbar))
+    V = teacher_matrix(c)
+    assert V.flags.writeable and not np.shares_memory(V, cached.V)
+    V[:] = 0.0
+    assert np.array_equal(teacher_matrix(c), cached.V)
+
+
 # ---------------------------------------------------------------------------
 # Schedule constants and run
 # ---------------------------------------------------------------------------
