@@ -12,7 +12,10 @@ never changed), a ``train`` run at its default horizon, at ``train.steps:
 10`` and at ``train.record_every: 5``, ``prm`` in extension mode (M > d, so
 some teachers are random) and at a fixed numeric ``eta``, ``gen-data`` on a
 binary dataset with and without the antipodal pair and on the IDX corpus, a
-two-cell ``sweep``, and ``report`` on every verify and prm run directory.
+two-cell ``sweep``, three ``verify`` runs whose partition checks fail (the
+early-binary workload at m = 512, kappa = 100; the global-poly workload and
+the suite's global-exp regime at kappa = 1 for 300 steps), and ``report`` on
+every verify and prm run directory.
 Each command then runs through each tree's own CLI (``python -m
 relulab.cli`` with that tree's ``src`` on the path), in a fresh working
 directory per tree, with relative output paths.  Every output file, and
@@ -77,6 +80,13 @@ def write_inputs(change: Path, inputs: Path) -> list:
     for name in ("early-binary", "global-poly", "multiclass-sgd", "prm-population"):
         command, cfg = workloads.config(name, 0, (images, labels))
         configs[f"perfbench-{name}"] = (command, cfg)
+    # Runs whose partition checks fail, so the violations are compared too.
+    early, poly = (workloads.config(name, 0)[1] for name in ("early-binary", "global-poly"))
+    configs["partition-fails-early-binary"] = ("verify", dict(early, model={"m": 512,
+                                                                           "kappa": 100}))
+    for name, cfg in (("global-poly", poly), ("global-exp", suite.GLOBAL_EXP)):
+        configs[f"partition-fails-{name}"] = ("verify", dict(
+            cfg, model=dict(cfg["model"], kappa=1), train={"steps": 300}))
 
     commands = []
     for name, (command, cfg) in configs.items():

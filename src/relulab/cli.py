@@ -197,15 +197,15 @@ class _Records:
 
 
 def _hitting_time_report(record, ts: int) -> dict:
-    mt = record.measured_T
     # Not hit: the true T is at least the last step the run reached, which
     # shows T >= t* only when that step is t* or later.  A run that reached
-    # no step measured nothing.
-    measured = mt if mt >= 0 else record.records[-1].t if record.records else math.nan
+    # no step measured nothing.  A violation at t <= 1 is a hit with T = -1.
+    hit = record.first_violation is not None
+    measured = record.measured_T if hit else record.records[-1].t if record.records else math.nan
     passed = measured >= ts
     return certs.CertificateReport(
         "hitting-time-at-least-tstar", float(ts), float(measured), passed, float(measured - ts),
-        inconclusive=mt < 0 and not passed, context={"sentinel_not_yet_hit": mt < 0}).as_dict()
+        inconclusive=not hit and not passed, context={"sentinel_not_yet_hit": not hit}).as_dict()
 
 
 def _early_descent_report(cert_id: str, bound: float, seen, ts: int,

@@ -206,7 +206,9 @@ def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, f, 
     if isinstance(net, BinaryNet):
         w = (f - Y) / nsub if loss.is_quadratic else loss.deriv(z) * Y / nsub
         ga = S.T @ w
-        gB = ((D * w[:, None]).T @ X) * net.a[:, None]
+        # D is this pass's own array: scale it, then gB, in place.
+        gB = np.multiply(D, w[:, None], out=D).T @ X
+        gB *= net.a[:, None]
         if trained_layers == "input_only":
             ga = np.zeros_like(ga)
         elif trained_layers != "all":
@@ -281,8 +283,8 @@ def flatten_params(net: Net) -> np.ndarray:
 
 
 def apply_gradient(net: Net, parts, eta: float) -> Net:
-    """One descent step: parameters minus eta times the structured gradient."""
-    return type(net)(*(p - eta * g for p, g in zip(net.params, parts)))
+    """One descent step p - eta * g; consumes ``parts``: eta * g is formed in g's own buffer."""
+    return type(net)(*(p - np.multiply(eta, g, out=g) for p, g in zip(net.params, parts)))
 
 
 def param_norm(net: Net) -> float:

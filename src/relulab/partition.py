@@ -15,7 +15,8 @@ verifies that positivity before relying on it.
 
 The dynamics checks are observers of a training run (``EarlyDynamics``,
 ``GlobalDynamics``): each step hands them the preactivation H of the
-training pass, so they keep two states, not the trajectory.
+training pass, which they reduce to the boolean masks agree (y_i a_k > 0)
+and alive (H > 0); they keep two states' cells, not the trajectory.
 ``check_dynamics_early`` / ``check_dynamics_global`` drive the same
 observers over a list of states.
 
@@ -67,7 +68,7 @@ class PartitionSnapshot:
         """Per-sample cell counts, shape (n, 4)."""
         n = self.table.shape[0]
         out = np.zeros((n, 4), dtype=np.int64)
-        for cell in range(4):
+        for cell in (TL, TD, FL, FD):
             out[:, cell] = np.sum(self.table == cell, axis=1)
         return out
 
@@ -82,16 +83,18 @@ class DynamicsViolation:
     lam: Optional[float] = None  # S5 only: where the sign leaves its reference, in [0, 1]
 
 
-def _table(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """Validate the net against the labels and classify every (sample, neuron)
-    pair from its preactivation H; strict > 0 for living, <= 0 for dead."""
+def _masks(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Validate the net against the labels and reduce every (sample, neuron)
+    pair to two masks: agree (y_i a_k > 0) and alive (H > 0, strict).  TL is
+    agree & alive, TD agree & ~alive, FL ~agree & alive, FD ~(agree | alive)."""
     if isinstance(net, BinaryNet):
         if ds.label_kind != "binary":
             raise TypeError("binary network requires binary labels")
         if np.any(net.a == 0.0):
             k = int(np.where(net.a == 0.0)[0][0])
             raise ValueError(f"partition undefined: output weight a_{k} is exactly 0")
-        agree = np.outer(ds.labels, net.a) > 0.0        # (n, m)
+        # Canonical labels: +1 on the first half, -1 on the second.
+        agree = np.repeat(np.stack([net.a > 0.0, net.a < 0.0]), ds.n // 2, axis=0)
         four_way = True
     else:
         if ds.label_kind != "onehot":
@@ -102,14 +105,14 @@ def _table(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, boo
             raise ValueError(f"partition undefined: y_{i}^T a_{k} is exactly 0")
         agree = ya > 0.0
         four_way = bool(np.any(~agree))
-    # TL, TD, FL, FD = 0, 1, 2, 3: twice "disagrees" plus "dead".
-    table = 2 * (~agree).view(np.uint8) + (~(H > 0.0)).view(np.uint8)
-    return table, four_way
+    return agree, H > 0.0, four_way
 
 
 def compute_partition(net: Net, ds: LabeledDataset) -> PartitionSnapshot:
     """Classify every (sample, neuron) pair; strict > 0 for living, <= 0 for dead."""
-    table, four_way = _table(net, ds, preactivation(net, ds.inputs))
+    agree, alive, four_way = _masks(net, ds, preactivation(net, ds.inputs))
+    # TL, TD, FL, FD = 0, 1, 2, 3: twice "disagrees" plus "dead".
+    table = 2 * (~agree).view(np.uint8) + (~alive).view(np.uint8)
     return PartitionSnapshot(step=0, table=table, four_way=four_way)
 
 
@@ -175,12 +178,12 @@ class _Segments:
         self.found: List[DynamicsViolation] = []
         self._ref = self._H0 = self._bad0 = None
 
-    def step(self, t: int, H: np.ndarray) -> None:
+    def step(self, t: int, H: np.ndarray, alive: np.ndarray) -> None:
         if t == 0 or self.found:
             return
         if self._ref is None:
-            self._ref = np.sign(H)
-        bad = (np.sign(H) != self._ref) | (H == 0.0)
+            self._ref = (alive, H < 0.0)
+        bad = _off_sign(self._ref, H, alive)
         H0, bad0 = self._H0, self._bad0
         if H0 is not None and (bad0.any() or bad.any()):
             i, k = np.nonzero(bad0 | bad)
@@ -196,17 +199,25 @@ class _Segments:
         self._H0, self._bad0 = H, bad
 
 
+def _off_sign(ref: Tuple[np.ndarray, np.ndarray], H: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """(sign(H) != sign(H_1)) | (H == 0), NaN included, from ref = (H_1 > 0, H_1 < 0):
+    neither positive on a positive reference nor negative on a negative one."""
+    pos, neg = ref
+    return ~((pos & alive) | (neg & (H < 0.0)))
+
+
 def _record(out: List[DynamicsViolation], rule: str, t: int, mask: np.ndarray, detail: str) -> None:
-    if np.any(mask):
+    if mask.any():
         where = np.argwhere(mask)[0]
         i, k = (int(where[0]), int(where[1])) if mask.ndim == 2 else (-1, int(where[0]))
         out.append(DynamicsViolation(rule=rule, step=t, sample=i, neuron=k, detail=detail))
 
 
 class _Dynamics:
-    """Checks partition rules on the states in ``steps``, one state at a time;
-    each state is validated as in ``compute_partition``.  Violations list
-    as persist + cells + signs + positive."""
+    """Checks partition rules on the states in ``steps`` from each state's
+    agree/alive masks (``_masks``); ``_rules`` keeps the cells the next state
+    reads, and ``prev > cell`` is prev & ~cell: the pairs that left a cell.
+    Violations list as persist + cells + signs + positive."""
 
     def __init__(self, ds: LabeledDataset, steps: range, sign_rule: str):
         self.ds, self.steps = ds, steps
@@ -218,10 +229,10 @@ class _Dynamics:
     def step(self, t: int, net: Net, H: np.ndarray, record=None) -> None:
         if t not in self.steps:
             return
-        tbl = _table(net, self.ds, H)[0]
-        self._rules(t, net, H, tbl, self._prev)
-        self.signs.step(t, H)
-        self._prev, self._net = tbl, net
+        agree, alive, _ = _masks(net, self.ds, H)
+        self._prev = self._rules(t, net, H, agree, alive, self._prev)
+        self.signs.step(t, H, alive)
+        self._net = net
         self.seen += 1
 
     def violations(self) -> List[DynamicsViolation]:
@@ -243,24 +254,27 @@ class EarlyDynamics(_Dynamics):
     def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
         super().__init__(ds, steps, "S5")
 
-    def _rules(self, t, net, H, tbl, prev) -> None:
+    def _rules(self, t, net, H, agree, alive, prev):
         is_binary = isinstance(net, BinaryNet)
+        tl, fd = agree & alive, ~(agree | alive)
         if t >= 1:
-            _record(self.persist, "S1", t - 1, (prev == TL) & (tbl != TL),
+            _record(self.persist, "S1", t - 1, prev[0] > tl,
                     "true-living cell left TL at the next step")
             if is_binary:
-                _record(self.persist, "S2", t - 1, (prev == FD) & (tbl != FD),
+                _record(self.persist, "S2", t - 1, prev[1] > fd,
                         "false-dead cell left FD at the next step")
         if t == 1:
-            _record(self.cells, "S3", 0, (prev == TD) & (tbl != TL),
+            _record(self.cells, "S3", 0, prev[2] > tl,
                     "true-dead cell did not turn true-living at the first step")
             if is_binary:
-                _record(self.cells, "S4", 0, (prev == FL) & (tbl != FD),
+                _record(self.cells, "S4", 0, prev[3] > fd,
                         "false-living cell did not turn false-dead at the first step")
             else:
                 # After the first step every preactivation must be positive;
                 # later steps are covered by the segment check.
                 _record(self.positive, "S5", 1, H <= 0.0, "nonpositive preactivation after the first step")
+        # TD and FL are read at the first step only.
+        return (tl, fd) if t else (tl, fd, agree & ~alive, alive & ~agree)
 
 
 class GlobalDynamics(_Dynamics):
@@ -274,14 +288,16 @@ class GlobalDynamics(_Dynamics):
     def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
         super().__init__(ds, steps, "StageII-S5")
 
-    def _rules(self, t, net, H, tbl, prev) -> None:
+    def _rules(self, t, net, H, agree, alive, prev):
+        tl, fd = agree & alive, ~(agree | alive)
         if t >= 2:
             _record(self.persist, "StageII-S1", t - 1, np.abs(net.a) < np.abs(self._net.a),
                     "output-weight magnitude decreased")
-            _record(self.persist, "StageII-S2", t - 1, (prev == TL) & (tbl != TL), "true-living cell left TL")
-            _record(self.persist, "StageII-S3", t - 1, (prev == FD) & (tbl != FD), "false-dead cell left FD")
+            _record(self.persist, "StageII-S2", t - 1, prev[0] > tl, "true-living cell left TL")
+            _record(self.persist, "StageII-S3", t - 1, prev[1] > fd, "false-dead cell left FD")
         if t >= 1:
-            _record(self.cells, "StageII-S4", t, (tbl != TL) & (tbl != FD), "cell outside TL/FD at step >= 1")
+            _record(self.cells, "StageII-S4", t, agree ^ alive, "cell outside TL/FD at step >= 1")
+        return tl, fd
 
 
 def _drive(observer, nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsViolation]:

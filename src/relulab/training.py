@@ -184,6 +184,7 @@ class RunRecord:
     nets: List[Net] = field(default_factory=list)      # always empty; perfbench/tracing.py reads its length
     batch_alignments: List[float] = field(default_factory=list)  # <full grad, batch grad> per step
     measured_T: int = NOT_YET_HIT
+    first_violation: Optional[int] = None   # HittingTime's; T is NOT_YET_HIT also for one at t <= 1
     status: str = "completed"          # completed | converged-exactly | aborted
 
     def digest(self) -> str:
@@ -267,14 +268,15 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
             step = grad_loss_struct(net, ds, loss, subset=idx,
                                     trained_layers=config.trained_layers)
             rec.batch_alignments.append(float(_flatten_struct(parts) @ _flatten_struct(step)))
-        if not all(np.all(np.isfinite(p)) for p in step):
+        # A finite full-batch gnorm means every entry of parts is finite.
+        if not (step is parts and math.isfinite(gnorm) or all(np.all(np.isfinite(p)) for p in step)):
             rec.status = f"aborted:non-finite-gradient-at-t={t}"
             break
         net = apply_gradient(net, step, eta_t)
 
     if last is not None:
         rec.records.append(last)
-    rec.measured_T = hitting.T
+    rec.measured_T, rec.first_violation = hitting.T, hitting.first_violation
     return rec
 
 

@@ -532,6 +532,20 @@ def test_certify_only_validates_the_dataset_once(monkeypatch):
     assert rep["context"]["mu0"] == validate(ctx["ds"]).mu0
 
 
+def test_hitting_time_fails_on_a_violation_at_t0_or_t1():
+    # kappa = 100 gives max |f| > 1 at t = 0: T = -1, the value the sentinel
+    # also takes, so the report must read the violation, not the sign of T.
+    record, ctx = run_experiment(dict(EARLY_BINARY, model={"m": 512, "kappa": 100}))
+    assert record.records[0].max_abs_pred > 1.0 and record.first_violation == 0
+    (rep,) = [c for c in evaluate_certificates(record, ctx)
+              if c["cert_id"] == "hitting-time-at-least-tstar"]
+    assert verdict(rep) == "FAIL" and rep["measured"] == -1.0 and rep["slack"] == -45.0
+    assert not rep["context"]["sentinel_not_yet_hit"]
+    at_one = RunRecord(records=record.records, measured_T=-1, first_violation=1)
+    rep = cli._hitting_time_report(at_one, 44)
+    assert verdict(rep) == "FAIL" and rep["measured"] == -1.0
+
+
 def test_hitting_time_is_inconclusive_when_the_run_stops_before_tstar():
     record, ctx = run_experiment(dict(EARLY_BINARY, train={"steps": 10}))
     (rep,) = [c for c in evaluate_certificates(record, ctx)
@@ -540,7 +554,7 @@ def test_hitting_time_is_inconclusive_when_the_run_stops_before_tstar():
     assert rep["theoretical"] == 44.0 and rep["measured"] == 10.0
     assert rep["inconclusive"] and not rep["passed"]
     # A violation before t* is measured, whenever the run stops: it fails.
-    hit = RunRecord(records=record.records, measured_T=7)
+    hit = RunRecord(records=record.records, measured_T=7, first_violation=9)
     rep = cli._hitting_time_report(hit, 44)
     assert verdict(rep) == "FAIL" and rep["measured"] == 7.0 and rep["slack"] == -37.0
 

@@ -17,6 +17,7 @@ from relulab.partition import (
     initial_partition_stats,
     partition_counts_csv,
 )
+from relulab.partition import _masks, _off_sign
 from relulab.training import Constant, Full, LossInverse, TrainConfig
 from tests.conftest import run_keeping_nets
 
@@ -84,18 +85,66 @@ def _rule_steps(violations):
     return [(v.rule, v.step) for v in violations]
 
 
+def _full(violations):
+    return [(v.rule, v.step, v.sample, v.neuron, v.lam, v.detail) for v in violations]
+
+
+_SEGMENT_1_2 = "preactivation sign changed along segment t=1->2 at lambda*=0.397536"
+
+
 def test_early_dynamics_negative_control_reports_violations():
     ds, nets = _overshooting_run()
-    assert _rule_steps(check_dynamics_early(nets, ds)) == [
-        ("S1", 1), ("S2", 1), ("S2", 2), ("S5", 1)]
+    assert _full(check_dynamics_early(nets, ds)) == [
+        ("S1", 1, 0, 0, None, "true-living cell left TL at the next step"),
+        ("S2", 1, 0, 1, None, "false-dead cell left FD at the next step"),
+        ("S2", 2, 6, 115, None, "false-dead cell left FD at the next step"),
+        ("S5", 1, 6, 931, 0.3975358896996009, _SEGMENT_1_2)]
 
 
 def test_global_dynamics_negative_control_reports_violations():
     ds, nets = _overshooting_run()
-    assert _rule_steps(check_dynamics_global(nets, ds)) == [
-        ("StageII-S2", 1), ("StageII-S3", 1), ("StageII-S1", 2), ("StageII-S3", 2),
-        ("StageII-S4", 2), ("StageII-S4", 3), ("StageII-S4", 4), ("StageII-S4", 5),
-        ("StageII-S4", 6), ("StageII-S5", 1)]
+    outside = [("StageII-S4", t, 0, 0, None, "cell outside TL/FD at step >= 1") for t in range(2, 7)]
+    assert _full(check_dynamics_global(nets, ds)) == [
+        ("StageII-S2", 1, 0, 0, None, "true-living cell left TL"),
+        ("StageII-S3", 1, 0, 1, None, "false-dead cell left FD"),
+        ("StageII-S1", 2, -1, 2, None, "output-weight magnitude decreased"),
+        ("StageII-S3", 2, 6, 115, None, "false-dead cell left FD"),
+        *outside,
+        ("StageII-S5", 1, 6, 931, 0.3975358896996009, _SEGMENT_1_2)]
+
+
+def _planted(gen, shape, values):
+    """Standard normals with about a third of the entries replaced by draws from ``values``."""
+    out = gen.standard_normal(shape)
+    where = gen.random(shape) < 1.0 / 3.0
+    out[where] = gen.choice(values, int(where.sum()))
+    return out
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=50, deadline=None)
+def test_masks_reproduce_the_outer_product_rule_and_the_sign_rule(seed):
+    """agree is np.outer(y, a) > 0 and the table is the four-way rule, with
+    +-inf and NaN output weights and exact zeros in H; the segment mask is
+    (sign(H) != sign(H_1)) | (H == 0), with zeros and NaN in both."""
+    gen = np.random.default_rng(seed)
+    n, m = 2 * int(gen.integers(1, 6)), int(gen.integers(1, 12))
+    # Inputs on the standard basis, so H[i, k] = B[k, i] exactly.
+    ds = LabeledDataset(inputs=np.eye(n), labels=np.repeat([1.0, -1.0], n // 2),
+                        label_kind="binary", source="test-masks")
+    net = BinaryNet(a=_planted(gen, m, [np.inf, -np.inf, np.nan]),
+                    B=_planted(gen, (m, n), [0.0, -0.0]))
+    H = ds.inputs @ net.B.T
+    assert np.array_equal(H, net.B.T)
+    agree, alive, four_way = _masks(net, ds, H)
+    expected = np.outer(ds.labels, net.a) > 0.0
+    assert np.array_equal(agree, expected) and np.array_equal(alive, H > 0.0) and four_way
+    table = np.where(expected, np.where(H > 0.0, TL, TD), np.where(H > 0.0, FL, FD))
+    assert np.array_equal(compute_partition(net, ds).table, table.astype(np.uint8))
+
+    H1, H2 = (_planted(gen, (n, m), [0.0, -0.0, np.nan]) for _ in range(2))
+    got = _off_sign((H1 > 0.0, H1 < 0.0), H2, H2 > 0.0)
+    assert np.array_equal(got, (np.sign(H2) != np.sign(H1)) | (H2 == 0.0))
 
 
 def test_early_dynamics_insufficient_horizon():

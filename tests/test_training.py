@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relulab.datasets import gen_orthant_separable
+from relulab.datasets import LabeledDataset, gen_orthant_separable
 from relulab.losses import loss_family
 from relulab import models, rng
 from relulab.models import (
@@ -222,6 +222,20 @@ def test_run_makes_one_full_pass_per_step_plus_one_per_batch(case, passes, monke
     run(net0, ds, loss, schedule, cfg)
     assert len(calls) == passes
     assert calls.count(ds.n) == cfg.steps + 1
+
+
+def test_an_overflowed_gradient_norm_of_a_finite_gradient_does_not_abort():
+    """Full batch, finite gradient entries whose squares overflow: grad_norm
+    is inf, the per-entry finite check still runs and passes, and the run
+    goes on.  (A non-finite entry aborts: see tests/test_cli.py.)"""
+    # H = (100, -100); f_1 = 1e153, so L is finite, ga = 5e154 and ga^2 = inf.
+    ds = LabeledDataset(inputs=np.array([[1e-20], [-1e-20]]), labels=np.array([1.0, -1.0]),
+                        label_kind="binary", source="test-overflowed-gnorm")
+    net0 = BinaryNet(a=np.array([1e151]), B=np.array([[1e22]]))
+    rec = run(net0, ds, loss_family("quadratic"), Constant(eta=1e-300),
+              TrainConfig(steps=2, batching=Full()))
+    assert rec.status == "completed" and [r.t for r in rec.records] == [0, 1, 2]
+    assert all(math.isfinite(r.loss) and r.grad_norm == math.inf for r in rec.records)
 
 
 # ---------------------------------------------------------------------------
