@@ -129,10 +129,14 @@ def gram_matrix(net: Net, ds: LabeledDataset, H: Optional[np.ndarray] = None) ->
     indexed by output channel is returned, laid out as (i*C + alpha).
     ``H`` is the full-data preactivation when the caller already holds it.
     """
-    X, _, S, D, _, _ = _activations(net, ds, H=H)
     if isinstance(net, BinaryNet):
-        M = D * net.a[None, :]
+        X = ds.inputs
+        if H is None:
+            H = preactivation(net, X)
+        S = np.maximum(H, 0.0)
+        M = np.multiply(H > 0.0, net.a[None, :])
         return S @ S.T + (M @ M.T) * (X @ X.T)
+    X, _, S, D, _, _ = _activations(net, ds, H=H)
     # Entry ((i,alpha),(j,beta)) = delta_{alpha beta} sum_k S_ik S_jk
     #   + (x_i^T x_j + 1) sum_k a_{k alpha} a_{k beta} D_ik D_jk, that is
     # kron(S S^T, I_C) + kron(X X^T + 1, 1_{CxC}) * F F^T with
@@ -159,6 +163,10 @@ class MultiGramMin:
     ``bound < m0`` are sorted and visited in order, stopping once a bound
     clears the running minimum.  This is exact: a pair holding an entry
     below m0 has ``bound <= entry < m0`` and so is among the kept pairs.
+    Only pairs with i <= j are visited: ``E Eᵀ`` and ``X Xᵀ + 1`` are
+    exactly symmetric (numpy forms ``A @ A.T`` as a symmetric rank-k
+    update), and pair (j, i) has the same bound and the same block minimum
+    as pair (i, j); the first argmin is always the i <= j twin.
     """
 
     def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
@@ -194,7 +202,7 @@ class MultiGramMin:
         k0 = int(np.argmin(bound))
         best = block_min(k0)
         kept = np.flatnonzero(bound < best)
-        kept = kept[kept != k0]
+        kept = kept[(kept // n <= kept % n) & (kept != k0)]
         for k in kept[np.argsort(bound[kept])]:
             if bound[k] >= best:
                 break

@@ -15,15 +15,21 @@ kinds of constant certificates are supported:
 ``oracles.verify_range_constants`` / ``verify_exptype_constants`` check those
 inequalities on dense grids and report the worst-case slack, so a wrongly
 declared constant fails loudly.
+
+The logistic sigmoid is ``1 / (1 + exp(-x))`` with the platform's libm
+``exp`` (``math.exp``), the formula and the ``exp`` of
+``scipy.special.expit``: the bits match, and this module needs no scipy.
+numpy's vectorised ``np.exp`` would not do, because it rounds differently
+from libm on some inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "LossFamily",
@@ -66,14 +72,32 @@ def _logistic_value(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _expit(z: np.ndarray) -> np.ndarray:
+    """sigmoid(z) = 1 / (1 + exp(-z)) on a float64 array, elementwise with libm's exp."""
+    values = (-z).ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, values), np.float64, z.size)
+    except OverflowError:
+        # exp(-z) overflows for z < -709.78; 1 / (1 + inf) gives 0, as scipy does.
+        e = np.fromiter(map(_exp_or_inf, values), np.float64, z.size)
+    return np.reciprocal(1.0 + e.reshape(z.shape))
+
+
 def _logistic_deriv(z: np.ndarray) -> np.ndarray:
     # d/dz log(1+e^-z) = -1/(1+e^z) = -sigmoid(-z)
-    return -expit(-np.asarray(z, dtype=np.float64))
+    return -_expit(-np.asarray(z, dtype=np.float64))
 
 
 def _logistic_second(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    return expit(z) * expit(-z)
+    return _expit(z) * _expit(-z)
 
 
 def _exp_value(z):

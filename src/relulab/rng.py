@@ -10,6 +10,9 @@ stream so that initialization bytes are identical everywhere.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads numpy.random on first attribute access; every command draws
+# from a generator, so load it with the package, not inside the first run.
+from numpy.random import Generator, Philox
 
 __all__ = [
     "make_generator",
@@ -22,7 +25,7 @@ __all__ = [
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Return a counter-based generator keyed by (seed, stream)."""
     key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def normal(gen: np.random.Generator, size) -> np.ndarray:

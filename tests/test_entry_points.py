@@ -15,6 +15,10 @@ So a name only tests use fails here: it belongs in ``oracles.py`` or nowhere.
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,3 +99,39 @@ def test_the_guard_sees_a_name_nothing_reaches(tmp_path):
         (tmp_path / path.name).write_text(path.read_text())
     (tmp_path / "extra.py").write_text("def only_tests_call_me():\n    return 1\n")
     assert _unreached(tmp_path) - set(PENDING) == {"extra.only_tests_call_me"}
+
+
+def test_the_cli_loads_no_scipy(tmp_path):
+    """``verify`` on the logistic loss, ``prm`` and ``report`` import no scipy module.
+
+    scipy is needed only by the Hessian eigensolver; loading it costs
+    more start-up time than a short run takes.  A fresh interpreter is
+    used because the pytest process imports scipy for the oracle tests.
+    """
+    verify = {"kind": "early-binary", "dataset": {"type": "synthetic", "n": 6, "d": 8, "seed": 1},
+              "model": {"m": 16, "kappa": "auto"}, "loss": "logistic",
+              "schedule": {"type": "constant", "eta": 0.01}, "train": {"steps": 3},
+              "delta": 0.05, "seed": 3}
+    prm = {"kind": "prm", "prm": {"d": 6, "m": 6, "M": 6, "kappa": 0.1, "eta": "auto",
+                                  "steps": 3, "seed": 0}}
+    runs = []
+    for name, config in (("verify", verify), ("prm", prm)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        runs.append([name, "--config", str(path), "--out", str(tmp_path / name)])
+    runs.append(["report", "--out", str(tmp_path / "verify")])
+    code = (
+        "import json, sys\n"
+        "from relulab import cli\n"
+        f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes[0] in (0, 1) and codes[1:] == [0, 0], proc.stdout
+    assert (tmp_path / "verify" / "certificates.json").exists()
+    assert scipy_modules == []

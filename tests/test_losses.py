@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relulab.losses import LOSS_KEYS, loss_family
+from relulab.losses import LOSS_KEYS, _expit, loss_family
 from relulab.oracles import verify_exptype_constants, verify_range_constants
 
 _E = math.e
@@ -73,3 +73,39 @@ def test_hinge_derivative_convention():
     z = np.array([-2.0, 0.0, 0.5, 1.0, 3.0])
     assert np.array_equal(fam.deriv(z), np.array([-1.0, -1.0, -1.0, 0.0, 0.0]))
     assert np.array_equal(fam.value(z), np.array([3.0, 1.0, 0.5, 0.0, 0.0]))
+
+
+def _expit_grid():
+    """Edge values first, then a random grid across scales."""
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 5e-324, -5e-324]
+    edge = np.linspace(709.78, 709.9, 241)
+    scales = (1e-300, 1e-8, 1e-3, 1.0, 10.0, 40.0, 100.0, 750.0)
+    return np.concatenate([special, edge, -edge]
+                          + [rng.standard_normal(20_000) * s for s in scales])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.int64), b.view(np.int64))
+
+
+def test_expit_matches_scipy_bit_for_bit():
+    expit = pytest.importorskip("scipy.special").expit
+    z = _expit_grid()
+    assert _same_bits(_expit(z), expit(z))
+
+
+@pytest.mark.parametrize("ndim", [0, 1, 2])
+def test_logistic_derivatives_match_scipy_bit_for_bit(ndim):
+    expit = pytest.importorskip("scipy.special").expit
+    fam = loss_family("logistic")
+    grid = _expit_grid()
+    if ndim == 0:
+        inputs = [np.array(v) for v in grid[:1000]]
+    else:
+        inputs = [grid if ndim == 1 else grid[:grid.size // 7 * 7].reshape(-1, 7)]
+    for z in inputs:
+        assert _same_bits(fam.deriv(z), -expit(-z))
+        assert _same_bits(fam.second_deriv(z), expit(z) * expit(-z))
