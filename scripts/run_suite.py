@@ -93,13 +93,11 @@ def main() -> int:
 
     experiments = {
         "early-binary": EARLY_BINARY,
-        "early-multiclass-synthetic": None,  # placeholder keeps ordering
         "global-exp": GLOBAL_EXP,
         "global-poly": GLOBAL_POLY,
         "certify-only": CERTIFY_ONLY,
         "prm": PRM,
     }
-    del experiments["early-multiclass-synthetic"]
     if args.data_dir:
         experiments["early-multiclass"] = early_multiclass_config(Path(args.data_dir))
 

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .datasets import LabeledDataset
+from .datasets import LabeledDataset, concentration_tail
 from .losses import LossFamily
 from .models import (BinaryNet, MultiNet, Net, _activations, hessian_spectral_norm, param_norm,
                      preactivation)
@@ -237,7 +237,7 @@ def check_gram_lower_bound(G: np.ndarray, ds: LabeledDataset,
     """Binary same-class entries: G_ij >= (999/1000) x_i^T x_j ((pi - arccos)/pi - sqrt(8 log(n^2/delta)/m))."""
     x, y = ds.inputs, ds.labels
     gram = np.clip(x @ x.T, -1.0, 1.0)
-    tail = math.sqrt(8.0 * math.log(consts.n ** 2 / consts.delta) / consts.m)
+    tail = concentration_tail(consts.n, consts.m, consts.delta)
     bound = 0.999 * gram * ((np.pi - np.arccos(gram)) / np.pi - tail)
     same = np.outer(y, y) > 0
     slack = (G - bound)[same]
@@ -283,7 +283,7 @@ def gradient_lower_bound_early(t: int, consts: TheoryConstants) -> float:
     """Early-stage squared-gradient lower bound
     (999/1000)(1 - varphi(t))^2 (gamma1 - gamma2 sqrt(8 log(n^2/delta)/m))."""
     v = varphi(t, consts.eta, consts.n, consts.m, consts.delta)
-    tail = math.sqrt(8.0 * math.log(consts.n ** 2 / consts.delta) / consts.m)
+    tail = concentration_tail(consts.n, consts.m, consts.delta)
     return 0.999 * (1.0 - v) ** 2 * (consts.gamma1 - consts.gamma2 * tail)
 
 
@@ -336,7 +336,7 @@ def check_hessian_bound(net: Net, ds: LabeledDataset, loss: LossFamily,
 
 def descent_bound_binary(consts: TheoryConstants) -> float:
     """Early total descent bound 0.193(gamma1 - gamma2 sqrt(8 log(n^2/delta)/m)) - 0.0111."""
-    tail = math.sqrt(8.0 * math.log(consts.n ** 2 / consts.delta) / consts.m)
+    tail = concentration_tail(consts.n, consts.m, consts.delta)
     return 0.193 * (consts.gamma1 - consts.gamma2 * tail) - 0.0111
 
 

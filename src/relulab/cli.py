@@ -510,6 +510,7 @@ def _emit_run(outdir: Path, config: dict, certify: bool):
     """
     record, ctx = run_experiment(config, certify=certify)
     cert_dicts = evaluate_certificates(record, ctx) if certify else None
+    steps_text = steps_csv(record)
     summary = {
         "kind": ctx["kind"],
         "status": record.status,
@@ -521,13 +522,13 @@ def _emit_run(outdir: Path, config: dict, certify: bool):
         "measured_T": record.measured_T,
         "dataset_digest": ctx["ds"].digest(),
         "net0_digest": digest(ctx["net0"]),
-        "run_digest": record.digest(),
+        "run_digest": hashlib.sha256(steps_text.encode()).hexdigest(),
     }
     if record.records:
         first, last = record.records[0], record.records[-1]
         summary.update(initial_loss=first.loss, final_loss=last.loss,
                        descent=first.loss - last.loss, steps=last.t)
-    _write_run_dir(outdir, config, steps_csv(record), summary, cert_dicts)
+    _write_run_dir(outdir, config, steps_text, summary, cert_dicts)
     cert_dicts = cert_dicts or []
     ok = (record.status in ("completed", "converged-exactly")
           and all(certs.holds(c) for c in cert_dicts))

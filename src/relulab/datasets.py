@@ -29,6 +29,7 @@ __all__ = [
     "load_mnist",
     "load_cifar10",
     "compute_gamma_constants",
+    "concentration_tail",
     "compute_V",
     "export_dataset_csv",
     "write_idx_images",
@@ -362,6 +363,11 @@ def compute_gamma_constants(ds: LabeledDataset) -> Tuple[float, float]:
     return g1, g2
 
 
+def concentration_tail(n: int, m: int, delta: float) -> float:
+    """The width-m concentration term sqrt(8 log(n^2/delta)/m)."""
+    return math.sqrt(8.0 * math.log(n ** 2 / delta) / m)
+
+
 def compute_V(ds: LabeledDataset, m: int, delta: float) -> DataConstants:
     """Convergence-rate constant V for width m and failure probability delta.
 
@@ -383,7 +389,7 @@ def compute_V(ds: LabeledDataset, m: int, delta: float) -> DataConstants:
     lam_p = float(np.linalg.eigvalsh(x[:half] @ x[:half].T).min())
     lam_m = float(np.linalg.eigvalsh(x[half:] @ x[half:].T).min())
     spread = 2.0 / n + ((n - 2.0) / n) * gamma
-    bracket = 0.5 - math.sqrt(8.0 * math.log(n * n / delta) / m)
+    bracket = 0.5 - concentration_tail(n, m, delta)
     V = (bracket / 16.0) * max(spread, min(lam_p, lam_m))
     return DataConstants(V=V, vacuous=bracket <= 0.0)
 

@@ -1,9 +1,10 @@
 """Loss families with certified derivative constants.
 
-Each family evaluates a scalar loss ``ltilde(z)`` of the label/prediction
-inner product z (the quadratic loss is handled separately by the training
-engine because it is a function of the residual, not of the margin).  Two
-kinds of constant certificates are supported:
+Each family is a margin loss ``ltilde(z)`` of the label/prediction inner
+product z.  The quadratic ltilde(z) = (1 - z)^2 / 2 is the squared error
+(f - y)^2 / 2 for labels y = +-1 (y^2 = 1), but not for one-hot labels, so
+the multi-output network refuses it.  Two kinds of constant certificates
+are supported:
 
 * margin-range constants (z0, g_min, g_max, h_max): on [0, z0] the negated
   first derivative lies in [g_min, g_max] and the second derivative in
@@ -59,9 +60,18 @@ class LossFamily:
     g_b: Optional[float] = None
     h: Optional[float] = None
 
-    @property
-    def is_quadratic(self) -> bool:
-        return self.kind == "quadratic"
+
+def _quadratic_value(z):
+    r = 1.0 - np.asarray(z, dtype=np.float64)
+    return 0.5 * r * r
+
+
+def _quadratic_deriv(z):
+    return np.asarray(z, dtype=np.float64) - 1.0
+
+
+def _one(z):
+    return np.ones_like(np.asarray(z, dtype=np.float64))
 
 
 def _logistic_value(z: np.ndarray) -> np.ndarray:
@@ -123,16 +133,12 @@ def _zero(z):
     return np.zeros_like(np.asarray(z, dtype=np.float64))
 
 
-def _quad_unused(z):
-    raise TypeError("quadratic loss is residual-based; margin evaluators are undefined")
-
-
 _E = float(np.e)
 
 _FAMILIES = {
     "quadratic": LossFamily(
         name="quadratic", kind="quadratic",
-        value=_quad_unused, deriv=_quad_unused, second_deriv=_quad_unused,
+        value=_quadratic_value, deriv=_quadratic_deriv, second_deriv=_one,
     ),
     "exp": LossFamily(
         name="exp", kind="exptype",

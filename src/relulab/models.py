@@ -190,21 +190,24 @@ def _activations(net: Net, ds: LabeledDataset, subset: Optional[np.ndarray] = No
     return X, Y, S, D, f, np.sum(Y * f, axis=1)
 
 
-def _risk(net: Net, loss: LossFamily, Y, f, z) -> float:
-    if loss.is_quadratic:
-        if not isinstance(net, BinaryNet):
-            raise TypeError("quadratic loss is implemented for the binary network")
-        r = f - Y
-        return float(np.mean(0.5 * r * r))
+def _refuse_multi_quadratic(net: Net, loss: LossFamily) -> None:
+    """With one-hot labels (1 - y^T f)^2 / 2 is not the squared error."""
+    if isinstance(net, MultiNet) and loss.kind == "quadratic":
+        raise TypeError("quadratic loss is implemented for the binary network")
+
+
+def _risk(net: Net, loss: LossFamily, z) -> float:
+    _refuse_multi_quadratic(net, loss)
     return float(np.mean(loss.value(z)))
 
 
-def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, f, z):
+def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, z):
+    _refuse_multi_quadratic(net, loss)
     nsub = X.shape[0]
     if nsub == 0:
         raise ValueError("empty sample subset")
     if isinstance(net, BinaryNet):
-        w = (f - Y) / nsub if loss.is_quadratic else loss.deriv(z) * Y / nsub
+        w = loss.deriv(z) * Y / nsub
         ga = S.T @ w
         # D is this pass's own array: scale it, then gB, in place.
         gB = np.multiply(D, w[:, None], out=D).T @ X
@@ -215,8 +218,6 @@ def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, f, 
             raise ValueError(f"unknown trained_layers {trained_layers!r}")
         return ga, gB
 
-    if loss.is_quadratic:
-        raise TypeError("quadratic loss is implemented for the binary network")
     if trained_layers != "all":
         raise ValueError("input-only training is defined for the binary network")
     w = loss.deriv(z) / nsub
@@ -231,8 +232,8 @@ def evaluate(net: Net, ds: LabeledDataset, loss: LossFamily, trained_layers: str
     ``grad_loss_struct``.  H is the preactivation the pass was built on."""
     H = preactivation(net, ds.inputs)
     X, Y, S, D, f, z = _activations(net, ds, H=H)
-    return (_risk(net, loss, Y, f, z), z, f,
-            _grad_parts(net, loss, trained_layers, X, Y, S, D, f, z), H)
+    return (_risk(net, loss, z), z, f,
+            _grad_parts(net, loss, trained_layers, X, Y, S, D, z), H)
 
 
 def forward(net: Net, x: np.ndarray) -> np.ndarray:
@@ -254,8 +255,7 @@ def per_sample_margins(net: Net, ds: LabeledDataset) -> np.ndarray:
 
 def loss_value(net: Net, ds: LabeledDataset, loss: LossFamily) -> float:
     """Empirical risk over the full data."""
-    _, Y, _, _, f, z = _activations(net, ds)
-    return _risk(net, loss, Y, f, z)
+    return _risk(net, loss, _activations(net, ds)[5])
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,8 @@ def grad_loss_struct(net: Net, ds: LabeledDataset, loss: LossFamily,
     ``trained_layers='input_only'`` the output-layer gradient is masked to
     zero (only meaningful for BinaryNet).
     """
-    return _grad_parts(net, loss, trained_layers, *_activations(net, ds, subset))
+    X, Y, S, D, _, z = _activations(net, ds, subset)
+    return _grad_parts(net, loss, trained_layers, X, Y, S, D, z)
 
 
 def _flatten_struct(parts) -> np.ndarray:
@@ -296,25 +297,15 @@ def param_norm(net: Net) -> float:
 # Hessians
 # ---------------------------------------------------------------------------
 
-def _margin_weights(net: Net, loss: LossFamily, Y, f, z):
-    """Return (w2, w1, sfac): per-sample second/first derivative weights and
-    the factor mapping model-output gradients to margin gradients."""
-    if isinstance(net, MultiNet):
-        return loss.second_deriv(z), loss.deriv(z), None
-    if loss.is_quadratic:
-        return np.ones_like(f), f - Y, np.ones_like(f)
-    return loss.second_deriv(z), loss.deriv(z), Y
-
-
 def _hessian_matvec(net: Net, ds: LabeledDataset, loss: LossFamily):
     """Exact Hessian-vector product closure (all layers) and the parameter count."""
-    X, Y, S, D, f, z = _activations(net, ds)
-    w2, w1, sfac = _margin_weights(net, loss, Y, f, z)
+    _refuse_multi_quadratic(net, loss)
+    X, Y, S, D, _, z = _activations(net, ds)
     n, m, d = ds.n, net.m, net.d
+    c2 = loss.second_deriv(z) / n
 
     if isinstance(net, BinaryNet):
-        c2 = (w2 * sfac * sfac) / n
-        c1 = (w1 * sfac) / n
+        c1 = loss.deriv(z) * Y / n
         a = net.a
 
         def matvec(v: np.ndarray) -> np.ndarray:
@@ -330,8 +321,7 @@ def _hessian_matvec(net: Net, ds: LabeledDataset, loss: LossFamily):
         return matvec, m + m * d
 
     C = net.C
-    c2 = w2 / n
-    c1 = w1 / n
+    c1 = loss.deriv(z) / n
     U = Y @ net.A.T
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -367,12 +357,12 @@ def hessian_spectral_norm(net: Net, ds: LabeledDataset, loss: LossFamily,
         # H = (1/n) sum_i w2_i g_i g_i^T with g_i the input-layer margin
         # gradient; its nonzero spectrum equals that of the n x n matrix
         # K_ij = sqrt(w2_i w2_j)/n * g_i^T g_j (w2 >= 0 for all families).
-        X, Y, _, D, f, z = _activations(net, ds)
-        w2, _, sfac = _margin_weights(net, loss, Y, f, z)
+        X, Y, _, D, _, z = _activations(net, ds)
+        w2 = loss.second_deriv(z)
         if np.any(w2 < 0):
             raise ValueError("input-only fast path requires nonnegative curvature weights")
         E = D * net.a[None, :]
-        G = (E @ E.T) * (X @ X.T) * np.outer(sfac, sfac)
+        G = (E @ E.T) * (X @ X.T) * np.outer(Y, Y)
         r = np.sqrt(w2 / ds.n)
         K = G * np.outer(r, r)
         return float(np.max(np.abs(np.linalg.eigvalsh(K))))

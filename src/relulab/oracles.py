@@ -179,7 +179,7 @@ def verify_range_constants(family: LossFamily, grid_points: int = 1001,
     Constants default to the family's declared values; overrides allow
     probing wrong declarations.
     """
-    if family.is_quadratic:
+    if family.kind == "quadratic":
         raise TypeError("quadratic loss has no margin-range constants")
     z0 = family.z0 if z0 is None else z0
     g_min = family.g_min if g_min is None else g_min

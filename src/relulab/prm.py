@@ -172,9 +172,7 @@ def population_grad(W: np.ndarray, config: TeacherStudentConfig) -> np.ndarray:
     """
     teacher = _teacher(config)
     nv, Vbar = teacher.nv, teacher.Vbar
-    nw = np.linalg.norm(W, axis=1)
-    if np.any(nw == 0.0):
-        raise ValueError("gradient undefined: zero student row")
+    nw = _row_norms(W)
     Wbar = W / nw[:, None]
 
     cos_ww = np.clip((Wbar @ Wbar.T), -1.0, 1.0)

@@ -24,7 +24,6 @@ records kept for ``steps.csv``; the last step reached is always kept.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 from dataclasses import dataclass, field
@@ -186,9 +185,6 @@ class RunRecord:
     measured_T: int = NOT_YET_HIT
     first_violation: Optional[int] = None   # HittingTime's; T is NOT_YET_HIT also for one at t <= 1
     status: str = "completed"          # completed | converged-exactly | aborted
-
-    def digest(self) -> str:
-        return hashlib.sha256(steps_csv(self).encode()).hexdigest()
 
 
 class HittingTime:

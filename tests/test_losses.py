@@ -55,7 +55,7 @@ def test_logistic_value_is_stable_for_large_arguments():
     assert v[4] == pytest.approx(0.0, abs=1e-300)
 
 
-@given(st.sampled_from(["exp", "logistic"]),
+@given(st.sampled_from(["quadratic", "exp", "logistic"]),
        st.floats(-30.0, 30.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_derivatives_match_finite_differences(key, z):
@@ -109,3 +109,34 @@ def test_logistic_derivatives_match_scipy_bit_for_bit(ndim):
     for z in inputs:
         assert _same_bits(fam.deriv(z), -expit(-z))
         assert _same_bits(fam.second_deriv(z), expit(z) * expit(-z))
+
+
+def _residual_grid():
+    """Signed zeros, subnormals, outputs whose squares overflow, non-finite
+    values, the zero residuals f = +-1, then random outputs."""
+    rng = np.random.default_rng(1)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e154, -1e154,
+               1e200, -1e200, np.inf, -np.inf, np.nan, 1.0, -1.0]
+    return np.concatenate([special, rng.standard_normal(20_000),
+                           rng.standard_normal(1000) * 1e154])
+
+
+@pytest.mark.parametrize("y", [1.0, -1.0])
+def test_quadratic_margin_loss_is_the_squared_error_bit_for_bit(y):
+    """(1 - yf)^2 / 2 and l'(yf) y against (f - y)^2 / 2 and f - y.
+
+    Negation and products with +-1 are exact, so the bits agree; the one
+    exception is the sign of an exactly zero residual at y = -1, where
+    l'(1) * -1 is -0 and f - y is +0."""
+    fam = loss_family("quadratic")
+    f = _residual_grid()
+    Y = np.full_like(f, y)
+    z = Y * f
+    r = f - Y
+    with np.errstate(over="ignore"):     # squares past 1.8e308 overflow to inf
+        assert _same_bits(fam.value(z), 0.5 * r * r)
+    w = fam.deriv(z) * Y
+    zero = r == 0.0
+    assert np.count_nonzero(zero) == 1
+    assert _same_bits(w[~zero], r[~zero]) and np.all(w[zero] == 0.0)
+    assert np.array_equal(fam.second_deriv(z), np.ones_like(f))

@@ -14,6 +14,7 @@ from relulab.models import (
     flatten_params,
     forward,
     digest,
+    evaluate,
     grad_loss_struct,
     hessian_spectral_norm,
     init_binary,
@@ -126,10 +127,12 @@ def test_input_only_gradient_masks_output_layer(small_binary_ds):
 
 
 def test_quadratic_loss_requires_binary_labels(small_onehot_ds):
-    net = init_multi(4, small_onehot_ds.d, small_onehot_ds.num_classes,
-                     InitSpec(kappa=0.1, seed=0))
-    with pytest.raises(TypeError):
-        loss_value(net, small_onehot_ds, loss_family("quadratic"))
+    ds = small_onehot_ds
+    net = init_multi(4, ds.d, ds.num_classes, InitSpec(kappa=0.1, seed=0))
+    lf = loss_family("quadratic")
+    for call in (loss_value, grad_loss_struct, evaluate, hessian_spectral_norm):
+        with pytest.raises(TypeError, match="quadratic loss is implemented for the binary network"):
+            call(net, ds, lf)
 
 
 # ---------------------------------------------------------------------------
