@@ -31,8 +31,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, concentration_tail
 from .losses import LossFamily
-from .models import (BinaryNet, MultiNet, Net, _activations, hessian_spectral_norm, param_norm,
-                     preactivation)
+from .models import BinaryNet, MultiNet, Net, hessian_spectral_norm, param_norm, preactivation
 from .training import EVERY_STEP
 
 __all__ = [
@@ -129,14 +128,14 @@ def gram_matrix(net: Net, ds: LabeledDataset, H: Optional[np.ndarray] = None) ->
     indexed by output channel is returned, laid out as (i*C + alpha).
     ``H`` is the full-data preactivation when the caller already holds it.
     """
+    X = ds.inputs
+    if H is None:
+        H = preactivation(net, X)
+    S = np.maximum(H, 0.0)
     if isinstance(net, BinaryNet):
-        X = ds.inputs
-        if H is None:
-            H = preactivation(net, X)
-        S = np.maximum(H, 0.0)
         M = np.multiply(H > 0.0, net.a[None, :])
         return S @ S.T + (M @ M.T) * (X @ X.T)
-    X, _, S, D, _, _ = _activations(net, ds, H=H)
+    D = H > 0.0
     # Entry ((i,alpha),(j,beta)) = delta_{alpha beta} sum_k S_ik S_jk
     #   + (x_i^T x_j + 1) sum_k a_{k alpha} a_{k beta} D_ik D_jk, that is
     # kron(S S^T, I_C) + kron(X X^T + 1, 1_{CxC}) * F F^T with
@@ -153,31 +152,64 @@ class MultiGramMin:
     """Exact minimum entry of the (Cn) x (Cn) model-gradient Gram matrix at
     each step in ``steps``, appended to ``minima``.
 
-    ``X Xᵀ + 1`` depends on the data only and is formed once per observer.
-    For each net a conservative per-pair lower bound
-    ``bound_ij = (E Eᵀ)_ij (x_iᵀx_j + 1)`` with ``E_ik = D_ik min_alpha a_{k alpha}``
-    is computed; it lies below every entry of the pair's C x C block when the
-    output weights and ``X Xᵀ + 1`` are nonnegative (otherwise the dense Gram
-    matrix is used).  The search then selects rather than sorts: the pair of
-    least bound gives an exact block minimum m0, and only pairs with
-    ``bound < m0`` are sorted and visited in order, stopping once a bound
-    clears the running minimum.  This is exact: a pair holding an entry
-    below m0 has ``bound <= entry < m0`` and so is among the kept pairs.
-    Only pairs with i <= j are visited: ``E Eᵀ`` and ``X Xᵀ + 1`` are
-    exactly symmetric (numpy forms ``A @ A.T`` as a symmetric rank-k
-    update), and pair (j, i) has the same bound and the same block minimum
-    as pair (i, j); the first argmin is always the i <= j twin.
+    Entry ((i,alpha),(j,beta)) is ``(x_iᵀx_j + 1) sum_k a_{k alpha} a_{k beta}
+    D_ik D_jk`` plus ``S_i·S_j`` when alpha = beta.  When the output weights
+    and ``X Xᵀ + 1`` are nonnegative (otherwise the dense Gram matrix is
+    used), every entry of the pair's C x C block is at least the pair bound
+    ``bound_ij = (E Eᵀ)_ij (x_iᵀx_j + 1)`` with ``E_ik = D_ik min_alpha a_{k alpha}``.
+
+    The n x n x m product ``E Eᵀ`` is formed only on the rows that can hold
+    the minimum.  With ``w_k = (min_alpha a_{k alpha})²``, the cover
+    ``cover_i = sum_k w_k D_ik`` of sample i's active neurons and
+    ``W = sum_k w_k``, Bonferroni gives ``(E Eᵀ)_ij >= cover_i + cover_j - W``,
+    so every pair bound in row i (j >= i) is at least the row floor
+
+        rho_i = mu_i max(cover_i + min_j cover_j - W, 0),
+
+    where ``mu_i = min_{j>=i} (x_iᵀx_j + 1)`` depends on the data only and is
+    formed once per observer.  ``rho`` is rounded down, by ``4 (m+2) eps W``
+    inside the max and a factor ``1 - (m+2) eps``, so that it stays below the
+    computed bounds whatever the rounding of the sums.  The search:
+
+    1. the pair of least bound in the row of least floor gives an exact
+       block minimum, ``best``;
+    2. only the rows with ``rho_i < best`` are kept;
+    3. the pair bound is formed on the kept rows only, and the block
+       minimum of their pair of least bound lowers ``best``;
+    4. their pairs with ``bound < best`` are visited in ascending bound
+       order, stopping once a bound clears the running minimum.
+
+    This is exact: a pair holding an entry below ``best`` has
+    ``rho_i <= bound <= entry < best``, so its row is kept and the pair is
+    visited.  Only pairs with i <= j are visited: ``X Xᵀ + 1`` is exactly
+    symmetric (numpy forms ``X @ X.T`` as a symmetric rank-k update), and
+    pair (j, i) has the same block as pair (i, j).  With dense activation
+    patterns the floor is tight and one row is usually kept; with sparse
+    ones it is 0 and every row is scanned.
     """
 
     def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
         self.ds, self.steps = ds, steps
         self.XX1 = ds.inputs @ ds.inputs.T + 1.0
         self.dense_only = bool(np.any(self.XX1 < 0.0))
+        below_diagonal = np.tri(ds.n, k=-1, dtype=bool)
+        self.row_xx1_min = np.where(below_diagonal, np.inf, self.XX1).min(axis=1, initial=np.inf)
         self.minima: List[float] = []
 
     def step(self, t: int, net: MultiNet, H: np.ndarray, record=None) -> None:
         if t in self.steps:
             self.minima.append(self._min_entry(net, H))
+
+    def _pair_bound(self, E: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``bound_ij`` on ``rows`` x every column; all n rows use ``E @ E.T``,
+        which numpy forms as a symmetric rank-k update."""
+        if rows.size == self.ds.n:
+            bound = E @ E.T
+            bound *= self.XX1
+            return bound
+        bound = E[rows] @ E.T
+        bound *= self.XX1[rows]
+        return bound
 
     def _min_entry(self, net: MultiNet, H: np.ndarray) -> float:
         ds, n, XX1 = self.ds, self.ds.n, self.XX1
@@ -185,28 +217,37 @@ class MultiGramMin:
         if self.dense_only or np.any(amin < 0.0):
             # Conservative shortcut invalid; fall back to the dense form.
             return float(gram_matrix(net, ds, H).min())
-        _, _, S, D, _, _ = _activations(net, ds, H=H)
+        S = np.maximum(H, 0.0)
+        D = H > 0.0
         A, eye = net.A, np.eye(net.C)
 
-        def block_min(k: int) -> float:
-            i, j = divmod(int(k), n)
+        def block_min(i: int, j: int) -> float:
             block = (A.T * (D[i] * D[j])[None, :]) @ A * XX1[i, j] + eye * (S[i] @ S[j])
             return float(block.min())
 
         E = D * amin[None, :]
-        # Off-diagonal-channel entries have no S-term, so the safe per-pair
-        # lower bound ignores it: bound_ij <= min_{alpha,beta} block_{alpha beta}.
-        bound = E @ E.T
-        bound *= XX1
-        bound = bound.ravel()
+        cover, W = E @ amin, float(amin @ amin)
+        rel = (net.m + 2) * np.finfo(np.float64).eps
+        rho = self.row_xx1_min * np.maximum(cover + (cover.min() - W - 4.0 * rel * W), 0.0)
+        rho *= 1.0 - rel
+        i0 = int(np.argmin(rho))
+        row = self._pair_bound(E, np.array([i0]))[0]
+        best = block_min(i0, int(np.argmin(row)))
+        # A row is dropped only once its floor is known to clear best.
+        rows = np.flatnonzero(~(rho >= best))
+        if rows.size == 0:
+            return best
+        bound = self._pair_bound(E, rows).ravel()
         k0 = int(np.argmin(bound))
-        best = block_min(k0)
+        best = min(best, block_min(rows[k0 // n], k0 % n))
         kept = np.flatnonzero(bound < best)
-        kept = kept[(kept // n <= kept % n) & (kept != k0)]
-        for k in kept[np.argsort(bound[kept])]:
-            if bound[k] >= best:
+        i, j = rows[kept // n], kept % n
+        visit = (i <= j) & (kept != k0)
+        kept, i, j = kept[visit], i[visit], j[visit]
+        for k in np.argsort(bound[kept]):
+            if bound[kept[k]] >= best:
                 break
-            best = min(best, block_min(k))
+            best = min(best, block_min(i[k], j[k]))
         return best
 
 

@@ -18,10 +18,11 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import rng
+from .certificates import gram_matrix
 from .datasets import LabeledDataset
 from .losses import LossFamily
-from .models import (BinaryNet, MultiNet, Net, _flatten_struct, _hessian_matvec, grad_loss_struct,
-                     loss_value)
+from .models import (BinaryNet, MultiNet, Net, _activations, _flatten_struct, _hessian_matvec,
+                     grad_loss_struct, loss_value)
 from .prm import TeacherStudentConfig, teacher_matrix
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "unflatten_like",
     "loss_of_flat",
     "min_preactivation_gap",
+    "multi_gram_min_full_bound",
     "grad_loss",
     "hessian_loss",
     "phi",
@@ -123,6 +125,49 @@ def min_preactivation_gap(net: Net, ds: LabeledDataset) -> float:
     if isinstance(net, MultiNet):
         H = H + net.c[None, :]
     return float(np.min(np.abs(H)))
+
+
+# ---------------------------------------------------------------------------
+# Multi-class Gram minimum
+# ---------------------------------------------------------------------------
+
+def multi_gram_min_full_bound(net: MultiNet, ds: LabeledDataset) -> float:
+    """Minimum entry of the multi-class Gram matrix by a search over the full
+    n x n pair bound.
+
+    ``bound_ij = (E Eᵀ)_ij (x_iᵀx_j + 1)`` with ``E_ik = D_ik min_alpha a_{k alpha}``
+    lies below every entry of the pair's C x C block when the output weights
+    and ``X Xᵀ + 1`` are nonnegative (otherwise the dense Gram matrix is
+    used).  The pair of least bound gives an exact block minimum m0; the
+    pairs (i <= j) with ``bound < m0`` are then visited in ascending bound
+    order, stopping once a bound clears the running minimum.  The reference
+    for ``certificates.MultiGramMin``, which forms the bound on fewer rows.
+    """
+    X, _, S, D, _, _ = _activations(net, ds)
+    n, A, eye = ds.n, net.A, np.eye(net.C)
+    XX1 = X @ X.T + 1.0
+    amin = A.min(axis=1)
+    if np.any(XX1 < 0.0) or np.any(amin < 0.0):
+        return float(gram_matrix(net, ds).min())
+
+    def block_min(k: int) -> float:
+        i, j = divmod(int(k), n)
+        block = (A.T * (D[i] * D[j])[None, :]) @ A * XX1[i, j] + eye * (S[i] @ S[j])
+        return float(block.min())
+
+    E = D * amin[None, :]
+    bound = E @ E.T
+    bound *= XX1
+    bound = bound.ravel()
+    k0 = int(np.argmin(bound))
+    best = block_min(k0)
+    kept = np.flatnonzero(bound < best)
+    kept = kept[(kept // n <= kept % n) & (kept != k0)]
+    for k in kept[np.argsort(bound[kept])]:
+        if bound[k] >= best:
+            break
+        best = min(best, block_min(k))
+    return best
 
 
 # ---------------------------------------------------------------------------

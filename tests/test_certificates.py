@@ -6,7 +6,8 @@ import pytest
 from relulab.datasets import compute_gamma_constants, compute_V, gen_orthant_separable
 from relulab.losses import loss_family
 from relulab.models import InitSpec, MultiNet, init_binary, init_multi
-from relulab.oracles import descent_series_brute_force, descent_series_closed_form, grad_loss, phi
+from relulab.oracles import (descent_series_brute_force, descent_series_closed_form, grad_loss,
+                             multi_gram_min_full_bound, phi)
 from relulab.training import Constant, Full, TrainConfig, run
 from relulab import certificates as C
 from tests.conftest import make_onehot_dataset, run_keeping_nets
@@ -185,8 +186,52 @@ def test_multi_gram_min_entry_selection_matches_dense(monkeypatch):
     for seed in range(24):
         ds, net = _random_onehot_problem(seed, weight_spread=0.0 if seed % 2 else 2.0)
         expected = float(gram(net, ds).min())
-        assert C.multi_gram_min_entry([net], ds)[0] == pytest.approx(expected, rel=1e-12), seed
+        got = C.multi_gram_min_entry([net], ds)[0]
+        assert got == pytest.approx(expected, rel=1e-12), seed
+        assert got == multi_gram_min_full_bound(net, ds), seed
     assert dense_calls == []
+
+
+def _dense_onehot_problem(seed, n, perturb, dead=0.0, b_scale=0.1):
+    """Nonneg unit inputs, input weights of size ``b_scale`` and biases of 1:
+    at 0.1 every (sample, neuron) pair is active, at 1.0 about 80 %.  A
+    ``dead`` share of the neurons gets a bias of -1 and is never active.  The
+    output weights are constant times ``1 + perturb * U[0, 1)``: at
+    ``perturb = 0`` the pair bound equals the off-diagonal block entries in
+    exact arithmetic."""
+    gen = np.random.default_rng([seed, 13])
+    d, nc, m = 6, 3, 40
+    ds = make_onehot_dataset(n=n, d=d, num_classes=nc, seed=seed)
+    c = np.ones(m)
+    c[:int(dead * m)] = -1.0
+    A = np.full((m, nc), 1.0 / np.sqrt(m)) * (1.0 + perturb * gen.random((m, nc)))
+    return ds, MultiNet(A=A, B=b_scale * gen.standard_normal((m, d)), c=c)
+
+
+@pytest.mark.parametrize("dead", [0.0, 0.1])
+@pytest.mark.parametrize("perturb", [0.0, 1e-12, 1e-6, 1e-2])
+def test_multi_gram_min_entry_equals_full_bound_search_on_dense_patterns(perturb, dead):
+    for seed in range(4):
+        for b_scale in (0.1, 1.0):
+            ds, net = _dense_onehot_problem(seed, 60, perturb, dead, b_scale)
+            expected = multi_gram_min_full_bound(net, ds)
+            assert C.multi_gram_min_entry([net], ds)[0] == expected, (seed, b_scale)
+
+
+def test_multi_gram_min_row_filter_prunes_dense_and_scans_sparse(monkeypatch):
+    bounded_rows = []
+    pair_bound = C.MultiGramMin._pair_bound
+    monkeypatch.setattr(C.MultiGramMin, "_pair_bound",
+                        lambda self, E, rows: bounded_rows.append(rows.size) or pair_bound(self, E, rows))
+    ds, net = _dense_onehot_problem(0, 240, 1e-2, dead=0.1)
+    assert C.multi_gram_min_entry([net], ds)[0] == multi_gram_min_full_bound(net, ds)
+    assert sum(bounded_rows) < ds.n
+    bounded_rows.clear()
+    ds = make_onehot_dataset(n=240, d=6, num_classes=3, seed=1)
+    gen = np.random.default_rng(1)
+    net = MultiNet(A=gen.random((40, 3)), B=gen.standard_normal((40, 6)), c=np.zeros(40))
+    assert C.multi_gram_min_entry([net], ds)[0] == multi_gram_min_full_bound(net, ds)
+    assert ds.n in bounded_rows
 
 
 def test_multi_gram_min_entry_visits_several_candidates():
@@ -194,8 +239,9 @@ def test_multi_gram_min_entry_visits_several_candidates():
     # pairs other than the least-bound one must be checked exactly.
     ds, net = _random_onehot_problem(3, weight_spread=3.0)
     assert _pairs_below_first_block(net, ds) > 1
-    assert C.multi_gram_min_entry([net], ds)[0] == pytest.approx(
-        float(C.gram_matrix(net, ds).min()), rel=1e-12)
+    got = C.multi_gram_min_entry([net], ds)[0]
+    assert got == pytest.approx(float(C.gram_matrix(net, ds).min()), rel=1e-12)
+    assert got == multi_gram_min_full_bound(net, ds)
 
 
 def test_multi_gram_min_entry_negative_weight_takes_dense_fallback(monkeypatch):
@@ -204,8 +250,9 @@ def test_multi_gram_min_entry_negative_weight_takes_dense_fallback(monkeypatch):
     dense_calls = []
     gram = C.gram_matrix
     monkeypatch.setattr(C, "gram_matrix", lambda *a: dense_calls.append(1) or gram(*a))
-    assert C.multi_gram_min_entry([net], ds)[0] == float(gram(net, ds).min())
+    got = C.multi_gram_min_entry([net], ds)[0]
     assert dense_calls == [1]
+    assert got == float(gram(net, ds).min()) == multi_gram_min_full_bound(net, ds)
 
 
 def test_multi_gram_min_entry_trajectory_matches_per_net_calls(small_onehot_ds):

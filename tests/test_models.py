@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relulab.datasets import gen_orthant_separable
 from relulab.losses import loss_family
 from relulab.models import (
     BinaryNet,
     InitSpec,
-    MultiNet,
     apply_gradient,
     flatten_params,
     forward,
@@ -32,7 +30,6 @@ from relulab.oracles import (
     min_preactivation_gap,
     unflatten_like,
 )
-from tests.conftest import make_onehot_dataset
 
 
 # ---------------------------------------------------------------------------
