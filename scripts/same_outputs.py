@@ -12,10 +12,11 @@ never changed), a ``train`` run at its default horizon, at ``train.steps:
 10`` and at ``train.record_every: 5``, ``prm`` in extension mode (M > d, so
 some teachers are random) and at a fixed numeric ``eta``, ``gen-data`` on a
 binary dataset with and without the antipodal pair and on the IDX corpus, a
-two-cell ``sweep``, three ``verify`` runs whose partition checks fail (the
-early-binary workload at m = 512, kappa = 100; the global-poly workload and
-the suite's global-exp regime at kappa = 1 for 300 steps), and ``report`` on
-every verify and prm run directory.
+two-cell ``sweep``, a small early-binary ``verify`` at eta = 1e-4 with its
+default horizon (T_e = 2204), three ``verify`` runs whose partition checks
+fail (the early-binary workload at m = 512, kappa = 100; the global-poly
+workload and the suite's global-exp regime at kappa = 1 for 300 steps), and
+``report`` on every verify and prm run directory.
 Each command then runs through each tree's own CLI (``python -m
 relulab.cli`` with that tree's ``src`` on the path), in a fresh working
 directory per tree, with relative output paths.  Every output file, and
@@ -76,6 +77,11 @@ def write_inputs(change: Path, inputs: Path) -> list:
                                       "labels": str(labels), "count": 200}),
         "sweep": ("sweep", {"base": dict(suite.EARLY_BINARY, model={"m": 256, "kappa": "auto"}),
                             "axes": [{"path": "seed", "values": [0, 1]}]}),
+        # t* = 4479 and T_e = 2204: the hitting-time search far past the workloads' T_e.
+        "small-rate-early-binary": ("verify", {
+            "kind": "early-binary", "dataset": {"type": "synthetic", "n": 6, "d": 8, "seed": 1},
+            "model": {"m": 16, "kappa": "auto"}, "loss": "quadratic",
+            "schedule": {"type": "constant", "eta": 1e-4}, "delta": 0.01, "seed": 1}),
     }
     for name in ("early-binary", "global-poly", "multiclass-sgd", "prm-population"):
         command, cfg = workloads.config(name, 0, (images, labels))

@@ -10,15 +10,11 @@ Checks that read the networks of a run are observers of the training run
 (``GramChecks``, ``MultiGramMin``): ``training.run`` hands them every step,
 so they keep no trajectory.
 
-Two similar exponential envelopes appear in the early-stage analysis and are
-easy to conflate:
-
-* ``varphi(t, ...)``  = (1/2 + 2 sqrt(log(2n^2/delta)/m)) *
-  251001((1+2eta)^{2t} - (1-2eta)^{2t}) / 1000000 — the prediction envelope
-  used in the early gradient lower bound;
-* ``oracles.phi(t, eta)`` = 251001((1+2eta)^{2t} - (1-2eta)^{2t}) / 1500000 —
-  used inside the per-step descent series, whose closed form the acceptance
-  tests check (criterion 2).
+The early gradient lower bound reads the prediction envelope
+``training.varphi``, the one copy of that envelope and of its width lead; the
+hitting time T_e reads it too.  ``oracles.phi`` is the descent-series
+reference: the same (1+2eta)^{2t} - (1-2eta)^{2t} gap at 2/3 of the
+envelope's scale, without the lead.
 """
 
 from __future__ import annotations
@@ -32,14 +28,13 @@ import numpy as np
 from .datasets import LabeledDataset, concentration_tail
 from .losses import LossFamily
 from .models import BinaryNet, MultiNet, Net, hessian_spectral_norm, param_norm, preactivation
-from .training import EVERY_STEP
+from .training import EVERY_STEP, varphi
 
 __all__ = [
     "TheoryConstants",
     "CertificateReport",
     "verdict",
     "holds",
-    "varphi",
     "gram_matrix",
     "MultiGramMin",
     "multi_gram_min_entry",
@@ -103,16 +98,6 @@ def verdict(report: dict) -> str:
 def holds(report: dict) -> bool:
     """True unless the report failed: an inconclusive report does not fail a run."""
     return verdict(report) != "FAIL"
-
-
-# ---------------------------------------------------------------------------
-# Exponential envelopes
-# ---------------------------------------------------------------------------
-
-def varphi(t: float, eta: float, n: int, m: int, delta: float) -> float:
-    """Prediction envelope with the width-dependent leading factor."""
-    lead = 0.5 + 2.0 * math.sqrt(math.log(2.0 * n * n / delta) / m)
-    return lead * 251001.0 * ((1.0 + 2.0 * eta) ** (2 * t) - (1.0 - 2.0 * eta) ** (2 * t)) / 1_000_000.0
 
 
 # ---------------------------------------------------------------------------

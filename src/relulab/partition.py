@@ -58,18 +58,25 @@ TL, TD, FL, FD = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class PartitionSnapshot:
-    """Partition table at one step: table[i, k] in {TL, TD, FL, FD}."""
+    """The partition at one state as its two (n, m) masks, agree (y_i a_k > 0)
+    and alive (H > 0): TL is agree & alive, TD agree & ~alive, FL ~agree &
+    alive, FD ~(agree | alive)."""
 
-    step: int
-    table: np.ndarray          # (n, m) uint8
-    four_way: bool             # False when only TL/TD can occur (multi variant)
+    agree: np.ndarray
+    alive: np.ndarray
+
+    @property
+    def four_way(self) -> bool:
+        """False when only TL/TD occur (multi-output nets with positive outputs)."""
+        return bool(np.any(~self.agree))
 
     def counts(self) -> np.ndarray:
-        """Per-sample cell counts, shape (n, 4)."""
-        n = self.table.shape[0]
-        out = np.zeros((n, 4), dtype=np.int64)
-        for cell in (TL, TD, FL, FD):
-            out[:, cell] = np.sum(self.table == cell, axis=1)
+        """Per-sample cell counts, shape (n, 4), columns indexed by TL, TD, FL, FD."""
+        agree, alive = self.agree, self.alive
+        out = np.empty((agree.shape[0], 4), dtype=np.int64)
+        for cell, mask in ((TL, agree & alive), (TD, agree & ~alive),
+                           (FL, alive & ~agree), (FD, ~(agree | alive))):
+            out[:, cell] = np.sum(mask, axis=1)
         return out
 
 
@@ -83,10 +90,9 @@ class DynamicsViolation:
     lam: Optional[float] = None  # S5 only: where the sign leaves its reference, in [0, 1]
 
 
-def _masks(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
+def _masks(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Validate the net against the labels and reduce every (sample, neuron)
-    pair to two masks: agree (y_i a_k > 0) and alive (H > 0, strict).  TL is
-    agree & alive, TD agree & ~alive, FL ~agree & alive, FD ~(agree | alive)."""
+    pair to two masks: agree (y_i a_k > 0) and alive (H > 0, strict)."""
     if isinstance(net, BinaryNet):
         if ds.label_kind != "binary":
             raise TypeError("binary network requires binary labels")
@@ -95,7 +101,6 @@ def _masks(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, np.
             raise ValueError(f"partition undefined: output weight a_{k} is exactly 0")
         # Canonical labels: +1 on the first half, -1 on the second.
         agree = np.repeat(np.stack([net.a > 0.0, net.a < 0.0]), ds.n // 2, axis=0)
-        four_way = True
     else:
         if ds.label_kind != "onehot":
             raise TypeError("multi-output network requires one-hot labels")
@@ -104,16 +109,12 @@ def _masks(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, np.
             i, k = np.argwhere(ya == 0.0)[0]
             raise ValueError(f"partition undefined: y_{i}^T a_{k} is exactly 0")
         agree = ya > 0.0
-        four_way = bool(np.any(~agree))
-    return agree, H > 0.0, four_way
+    return agree, H > 0.0
 
 
 def compute_partition(net: Net, ds: LabeledDataset) -> PartitionSnapshot:
     """Classify every (sample, neuron) pair; strict > 0 for living, <= 0 for dead."""
-    agree, alive, four_way = _masks(net, ds, preactivation(net, ds.inputs))
-    # TL, TD, FL, FD = 0, 1, 2, 3: twice "disagrees" plus "dead".
-    table = 2 * (~agree).view(np.uint8) + (~alive).view(np.uint8)
-    return PartitionSnapshot(step=0, table=table, four_way=four_way)
+    return PartitionSnapshot(*_masks(net, ds, preactivation(net, ds.inputs)))
 
 
 @dataclass(frozen=True)
@@ -138,14 +139,14 @@ def initial_partition_stats(net0: BinaryNet, ds: LabeledDataset, delta: float) -
     if not isinstance(net0, BinaryNet):
         raise TypeError("initial partition statistics are defined for the binary network")
     snap = compute_partition(net0, ds)
-    n, m = snap.table.shape
+    n, m = snap.agree.shape
     x = ds.inputs
     gram = np.clip(x @ x.T, -1.0, 1.0)
     theta = np.arccos(gram)
     same = np.outer(ds.labels, ds.labels) > 0
     bound = float(np.sqrt(np.log(n * n / delta) / (2.0 * m)))
-    is_tl = snap.table == TL
-    is_td = snap.table == TD
+    is_tl = snap.agree & snap.alive
+    is_td = snap.agree & ~snap.alive
     max_dev, worst_pair, worst_cell = -1.0, (-1, -1), ""
     combos = (
         ("TLnTL", is_tl, is_tl, (np.pi - theta) / (4.0 * np.pi)),
@@ -229,7 +230,7 @@ class _Dynamics:
     def step(self, t: int, net: Net, H: np.ndarray, record=None) -> None:
         if t not in self.steps:
             return
-        agree, alive, _ = _masks(net, self.ds, H)
+        agree, alive = _masks(net, self.ds, H)
         self._prev = self._rules(t, net, H, agree, alive, self._prev)
         self.signs.step(t, H, alive)
         self._net = net
@@ -329,13 +330,13 @@ def check_correct_classification(record):
 # Export
 # ---------------------------------------------------------------------------
 
-def partition_counts_csv(snapshots: Sequence[PartitionSnapshot]) -> str:
-    """Per-step, per-sample cell counts: t,sample,TL,TD,FL,FD."""
+def partition_counts_csv(snapshots: Sequence[Tuple[int, PartitionSnapshot]]) -> str:
+    """Per-step, per-sample cell counts of (t, snapshot) pairs: t,sample,TL,TD,FL,FD."""
     buf = io.StringIO()
     buf.write("t,sample,TL,TD,FL,FD\n")
-    for snap in snapshots:
+    for t, snap in snapshots:
         counts = snap.counts()
         for i in range(counts.shape[0]):
             tl, td, fl, fd = counts[i]
-            buf.write(f"{snap.step},{i},{tl},{td},{fl},{fd}\n")
+            buf.write(f"{t},{i},{tl},{td},{fl},{fd}\n")
     return buf.getvalue()

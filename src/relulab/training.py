@@ -57,6 +57,7 @@ __all__ = [
     "HittingTime",
     "run",
     "tstar",
+    "varphi",
     "exp_hitting_time_Te",
     "steps_csv",
     "NOT_YET_HIT",
@@ -287,34 +288,41 @@ def tstar(eta: float, variant: str) -> int:
     raise ValueError("variant must be 'binary' or 'multi'")
 
 
-def exp_hitting_time_Te(eta: float, n: int, m: int, delta: float, variant: str) -> int:
-    """Largest t satisfying the closed-form exponential-envelope conditions.
-
-    Binary: (1/2 + 2 sqrt(log(2 n^2/delta)/m)) * 251001((1+2eta)^{2(t+1)} -
-    (1-2eta)^{2(t+1)})/1000000 <= 1 and (1+2eta)^{t+1} <= 2 sqrt 2.
-    Multi: 251001(...)/1000000 <= 1 and (1+2eta)^{t+1} <= 2.
+def varphi(t: float, eta: float, n: int, m: int, delta: float, variant: str = "binary") -> float:
+    """Prediction envelope: the lead times the gap (1+2eta)^{2t} - (1-2eta)^{2t},
+    scaled as below.  The binary lead 1/2 + 2 sqrt(log(2n^2/delta)/m) carries
+    the width; the multi-output lead is 1.
     """
     if variant == "binary":
         lead = 0.5 + 2.0 * math.sqrt(math.log(2.0 * n * n / delta) / m)
-        cap = 2.0 * math.sqrt(2.0)
     elif variant == "multi":
         lead = 1.0
-        cap = 2.0
     else:
         raise ValueError("variant must be 'binary' or 'multi'")
-    t = -1
-    while True:
-        # Test membership of candidate t+1; both conditions use exponent (t+1)+1.
-        up = (1.0 + 2.0 * eta) ** (t + 2)
-        dn = (1.0 - 2.0 * eta) ** (t + 2)
-        cond1 = lead * 251001.0 * (up * up - dn * dn) / 1_000_000.0 <= 1.0
-        cond2 = up <= cap
-        if cond1 and cond2:
-            t += 1
-        else:
-            return t
-        if t > 10_000_000:
-            raise RuntimeError("exponential hitting time scan did not terminate")
+    return lead * 251001.0 * ((1.0 + 2.0 * eta) ** (2 * t) - (1.0 - 2.0 * eta) ** (2 * t)) / 1_000_000.0
+
+
+def exp_hitting_time_Te(eta: float, n: int, m: int, delta: float, variant: str) -> int:
+    """Largest t with varphi(t+1) <= 1 and (1+2eta)^{t+1} <= cap, where cap is
+    2 sqrt 2 (binary) or 2 (multi); -1 when t = 0 fails.
+
+    Both conditions are monotone in t, so doubling brackets the first t that
+    fails them and bisection finds the last one that holds.
+    """
+    if not 1.0 + 2.0 * eta > 1.0:
+        raise ValueError("eta must be positive, with 1 + 2 eta above 1 in floating point")
+    cap = 2.0 * math.sqrt(2.0) if variant == "binary" else 2.0
+
+    def holds(t: int) -> bool:
+        return varphi(t + 1, eta, n, m, delta, variant) <= 1.0 and (1.0 + 2.0 * eta) ** (t + 1) <= cap
+
+    lo, hi = -1, 0           # holds(lo) unless lo = -1; not holds(hi) once bracketed
+    while holds(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
 
 
 def steps_csv(record: RunRecord) -> str:

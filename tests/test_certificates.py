@@ -8,7 +8,7 @@ from relulab.losses import loss_family
 from relulab.models import InitSpec, MultiNet, init_binary, init_multi
 from relulab.oracles import (descent_series_brute_force, descent_series_closed_form, grad_loss,
                              multi_gram_min_full_bound, phi)
-from relulab.training import Constant, Full, TrainConfig, run
+from relulab.training import Constant, Full, TrainConfig, run, varphi
 from relulab import certificates as C
 from tests.conftest import make_onehot_dataset, run_keeping_nets
 
@@ -33,7 +33,7 @@ def test_phi_and_varphi_shapes():
     base = 251001.0 * ((1 + 2 * eta) ** 2 - (1 - 2 * eta) ** 2)
     assert phi(1, eta) == pytest.approx(base / 1_500_000.0, rel=1e-15)
     lead = 0.5 + 2.0 * math.sqrt(math.log(2.0 * 400 / 0.01) / 10_000)
-    assert C.varphi(1, eta, 20, 10_000, 0.01) == pytest.approx(
+    assert varphi(1, eta, 20, 10_000, 0.01) == pytest.approx(
         lead * base / 1_000_000.0, rel=1e-15)
 
 

@@ -73,6 +73,17 @@ def test_verify_writes_certificates_and_exit_code_reflects_failures(tmp_path):
     assert "early-descent-binary" in ids
 
 
+def test_verify_at_a_tiny_rate_keeps_the_exit_code_contract(tmp_path, capsys):
+    # T_e is about 5e7 steps at eta = 1e-8; finding it must not abort the run.
+    cfg = write_config(tmp_path, "c.json", {
+        "kind": "early-binary", "dataset": {"type": "synthetic", "n": 6, "d": 8, "seed": 1},
+        "model": {"m": 16, "kappa": "auto"}, "loss": "quadratic",
+        "schedule": {"type": "constant", "eta": 1e-8}, "train": {"steps": 1},
+        "delta": 0.05, "seed": 3})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "run")]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_prm_subcommand(tmp_path):
     cfg = write_config(tmp_path, "p.json", PRM)
     out = tmp_path / "prm"

@@ -22,19 +22,26 @@ from relulab.training import Constant, Full, LossInverse, TrainConfig
 from tests.conftest import run_keeping_nets
 
 
+def _table_counts(table):
+    """Per-row cell counts of a four-way table, in the column order TL, TD, FL, FD."""
+    return np.stack([np.sum(table == cell, axis=1) for cell in (TL, TD, FL, FD)], axis=1)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_partition_is_exclusive_and_exhaustive(seed):
     ds = gen_orthant_separable(n=8, d=6, seed=seed)
     net = init_binary(16, 6, InitSpec(kappa=0.1, seed=seed))
     snap = compute_partition(net, ds)
-    assert snap.table.shape == (8, 16)
-    assert np.all((snap.table >= TL) & (snap.table <= FD))
-    # Cross-check one cell against the definitions.
+    assert snap.agree.shape == snap.alive.shape == (8, 16)
+    # Every pair lies in exactly one cell.
+    assert np.all(snap.counts().sum(axis=1) == 16)
+    # Cross-check the cells against the definitions.
     agree = np.outer(ds.labels, net.a) > 0
     living = ds.inputs @ net.B.T > 0
     expected = np.where(agree, np.where(living, TL, TD), np.where(living, FL, FD))
-    assert np.array_equal(snap.table, expected.astype(np.uint8))
+    assert np.array_equal(snap.agree, agree) and np.array_equal(snap.alive, living)
+    assert np.array_equal(snap.counts(), _table_counts(expected))
 
 
 def test_partition_counts_sum_to_width(small_binary_ds, small_binary_net):
@@ -48,7 +55,8 @@ def test_multi_partition_is_two_way_under_positive_outputs(small_onehot_ds, smal
     snap = compute_partition(small_multi_net, small_onehot_ds)
     # All-positive output weights and one-hot labels: every neuron is "true".
     assert not snap.four_way
-    assert np.all((snap.table == TL) | (snap.table == TD))
+    assert np.all(snap.agree)
+    assert np.all(snap.counts()[:, [FL, FD]] == 0)
 
 
 def test_initial_partition_fractions_match_angular_prediction():
@@ -124,9 +132,10 @@ def _planted(gen, shape, values):
 @given(st.integers(0, 10_000))
 @settings(max_examples=50, deadline=None)
 def test_masks_reproduce_the_outer_product_rule_and_the_sign_rule(seed):
-    """agree is np.outer(y, a) > 0 and the table is the four-way rule, with
-    +-inf and NaN output weights and exact zeros in H; the segment mask is
-    (sign(H) != sign(H_1)) | (H == 0), with zeros and NaN in both."""
+    """agree is np.outer(y, a) > 0, alive is H > 0 and the cell counts are the
+    four-way rule's, with +-inf and NaN output weights and exact zeros in H;
+    the segment mask is (sign(H) != sign(H_1)) | (H == 0), with zeros and NaN
+    in both."""
     gen = np.random.default_rng(seed)
     n, m = 2 * int(gen.integers(1, 6)), int(gen.integers(1, 12))
     # Inputs on the standard basis, so H[i, k] = B[k, i] exactly.
@@ -136,11 +145,13 @@ def test_masks_reproduce_the_outer_product_rule_and_the_sign_rule(seed):
                     B=_planted(gen, (m, n), [0.0, -0.0]))
     H = ds.inputs @ net.B.T
     assert np.array_equal(H, net.B.T)
-    agree, alive, four_way = _masks(net, ds, H)
+    agree, alive = _masks(net, ds, H)
     expected = np.outer(ds.labels, net.a) > 0.0
-    assert np.array_equal(agree, expected) and np.array_equal(alive, H > 0.0) and four_way
+    assert np.array_equal(agree, expected) and np.array_equal(alive, H > 0.0)
     table = np.where(expected, np.where(H > 0.0, TL, TD), np.where(H > 0.0, FL, FD))
-    assert np.array_equal(compute_partition(net, ds).table, table.astype(np.uint8))
+    snap = compute_partition(net, ds)
+    assert np.array_equal(snap.agree, expected) and np.array_equal(snap.alive, H > 0.0)
+    assert np.array_equal(snap.counts(), _table_counts(table)) and snap.four_way
 
     H1, H2 = (_planted(gen, (n, m), [0.0, -0.0, np.nan]) for _ in range(2))
     got = _off_sign((H1 > 0.0, H1 < 0.0), H2, H2 > 0.0)
@@ -166,11 +177,24 @@ def test_global_dynamics_clean_on_adaptive_run():
 
 
 def test_counts_csv(small_binary_ds, small_binary_net):
-    snaps = [compute_partition(small_binary_net, small_binary_ds)]
+    snaps = [(0, compute_partition(small_binary_net, small_binary_ds))]
     csv = partition_counts_csv(snaps)
     lines = csv.strip().split("\n")
     assert lines[0] == "t,sample,TL,TD,FL,FD"
     assert len(lines) == 1 + small_binary_ds.n
+
+
+def test_counts_csv_labels_each_row_with_its_step():
+    ds = gen_orthant_separable(n=8, d=6, seed=6)
+    _, nets = run_keeping_nets(init_binary(32, 6, InitSpec(kappa=1e-4, seed=6)), ds,
+                               loss_family("quadratic"), Constant(eta=0.01),
+                               TrainConfig(steps=3, batching=Full()))
+    s0, s3 = (compute_partition(nets[t], ds) for t in (0, 3))
+    rows = partition_counts_csv([(0, s0), (3, s3)]).strip().split("\n")[1:]
+    assert [r.split(",")[0] for r in rows] == ["0"] * ds.n + ["3"] * ds.n
+    for i, (r0, r3) in enumerate(zip(rows[:ds.n], rows[ds.n:])):
+        assert r0 == ",".join(map(str, [0, i, *s0.counts()[i]]))
+        assert r3 == ",".join(map(str, [3, i, *s3.counts()[i]]))
 
 
 def test_partition_rejects_exactly_zero_output_weight(small_binary_ds):

@@ -33,6 +33,7 @@ from relulab.training import (
     run,
     steps_csv,
     tstar,
+    varphi,
 )
 from tests.conftest import make_onehot_dataset
 
@@ -61,6 +62,58 @@ def test_tstar_range_guard():
 def test_exponential_hitting_time_dominates_tstar(eta, variant, n, m, delta):
     te = exp_hitting_time_Te(eta, n, m, delta, variant)
     assert te + 1 >= tstar(eta, variant)
+
+
+def _scan_Te(eta, n, m, delta, variant):
+    """Reference: the step-by-step scan that the bisection search replaced."""
+    if variant == "binary":
+        lead = 0.5 + 2.0 * math.sqrt(math.log(2.0 * n * n / delta) / m)
+        cap = 2.0 * math.sqrt(2.0)
+    else:
+        lead, cap = 1.0, 2.0
+    t = -1
+    while True:
+        up = (1.0 + 2.0 * eta) ** (t + 2)
+        dn = (1.0 - 2.0 * eta) ** (t + 2)
+        if lead * 251001.0 * (up * up - dn * dn) / 1_000_000.0 <= 1.0 and up <= cap:
+            t += 1
+        else:
+            return t
+
+
+_TE_SETS = [("binary", 40, 4096, 0.01), ("binary", 6, 16, 0.05), ("binary", 1000, 65536, 0.001),
+            ("binary", 1000, 1, 0.001), ("multi", 1000, 1000, 0.01)]
+
+
+def test_exponential_hitting_time_equals_the_scan():
+    for eta in np.geomspace(1e-4, 1e-2, 200):
+        for variant, n, m, delta in _TE_SETS:
+            assert exp_hitting_time_Te(float(eta), n, m, delta, variant) == \
+                _scan_Te(float(eta), n, m, delta, variant), (eta, variant, n, m, delta)
+
+
+@pytest.mark.parametrize("variant,n,m,delta", _TE_SETS)
+def test_exponential_hitting_time_is_the_last_step_both_conditions_hold(variant, n, m, delta):
+    cap = 2.0 * math.sqrt(2.0) if variant == "binary" else 2.0
+    for eta in [*np.geomspace(1e-9, 1e-2, 50), 0.3, 0.45]:
+        eta = float(eta)
+
+        def holds(t):
+            return varphi(t + 1, eta, n, m, delta, variant) <= 1.0 and (1.0 + 2.0 * eta) ** (t + 1) <= cap
+
+        te = exp_hitting_time_Te(eta, n, m, delta, variant)
+        assert te >= -1 and (te == -1 or holds(te)) and not holds(te + 1), eta
+
+
+def test_exponential_hitting_time_edges():
+    # A leading factor of about 9.75 fails the envelope condition at t = 0.
+    assert exp_hitting_time_Te(0.45, 1000, 1, 0.001, "binary") == -1
+    # 1 + 2 eta is not above 1 in floating point: the conditions would hold at every t.
+    for eta in (0.0, 1e-17, -0.01):
+        with pytest.raises(ValueError):
+            exp_hitting_time_Te(eta, 40, 4096, 0.01, "binary")
+    with pytest.raises(ValueError):
+        exp_hitting_time_Te(0.01, 40, 4096, 0.01, "ternary")
 
 
 # ---------------------------------------------------------------------------
