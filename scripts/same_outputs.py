@@ -15,13 +15,15 @@ binary dataset with and without the antipodal pair and on the IDX corpus, a
 two-cell ``sweep``, a small early-binary ``verify`` at eta = 1e-4 with its
 default horizon (T_e = 2204), three ``verify`` runs whose partition checks
 fail (the early-binary workload at m = 512, kappa = 100; the global-poly
-workload and the suite's global-exp regime at kappa = 1 for 300 steps), and
-``report`` on every verify and prm run directory.
+workload and the suite's global-exp regime at kappa = 1 for 300 steps), a
+``verify`` of the early-binary and global-poly workloads at
+``train.record_every: 5``, and ``report`` on every verify and prm run
+directory.
 Each command then runs through each tree's own CLI (``python -m
-relulab.cli`` with that tree's ``src`` on the path), in a fresh working
-directory per tree, with relative output paths.  Every output file, and
-each command's exit code, stdout and stderr, is compared byte for byte.
-Exit code 0 only when all of them match.
+relulab.cli`` with that tree's ``src`` on the path and BLAS at one thread,
+as in the benchmark), in a fresh working directory per tree, with relative
+output paths.  Every output file, and each command's exit code, stdout and
+stderr, is compared byte for byte.  Exit code 0 only when all of them match.
 """
 
 from __future__ import annotations
@@ -93,6 +95,10 @@ def write_inputs(change: Path, inputs: Path) -> list:
     for name, cfg in (("global-poly", poly), ("global-exp", suite.GLOBAL_EXP)):
         configs[f"partition-fails-{name}"] = ("verify", dict(
             cfg, model=dict(cfg["model"], kappa=1), train={"steps": 300}))
+    # Certificates read every step's record whatever the steps.csv thinning.
+    for name, cfg in (("early-binary", early), ("global-poly", poly)):
+        configs[f"record-every-5-{name}"] = ("verify", dict(
+            cfg, train=dict(cfg["train"], record_every=5)))
 
     commands = []
     for name, (command, cfg) in configs.items():
@@ -108,7 +114,8 @@ def run_tree(tree: Path, commands: list, workdir: Path) -> dict:
     """Run every command through ``tree``'s CLI in ``workdir``; return
     {relative path: bytes} of every output plus each command's transcript."""
     workdir.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     outputs = {}
     for name, argv in commands:
         proc = subprocess.run([sys.executable, "-m", "relulab.cli", *argv], cwd=workdir,

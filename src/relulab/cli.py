@@ -47,7 +47,6 @@ from .datasets import (
 from .losses import LOSS_KEYS, loss_family
 from .models import InitSpec, digest, init_binary, init_multi
 from .training import (
-    EVERY_STEP,
     Constant,
     Full,
     LossInverse,
@@ -184,18 +183,6 @@ def _partition_report(cert_id: str, viols: list) -> dict:
         context={"first": viols[0].__dict__ if viols else None}).as_dict()
 
 
-class _Records:
-    """Keeps the step record of each step in ``steps``: what a check reads
-    from the records sees every step, whatever ``train.record_every`` is."""
-
-    def __init__(self, steps):
-        self.steps, self.records = steps, []
-
-    def step(self, t, net, H, record) -> None:
-        if t in self.steps:
-            self.records.append(record)
-
-
 def _hitting_time_report(record, ts: int) -> dict:
     # Not hit: the true T is at least the last step the run reached, which
     # shows T >= t* only when that step is t* or later.  A run that reached
@@ -208,14 +195,13 @@ def _hitting_time_report(record, ts: int) -> dict:
         inconclusive=not hit and not passed, context={"sentinel_not_yet_hit": not hit}).as_dict()
 
 
-def _early_descent_report(cert_id: str, bound: float, seen, ts: int,
+def _early_descent_report(cert_id: str, bound: float, records, ts: int,
                           inconclusive: bool = False, **context) -> list:
     """L(0) - L(t*) against the early-descent bound; no report when the run
     did not reach t*."""
-    losses = {r.t: r.loss for r in seen.records}
-    if ts not in losses:
+    if len(records) <= ts:
         return []
-    measured = losses[0] - losses[ts]
+    measured = records[0].loss - records[ts].loss
     return [certs.CertificateReport(
         cert_id, bound, measured, measured >= bound, measured - bound,
         inconclusive=inconclusive, context=dict(context, t_star=ts)).as_dict()]
@@ -223,7 +209,7 @@ def _early_descent_report(cert_id: str, bound: float, seen, ts: int,
 
 # Each ``_certify_*`` takes the run context before training and returns
 # (observers, report): the observers watch every training step, and
-# ``report(record)`` reads them and the record into report dicts.
+# ``report(record)`` reads them and the run's step records into report dicts.
 
 def _certify_early_binary(ctx):
     ds, delta, m = ctx["ds"], ctx["delta"], ctx["m"]
@@ -233,16 +219,16 @@ def _certify_early_binary(ctx):
     budget = certs.probability_budget(consts, "binary_early")
     ts = tstar(consts.eta, "binary")
     te = exp_hitting_time_Te(consts.eta, ds.n, m, delta, "binary")
-    seen = _Records(range(ts + 1))
     gram = certs.GramChecks(ds, consts, range(1, ts + 1))
     dynamics = part.EarlyDynamics(ds, range(ts + 1))
 
     def report(record) -> list:
         out = _early_descent_report("early-descent-binary", certs.descent_bound_binary(consts),
-                                    seen, ts, inconclusive=budget >= 1.0, budget=budget, T_e=te)
+                                    record.records, ts, inconclusive=budget >= 1.0,
+                                    budget=budget, T_e=te)
         out.append(_hitting_time_report(record, ts))
         grad_lower = []   # (slack, t, bound, measured) for every t in 1..t*
-        for r in seen.records[1:]:
+        for r in record.records[1:ts + 1]:
             gl = certs.gradient_lower_bound_early(r.t, consts)
             grad_lower.append((r.grad_norm ** 2 - gl, r.t, gl, r.grad_norm ** 2))
         if grad_lower:
@@ -259,7 +245,7 @@ def _certify_early_binary(ctx):
         out.append(_partition_report("partition-dynamics-early", dynamics.violations()))
         return out
 
-    return [seen, gram, dynamics], report
+    return [gram, dynamics], report
 
 
 def _certify_early_multiclass(ctx):
@@ -269,12 +255,13 @@ def _certify_early_multiclass(ctx):
                                    batch=ctx["batch_size"])
     budget = certs.probability_budget(consts, "multi_early") if ctx["batch_size"] else None
     ts = tstar(eta, "multi")
-    seen = _Records((0, ts))
     gram = certs.MultiGramMin(ds, range(1, ts + 1))
 
     def report(record) -> list:
         out = _early_descent_report("early-descent-multi", certs.descent_bound_multi(),
-                                    seen, ts, budget=budget)
+                                    record.records, ts,
+                                    inconclusive=budget is not None and budget >= 1.0,
+                                    budget=budget)
         if gram.minima:
             worst = min(gram.minima)
             out.append(certs.CertificateReport(
@@ -288,30 +275,29 @@ def _certify_early_multiclass(ctx):
                 worst_align - certs.STOCHASTIC_ALIGNMENT_BOUND).as_dict())
         return out
 
-    return [seen, gram], report
+    return [gram], report
 
 
 def _certify_global(ctx, envelope: str):
     ds = ctx["ds"]
     dc = compute_V(ds, ctx["m"], ctx["delta"])
-    seen = _Records(EVERY_STEP)
     dynamics = part.GlobalDynamics(ds)
 
     def report(record) -> list:
-        rep = certs.fit_convergence_rate(seen.records, envelope, dc.V, ctx["schedule"].c)
+        rep = certs.fit_convergence_rate(record.records, envelope, dc.V, ctx["schedule"].c)
         if dc.vacuous:
             rep = dataclasses.replace(rep, inconclusive=True,
                                       context=dict(rep.context, vacuous_V=True))
-        cc = part.check_correct_classification(seen)
+        cc = part.check_correct_classification(record)
         # A run with no step at t >= 1 measured no margin.
-        unmeasured = not any(r.t >= 1 for r in seen.records)
+        unmeasured = len(record.records) < 2
         margin = math.nan if unmeasured else 0.0 if cc is None else cc[1]
         return [rep.as_dict(), certs.CertificateReport(
             "correct-classification", 0.0, margin, cc is None and not unmeasured, margin,
             inconclusive=unmeasured, context={"first_violation": cc}).as_dict(),
             _partition_report("partition-dynamics-global", dynamics.violations())]
 
-    return [seen, dynamics], report
+    return [dynamics], report
 
 
 def _certify_dataset(ctx):
@@ -371,10 +357,11 @@ def run_experiment(config: dict, certify: bool = True):
     """Execute a non-PRM experiment config; returns (record, context dict).
 
     With ``certify`` the kind's certificate observers watch every training
-    step and ``evaluate_certificates`` reads them afterwards; no trajectory
-    is kept.  A malformed section or value, or a kind that cannot use the
-    config's train keys, loss, schedule or dataset labels, is a ``ConfigError``
-    raised before training and, but for the labels, before the dataset is built.
+    step and ``evaluate_certificates`` reads them and the step records
+    afterwards; no network is kept.  A malformed section or value, or a kind
+    that cannot use the config's train keys, loss, schedule or dataset labels,
+    is a ``ConfigError`` raised before training and, but for the labels,
+    before the dataset is built.
     """
     kind = _require(_object(config, "config"), "kind", "config")
     spec = _KINDS.get(kind) if isinstance(kind, str) else None
@@ -415,13 +402,16 @@ def run_experiment(config: dict, certify: bool = True):
     batch_spec = train_spec.get("batch")
     batch_size = (None if batch_spec is None else
                   _require(_strict(batch_spec, {"B", "seed"}, "train.batch"), "B", "train.batch", int))
+    record_every = _cast(train_spec.get("record_every", 1), "train.record_every", int)
+    if record_every < 1:
+        raise ConfigError("record_every must be >= 1")
 
     ds = build_dataset(_require(config, "dataset", "config"), default_seed=seed)
     labels = "onehot" if spec.variant == "multi" else "binary"
     if ds.label_kind != labels:
         raise ConfigError(f"{kind} requires a dataset with {labels} labels")
     ctx = {"ds": ds, "schedule": schedule, "kind": kind, "delta": delta,
-           "batch_size": batch_size, "seed": seed, "m": m}
+           "batch_size": batch_size, "seed": seed, "m": m, "record_every": record_every}
     eta = schedule.eta if isinstance(schedule, Constant) else schedule.eta0
     kappa = spec.kappa_cap(eta, ctx) if kappa == "auto" else kappa
     init = InitSpec(kappa=kappa, seed=seed)
@@ -434,7 +424,6 @@ def run_experiment(config: dict, certify: bool = True):
     tconf = TrainConfig(
         steps=_cast(train_spec.get("steps", default_steps), "train.steps", int),
         batching=batching, trained_layers=trained_layers,
-        record_every=_cast(train_spec.get("record_every", 1), "train.record_every", int),
     )
     ctx.update(net0=net0, kappa=kappa)
     observers, ctx["report"] = spec.certify(ctx) if certify else ((), None)
@@ -510,7 +499,7 @@ def _emit_run(outdir: Path, config: dict, certify: bool):
     """
     record, ctx = run_experiment(config, certify=certify)
     cert_dicts = evaluate_certificates(record, ctx) if certify else None
-    steps_text = steps_csv(record)
+    steps_text = steps_csv(record, ctx["record_every"])
     summary = {
         "kind": ctx["kind"],
         "status": record.status,
@@ -530,9 +519,12 @@ def _emit_run(outdir: Path, config: dict, certify: bool):
                        descent=first.loss - last.loss, steps=last.t)
     _write_run_dir(outdir, config, steps_text, summary, cert_dicts)
     cert_dicts = cert_dicts or []
-    ok = (record.status in ("completed", "converged-exactly")
-          and all(certs.holds(c) for c in cert_dicts))
-    return summary, cert_dicts, ok
+    return summary, cert_dicts, _run_holds(record.status, cert_dicts)
+
+
+def _run_holds(status: str, cert_dicts: list) -> bool:
+    """True when the run did not abort and no certificate failed."""
+    return status in ("completed", "converged-exactly") and all(certs.holds(c) for c in cert_dicts)
 
 
 def _print_certificates(cert_dicts: list) -> None:
@@ -677,7 +669,8 @@ def cmd_report(rundir: Path) -> int:
     for c in cert_dicts:
         print(f"    [{certs.verdict(c)}] {c['cert_id']}: bound={c['theoretical']} "
               f"measured={c['measured']} slack={c['slack']}")
-    return 0 if all(certs.holds(c) for c in cert_dicts) else 1
+    # A prm summary carries no status: its run cannot abort.
+    return 0 if _run_holds(summary.get("status", "completed"), cert_dicts) else 1
 
 
 def main(argv=None) -> int:

@@ -15,11 +15,12 @@ sup-norm, and whether every output weight kept its initial sign.  Each step
 makes one activation pass over the full data (``models.evaluate``), plus one
 over the mini-batch under SGD.
 
-Certificates watch the run as observers: ``run`` calls
-``observer.step(t, net, H, record)`` on every step, with H the preactivation
-of that step's full-data pass, so a check needs no kept trajectory and sees
-every step whatever ``record_every`` is.  ``record_every`` thins only the
-records kept for ``steps.csv``; the last step reached is always kept.
+A run keeps one record per step in ``RunRecord.records``: the hitting time,
+the certificates and ``steps.csv`` all read that one list, and only
+``steps_csv(record, every)`` thins it, when writing (the last step reached is
+always a row).  Checks that need the network watch the run as observers:
+``run`` calls ``observer.step(t, net, H, record)`` on every step, with H the
+preactivation of that step's full-data pass, so they need no kept trajectory.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Union
+from typing import List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +55,7 @@ __all__ = [
     "RunRecord",
     "Observer",
     "EVERY_STEP",
-    "HittingTime",
+    "hitting_time",
     "run",
     "tstar",
     "varphi",
@@ -148,15 +149,12 @@ class TrainConfig:
     steps: int
     batching: Batching = Full()
     trained_layers: str = "all"       # "all" | "input_only"
-    record_every: int = 1             # keep every k-th step record (and the last)
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.trained_layers not in ("all", "input_only"):
             raise ValueError("trained_layers must be 'all' or 'input_only'")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -180,52 +178,42 @@ class Observer(Protocol):
 
 @dataclass
 class RunRecord:
-    records: List[StepRecord] = field(default_factory=list)
+    records: List[StepRecord] = field(default_factory=list)   # one per step reached
     nets: List[Net] = field(default_factory=list)      # always empty; perfbench/tracing.py reads its length
     batch_alignments: List[float] = field(default_factory=list)  # <full grad, batch grad> per step
     measured_T: int = NOT_YET_HIT
-    first_violation: Optional[int] = None   # HittingTime's; T is NOT_YET_HIT also for one at t <= 1
+    first_violation: Optional[int] = None   # hitting_time's; T is NOT_YET_HIT also for one at t <= 1
     status: str = "completed"          # completed | converged-exactly | aborted
 
 
-class HittingTime:
-    """The hitting-time rule, which ``run`` applies to every step.
+def hitting_time(records: Sequence[StepRecord]) -> Tuple[int, Optional[int]]:
+    """(T, first violating step) of a run's step records.
 
     T is the largest t with max_i |f(x_i)| <= 1 and preserved output-weight
     signs for all s <= t+1 (for the multi-output network max_abs_pred is an
-    upper envelope of max f_alpha(x_i)).  ``T`` is NOT_YET_HIT when no step
-    violates the conditions: the true T is then at least the horizon.
+    upper envelope of max f_alpha(x_i)).  T is NOT_YET_HIT, and the first
+    violation None, when no step violates the conditions: the true T is then
+    at least the horizon.
     """
-
-    def __init__(self):
-        self.first_violation: Optional[int] = None
-
-    def step(self, t: int, net: Net, H: np.ndarray, record: StepRecord) -> None:
-        if self.first_violation is None and (record.max_abs_pred > 1.0 or not record.a_sign_ok):
-            self.first_violation = t
-
-    @property
-    def T(self) -> int:
-        if self.first_violation is None:
-            return NOT_YET_HIT
-        # Conditions must hold for every s <= t+1, so t+1 must precede the violation.
-        return max(self.first_violation - 2, -1)
+    first = next((r.t for r in records if r.max_abs_pred > 1.0 or not r.a_sign_ok), None)
+    if first is None:
+        return NOT_YET_HIT, None
+    # Conditions must hold for every s <= t+1, so t+1 must precede the violation.
+    return max(first - 2, -1), first
 
 
 def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
         config: TrainConfig, observers: Sequence[Observer] = ()) -> RunRecord:
     """Train and record.  Deterministic given (net0, ds, loss, schedule, config).
 
-    Each observer's ``step(t, net, H, record)`` runs on every step whose loss
-    is finite, before the parameter update.
+    Every step whose loss is finite gets a record, and each observer's
+    ``step(t, net, H, record)`` runs on it, before the parameter update.
     """
     rec = RunRecord()
     net = net0
     batch_gen = None
     if isinstance(config.batching, Stochastic):
         batch_gen = rng.make_generator(config.batching.seed, stream=1)
-    hitting = HittingTime()
-    last = None          # the record of the last step reached, unless kept
 
     for t in range(config.steps + 1):
         L, z, f, parts, H = evaluate(net, ds, loss, trained_layers=config.trained_layers)
@@ -247,12 +235,9 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
             max_abs_pred=float(np.max(np.abs(f))),
             a_sign_ok=bool(np.all(net.output_weights * net0.output_weights > 0.0)),
         )
-        for observer in (hitting, *observers):
+        for observer in observers:
             observer.step(t, net, H, r)
-        last = r
-        if t % config.record_every == 0:
-            rec.records.append(r)
-            last = None
+        rec.records.append(r)
         if t == config.steps:
             break
         if L < _EARLY_STOP_LOSS:
@@ -271,9 +256,7 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
             break
         net = apply_gradient(net, step, eta_t)
 
-    if last is not None:
-        rec.records.append(last)
-    rec.measured_T, rec.first_violation = hitting.T, hitting.first_violation
+    rec.measured_T, rec.first_violation = hitting_time(rec.records)
     return rec
 
 
@@ -325,11 +308,13 @@ def exp_hitting_time_Te(eta: float, n: int, m: int, delta: float, variant: str) 
     return lo
 
 
-def steps_csv(record: RunRecord) -> str:
-    """Render the step records in the canonical CSV layout."""
+def steps_csv(record: RunRecord, every: int = 1) -> str:
+    """Render the records of the steps t with t % every == 0, and of the last
+    step reached, in the canonical CSV layout."""
     buf = io.StringIO()
     buf.write("t,loss,eta,grad_norm,min_margin,max_margin,param_norm,max_abs_pred,a_sign_ok\n")
     for r in record.records:
-        buf.write(f"{r.t},{r.loss!r},{r.eta!r},{r.grad_norm!r},{r.min_margin!r},"
-                  f"{r.max_margin!r},{r.param_norm!r},{r.max_abs_pred!r},{int(r.a_sign_ok)}\n")
+        if r.t % every == 0 or r is record.records[-1]:
+            buf.write(f"{r.t},{r.loss!r},{r.eta!r},{r.grad_norm!r},{r.min_margin!r},"
+                      f"{r.max_margin!r},{r.param_norm!r},{r.max_abs_pred!r},{int(r.a_sign_ok)}\n")
     return buf.getvalue()

@@ -15,7 +15,7 @@ from relulab.cli import evaluate_certificates, main, run_experiment
 from relulab.datasets import write_idx_images, write_idx_labels
 from relulab.losses import LOSS_KEYS
 from relulab.partition import DynamicsViolation
-from relulab.training import RunRecord
+from relulab.training import RunRecord, steps_csv
 
 
 def write_config(tmp_path, name, obj):
@@ -184,29 +184,16 @@ def _gradient_lower(record, ctx):
     return rep
 
 
-class _ShrinkGradients:
-    """Hands an observer the gradient norm of step 2 divided by 4 and of step 5 by 2."""
-
-    def __init__(self, observer):
-        self.observer = observer
-
-    def step(self, t, net, H, r):
-        if t in (2, 5):
-            r = dataclasses.replace(r, grad_norm=r.grad_norm / (4.0 if t == 2 else 2.0))
-        self.observer.step(t, net, H, r)
-
-
-def test_early_gradient_lower_reports_worst_step_once(monkeypatch):
+def test_early_gradient_lower_reports_worst_step_once():
     record, ctx = run_experiment(EARLY_BINARY)
     rep = _gradient_lower(record, ctx)
     assert rep["passed"] and not rep["inconclusive"]
     assert rep["context"]["failing_steps"] == []
-    # Shrinking the measured gradient below the bound at t = 2 and 5 fails
-    # the one report, which names the worst of the failing steps.
-    train = cli.run
-    monkeypatch.setattr(cli, "run", lambda *args: train(
-        *args[:-1], [_ShrinkGradients(o) for o in args[-1]]))
-    record, ctx = run_experiment(EARLY_BINARY)
+    # Shrinking the measured gradient below the bound at t = 2 (by 4) and
+    # t = 5 (by 2) fails the one report, which names the worst failing step.
+    for t, factor in ((2, 4.0), (5, 2.0)):
+        r = record.records[t]
+        record.records[t] = dataclasses.replace(r, grad_norm=r.grad_norm / factor)
     rep = _gradient_lower(record, ctx)
     assert not rep["passed"] and not rep["inconclusive"]
     assert rep["context"] == {"t": 2, "failing_steps": [2, 5]}
@@ -284,6 +271,25 @@ def onehot_spec(tmp_path_factory):
     write_idx_labels(d / "labels", (np.arange(30) % 3).astype(np.uint8))
     return {"type": "mnist", "images": str(d / "images"), "labels": str(d / "labels"),
             "count": 30}
+
+
+def test_early_descent_multi_is_inconclusive_when_the_budget_is_vacuous(tmp_path):
+    # 60 records of 2x2 images, m = 50, B = 16: the failure budget is about
+    # 16, so the measured descent (0.125 against 0.2625) decides nothing.
+    gen = np.random.default_rng(0)
+    pixels = np.clip(np.abs(gen.standard_normal((60, 4))) * 64.0, 1.0, 255.0)
+    write_idx_images(tmp_path / "images", pixels.astype(np.uint8), 2, 2)
+    write_idx_labels(tmp_path / "labels", (np.arange(60) % 3).astype(np.uint8))
+    record, ctx = run_experiment({
+        "kind": "early-multiclass", "loss": "logistic",
+        "dataset": {"type": "mnist", "images": str(tmp_path / "images"),
+                    "labels": str(tmp_path / "labels"), "count": 60},
+        "model": {"m": 50, "kappa": "auto"}, "schedule": {"type": "constant", "eta": 0.01},
+        "train": {"batch": {"B": 16, "seed": 1}}, "delta": 0.05, "seed": 3})
+    (rep,) = [c for c in evaluate_certificates(record, ctx) if c["cert_id"] == "early-descent-multi"]
+    assert rep["context"]["budget"] >= 1.0
+    assert rep["measured"] < rep["theoretical"]
+    assert verdict(rep) == "INCONCLUSIVE"
 
 
 TINY = dict(EARLY_BINARY, dataset={"type": "synthetic", "n": 6, "d": 8, "seed": 1},
@@ -393,14 +399,19 @@ def test_record_every_thins_only_the_step_records(onehot_spec, name):
         cfg = json.loads(json.dumps(config))
         cfg["train"]["record_every"] = k
         record, ctx = run_experiment(cfg)
-        runs[k] = record, evaluate_certificates(record, ctx)
-    (every, reports), (thinned, thinned_reports) = runs[1], runs[5]
+        runs[k] = record, evaluate_certificates(record, ctx), ctx["record_every"]
+    (every, reports, _), (thinned, thinned_reports, k) = runs[1], runs[5]
     # The certificates see every step: same ids, verdicts, worst steps and slacks.
     assert thinned_reports == reports
     assert len(reports) >= 3
-    last = every.records[-1].t
-    assert thinned.records == [r for r in every.records if r.t % 5 == 0 or r.t == last]
+    assert thinned.records == every.records
     assert thinned.measured_T == every.measured_T
+    # Only steps.csv thins: every fifth row of the full one, and the last.
+    last = every.records[-1].t
+    rows = steps_csv(every).split("\n")[1:-1]
+    assert k == 5
+    assert steps_csv(thinned, k).split("\n")[1:-1] == \
+        [row for t, row in enumerate(rows) if t % 5 == 0 or t == last]
 
 
 def test_hitting_time_sentinel_is_the_last_step_reached():
@@ -411,12 +422,16 @@ def test_hitting_time_sentinel_is_the_last_step_reached():
     assert rep["measured"] == 46.0 and rep["slack"] == 46.0 - 44.0
 
 
-def test_verify_memory_does_not_grow_with_the_horizon(tmp_path):
+def _peak_growth(tmp_path, command, **train):
+    """How much the tracemalloc peak of ``command`` on GLOBAL_POLY grows from
+    500 to 5000 steps, and the bound it must stay under: a tenth of the 4500
+    networks that a kept trajectory would add."""
     def peak(steps):
-        cfg = write_config(tmp_path, f"c{steps}.json", dict(GLOBAL_POLY, train={"steps": steps}))
+        cfg = write_config(tmp_path, f"c{steps}.json",
+                           dict(GLOBAL_POLY, train=dict(train, steps=steps)))
         tracemalloc.start()
         try:
-            assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / str(steps))]) == 0
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / str(steps))]) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -426,7 +441,19 @@ def test_verify_memory_does_not_grow_with_the_horizon(tmp_path):
     assert summary["status"] == "completed" and summary["steps"] == 5000
     m, d = GLOBAL_POLY["model"]["m"], GLOBAL_POLY["dataset"]["d"]
     one_net = 8 * m * (d + 1)                   # a (m,) and B (m, d), float64
-    assert growth < 0.1 * 4500 * one_net
+    return growth, 0.1 * 4500 * one_net
+
+
+def test_verify_memory_does_not_grow_with_the_horizon(tmp_path):
+    growth, bound = _peak_growth(tmp_path, "verify")
+    assert growth < bound
+
+
+def test_train_memory_at_a_thinned_record_does_not_grow_with_the_horizon(tmp_path):
+    # train keeps every step's record and thins only the rows of steps.csv.
+    growth, bound = _peak_growth(tmp_path, "train", record_every=100)
+    assert growth < bound
+    assert len((tmp_path / "5000" / "steps.csv").read_text().splitlines()) == 1 + 51
 
 
 def test_global_kinds_default_to_the_exp_loss():
@@ -439,6 +466,7 @@ def test_global_kinds_default_to_the_exp_loss():
     (dict(GLOBAL_POLY, loss="quadratic"), "global-poly takes a loss of kind exptype, not 'quadratic' (quadratic)"),
     (dict(GLOBAL_POLY, kind="global-exp", loss="hinge"), "global-exp takes a loss of kind exptype, not 'hinge' (general)"),
     (dict(TINY, kind="certify-only"), "certify-only certifies the dataset and takes no train.steps"),
+    (dict(TINY, train={"steps": 3, "record_every": 0}), "record_every must be >= 1"),
     (dict(TINY, kind="early-multiclass", loss="logistic",
           train={"steps": 3, "trained_layers": "input_only"}),
      "early-multiclass: input-only training is defined for the binary network only"),
@@ -500,6 +528,16 @@ def test_aborted_runs_and_malformed_configs_keep_the_exit_code_contract(
         assert summary["status"].startswith("aborted:")
     else:
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_report_exits_1_on_an_aborted_run(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "c.json", BROKEN["global-poly-kappa-1e150"][0])
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["report", "--out", str(out)]) == 1
+    assert "status: aborted:non-finite-loss-at-t=0" in capsys.readouterr().out
 
 
 def test_a_run_with_no_step_reports_inconclusive_where_nothing_was_measured(tmp_path):

@@ -22,7 +22,6 @@ from relulab.training import (
     NOT_YET_HIT,
     Constant,
     Full,
-    HittingTime,
     LossInverse,
     RunRecord,
     StepRecord,
@@ -30,6 +29,7 @@ from relulab.training import (
     TrainConfig,
     TwoStagePoly,
     exp_hitting_time_Te,
+    hitting_time,
     run,
     steps_csv,
     tstar,
@@ -298,12 +298,11 @@ def test_an_overflowed_gradient_norm_of_a_finite_gradient_does_not_abort():
 def _hitting_time(preds, signs):
     """T by the rule ``run`` applies, over steps with the given prediction
     sup-norms and output-sign flags."""
-    rule = HittingTime()
-    for t, (p, s) in enumerate(zip(preds, signs)):
-        rule.step(t, None, None, StepRecord(
-            t=t, loss=0.1, eta=0.01, grad_norm=0.0, min_margin=0.0,
-            max_margin=p, param_norm=1.0, max_abs_pred=p, a_sign_ok=s))
-    return rule.T
+    T, _ = hitting_time([StepRecord(
+        t=t, loss=0.1, eta=0.01, grad_norm=0.0, min_margin=0.0,
+        max_margin=p, param_norm=1.0, max_abs_pred=p, a_sign_ok=s)
+        for t, (p, s) in enumerate(zip(preds, signs))])
+    return T
 
 
 def test_hitting_time_counts_back_two_from_first_violation():
@@ -320,15 +319,17 @@ def test_hitting_time_sentinel_when_never_violated():
 
 
 def test_run_hitting_time_sees_every_step():
-    # A step size of 0.5 first breaks |f| <= 1 at t = 11; with records kept
-    # every 7 steps the first recorded violation is at t = 14, which a rule
-    # read from the records would turn into T = 12.
+    # A step size of 0.5 first breaks |f| <= 1 at t = 11; in the rows
+    # written every 7 steps the first violation is at t = 14, which a rule
+    # read from those rows would turn into T = 12.
     ds = gen_orthant_separable(n=8, d=6, seed=6)
     net0 = init_binary(64, 6, InitSpec(kappa=1e-3, seed=6))
-    runs = [run(net0, ds, loss_family("quadratic"), Constant(eta=0.5),
-                TrainConfig(steps=30, batching=Full(), record_every=k)) for k in (1, 7)]
-    assert runs[0].measured_T == runs[1].measured_T == 9
-    assert [r.t for r in runs[1].records] == [0, 7, 14, 21, 28, 30]
+    rec = run(net0, ds, loss_family("quadratic"), Constant(eta=0.5),
+              TrainConfig(steps=30, batching=Full()))
+    assert rec.measured_T == 9
+    rows = steps_csv(rec, 7).strip().split("\n")[1:]
+    every = steps_csv(rec).strip().split("\n")[1:]
+    assert rows == [every[t] for t in (0, 7, 14, 21, 28, 30)]
 
 
 def test_immediate_violation_clamps_to_minus_one():
