@@ -10,15 +10,16 @@ The inputs are written once, from the change tree: the regimes of
 IDX corpus), the four workload configs of ``perfbench/workloads.py`` (read,
 never changed), a ``train`` run at its default horizon, at ``train.steps:
 10`` and at ``train.record_every: 5``, ``prm`` in extension mode (M > d, so
-some teachers are random) and at a fixed numeric ``eta``, ``gen-data`` on a
-binary dataset with and without the antipodal pair and on the IDX corpus, a
-two-cell ``sweep``, a small early-binary ``verify`` at eta = 1e-4 with its
-default horizon (T_e = 2204), three ``verify`` runs whose partition checks
-fail (the early-binary workload at m = 512, kappa = 100; the global-poly
-workload and the suite's global-exp regime at kappa = 1 for 300 steps), a
-``verify`` of the early-binary and global-poly workloads at
-``train.record_every: 5``, and ``report`` on every verify and prm run
-directory.
+some teachers are random), at a fixed numeric ``eta`` and at d = 40, m = 33,
+M = 40 for 300 steps (a non-square student-teacher kernel matrix at the
+benchmark's scale), ``gen-data`` on a binary dataset with and without the
+antipodal pair and on the IDX corpus, a two-cell ``sweep``, a small
+early-binary ``verify`` at eta = 1e-4 with its default horizon (T_e =
+2204), three ``verify`` runs whose partition checks fail (the early-binary
+workload at m = 512, kappa = 100; the global-poly workload and the suite's
+global-exp regime at kappa = 1 for 300 steps), a ``verify`` of the
+early-binary and global-poly workloads at ``train.record_every: 5``, and
+``report`` on every verify and prm run directory.
 Each command then runs through each tree's own CLI (``python -m
 relulab.cli`` with that tree's ``src`` on the path and BLAS at one thread,
 as in the benchmark), in a fresh working directory per tree, with relative
@@ -88,6 +89,10 @@ def write_inputs(change: Path, inputs: Path) -> list:
     for name in ("early-binary", "global-poly", "multiclass-sgd", "prm-population"):
         command, cfg = workloads.config(name, 0, (images, labels))
         configs[f"perfbench-{name}"] = (command, cfg)
+    # A non-square student-teacher kernel matrix at the benchmark's scale.
+    population = workloads.config("prm-population", 0)[1]
+    configs["prm-odd-shapes"] = ("prm", {"kind": "prm", "prm": dict(population["prm"], m=33,
+                                                                   steps=300)})
     # Runs whose partition checks fail, so the violations are compared too.
     early, poly = (workloads.config(name, 0)[1] for name in ("early-binary", "global-poly"))
     configs["partition-fails-early-binary"] = ("verify", dict(early, model={"m": 512,

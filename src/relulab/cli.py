@@ -402,6 +402,12 @@ def run_experiment(config: dict, certify: bool = True):
     batch_spec = train_spec.get("batch")
     batch_size = (None if batch_spec is None else
                   _require(_strict(batch_spec, {"B", "seed"}, "train.batch"), "B", "train.batch", int))
+    eta = schedule.eta if isinstance(schedule, Constant) else schedule.eta0
+    default_steps = (0 if not spec.trains else
+                     tstar(eta, spec.variant) if isinstance(schedule, Constant) else 1000)
+    steps = _cast(train_spec.get("steps", default_steps), "train.steps", int)
+    if steps < 0:
+        raise ConfigError("steps must be >= 0")
     record_every = _cast(train_spec.get("record_every", 1), "train.record_every", int)
     if record_every < 1:
         raise ConfigError("record_every must be >= 1")
@@ -412,19 +418,13 @@ def run_experiment(config: dict, certify: bool = True):
         raise ConfigError(f"{kind} requires a dataset with {labels} labels")
     ctx = {"ds": ds, "schedule": schedule, "kind": kind, "delta": delta,
            "batch_size": batch_size, "seed": seed, "m": m, "record_every": record_every}
-    eta = schedule.eta if isinstance(schedule, Constant) else schedule.eta0
     kappa = spec.kappa_cap(eta, ctx) if kappa == "auto" else kappa
     init = InitSpec(kappa=kappa, seed=seed)
     net0 = (init_multi(m, ds.d, ds.num_classes, init) if spec.variant == "multi"
             else init_binary(m, ds.d, init))
-    default_steps = (0 if not spec.trains else
-                     tstar(eta, spec.variant) if isinstance(schedule, Constant) else 1000)
     batching = Full() if batch_spec is None else Stochastic(
         B=batch_size, seed=_cast(batch_spec.get("seed", seed + 1), "train.batch.seed", int))
-    tconf = TrainConfig(
-        steps=_cast(train_spec.get("steps", default_steps), "train.steps", int),
-        batching=batching, trained_layers=trained_layers,
-    )
+    tconf = TrainConfig(steps=steps, batching=batching, trained_layers=trained_layers)
     ctx.update(net0=net0, kappa=kappa)
     observers, ctx["report"] = spec.certify(ctx) if certify else ((), None)
     record = run(net0, ds, loss, schedule, tconf, observers)

@@ -30,6 +30,7 @@ __all__ = [
     "load_cifar10",
     "compute_gamma_constants",
     "concentration_tail",
+    "exact_sum",
     "compute_V",
     "export_dataset_csv",
     "write_idx_images",
@@ -357,15 +358,45 @@ def compute_gamma_constants(ds: LabeledDataset) -> Tuple[float, float]:
     gram = np.clip(x @ x.T, -1.0, 1.0)
     same = np.outer(y, y) > 0
     vals = gram[same]
-    g2 = math.fsum(vals.tolist()) / (n * n)
+    g2 = exact_sum(vals) / (n * n)
     weighted = vals * (1.0 - np.arccos(vals) / np.pi)
-    g1 = math.fsum(weighted.tolist()) / (n * n)
+    g1 = exact_sum(weighted) / (n * n)
     return g1, g2
 
 
 def concentration_tail(n: int, m: int, delta: float) -> float:
     """The width-m concentration term sqrt(8 log(n^2/delta)/m)."""
     return math.sqrt(8.0 * math.log(n ** 2 / delta) / m)
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of a float64 array: ``math.fsum(x.ravel().tolist())``.
+
+    Returns the same float as that expression, or raises the same exception,
+    for every input, from a few array passes instead of one boxed float per
+    entry.  Two ExtractVector rounds (Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008) split
+    each entry x_i = q_i + r_i exactly: q_i = ((sigma + x_i) - sigma) sits on
+    a grid so coarse that numpy sums the q_i without error, in any order,
+    when sigma is a power of two >= 2^shift max|x| with 2^shift >= size + 2.
+    The second round takes sigma * 2^(shift - 53), which bounds the first
+    round's remainders the same way.  fsum of the two exact round sums and
+    the remainders left is then fsum of x.  An empty or non-float64 array, a
+    non-finite or zero max|x|, or a sigma outside the normal range falls back
+    to fsum.
+    """
+    if x.size and x.dtype == np.float64:
+        big = float(np.abs(x).max())
+        shift = (x.size + 1).bit_length()
+        top = math.frexp(big)[1] + shift         # big < 2**frexp(big)[1]
+        if 0.0 < big < math.inf and top <= 1023 and top + shift - 53 >= -1022:
+            sums, rest = [], x
+            for sigma in (math.ldexp(1.0, top), math.ldexp(1.0, top + shift - 53)):
+                q = (sigma + rest) - sigma
+                sums.append(float(q.sum()))
+                rest = rest - q
+            return math.fsum(sums + rest[rest != 0.0].tolist())
+    return math.fsum(x.ravel().tolist())
 
 
 def compute_V(ds: LabeledDataset, m: int, delta: float) -> DataConstants:

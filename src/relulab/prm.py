@@ -7,11 +7,14 @@ under standard Gaussian inputs has the closed form
 
 where k(w; v) = (1/2pi) |w| |v| (sin theta + (pi - theta) cos theta) equals
 E[sigma(w^T x) sigma(v^T x)] for x ~ N(0, I).  Teachers are the scaled basis
-vectors v_i = e_i / M.  The module provides the exact loss and gradient,
-plain gradient descent under the compliant step-size cap, hitting-time
-measurement and the final two-term descent certificate.  The scalar kernel
-and a Monte-Carlo estimate of the risk, which the tests compare the closed
-forms against, live in ``oracles``.
+vectors v_i = e_i / M.  The double sums are correctly rounded (the same
+bits as ``math.fsum``) and computed by ExtractVector in
+``datasets.exact_sum`` (Rump, Ogita and Oishi, "Accurate floating-point
+summation part I", SIAM J. Sci. Comput. 31(1), 2008).  The module provides
+the exact loss and gradient, plain gradient descent under the compliant
+step-size cap, hitting-time measurement and the final two-term descent
+certificate.  The scalar kernel and a Monte-Carlo estimate of the risk,
+which the tests compare the closed forms against, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from . import rng
 from .certificates import CertificateReport
+from .datasets import exact_sum
 
 __all__ = [
     "TeacherStudentConfig",
@@ -135,7 +139,7 @@ def _teacher_terms(key: _TeacherKey) -> _Teacher:
     V = teacher_matrix(key)
     nv = _row_norms(V)
     Vbar = V / nv[:, None]
-    half_kvv = 0.5 * math.fsum(_kernel_matrix(V, V, nv, nv).ravel().tolist())
+    half_kvv = 0.5 * exact_sum(_kernel_matrix(V, V, nv, nv))
     for a in (V, nv, Vbar):
         a.setflags(write=False)     # every caller shares them
     return _Teacher(V, nv, Vbar, half_kvv)
@@ -152,9 +156,7 @@ def population_loss(W: np.ndarray, config: TeacherStudentConfig) -> float:
     nw = _row_norms(W)
     Kww = _kernel_matrix(W, W, nw, nw)
     Kwv = _kernel_matrix(W, teacher.V, nw, teacher.nv)
-    return float(0.5 * math.fsum(Kww.ravel().tolist())
-                 - math.fsum(Kwv.ravel().tolist())
-                 + teacher.half_kvv)
+    return 0.5 * exact_sum(Kww) - exact_sum(Kwv) + teacher.half_kvv
 
 
 def loss_at_origin(config: TeacherStudentConfig) -> float:

@@ -467,6 +467,7 @@ def test_global_kinds_default_to_the_exp_loss():
     (dict(GLOBAL_POLY, kind="global-exp", loss="hinge"), "global-exp takes a loss of kind exptype, not 'hinge' (general)"),
     (dict(TINY, kind="certify-only"), "certify-only certifies the dataset and takes no train.steps"),
     (dict(TINY, train={"steps": 3, "record_every": 0}), "record_every must be >= 1"),
+    (dict(TINY, train={"steps": -1}), "steps must be >= 0"),
     (dict(TINY, kind="early-multiclass", loss="logistic",
           train={"steps": 3, "trained_layers": "input_only"}),
      "early-multiclass: input-only training is defined for the binary network only"),
@@ -484,6 +485,17 @@ def test_config_errors_come_before_dataset_and_init(tmp_path, capsys, monkeypatc
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
         assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_negative_steps_is_reported_ahead_of_a_missing_idx_file(tmp_path, capsys, command):
+    config = dict(TINY, dataset={"type": "mnist", "images": str(tmp_path / "nope-images"),
+                                 "labels": str(tmp_path / "nope-labels")},
+                  train={"steps": -1})
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "steps" in err and "nope-images" not in err
 
 
 # Runs that abort at step 0 (or have no step after it) and malformed inputs:

@@ -1,15 +1,17 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relulab.datasets import (
     LabeledDataset,
     _has_antipodal_pair,
     compute_gamma_constants,
     compute_V,
+    exact_sum,
     export_dataset_csv,
     gen_orthant_separable,
     load_idx_images,
@@ -139,6 +141,85 @@ def test_gamma_sandwich_on_random_datasets(seed, d, half_n):
     ds = gen_orthant_separable(n=2 * half_n, d=d, seed=seed)
     g1, g2 = compute_gamma_constants(ds)
     assert g2 / 2.0 - 1e-12 <= g1 <= g2 + 1e-12
+
+
+def _gamma_by_fsum(ds):
+    """(gamma1, gamma2) as two ``math.fsum`` sums over the boxed same-class terms."""
+    n = ds.n
+    vals = np.clip(ds.inputs @ ds.inputs.T, -1.0, 1.0)[np.outer(ds.labels, ds.labels) > 0]
+    weighted = vals * (1.0 - np.arccos(vals) / np.pi)
+    return math.fsum(weighted.tolist()) / (n * n), math.fsum(vals.tolist()) / (n * n)
+
+
+@pytest.mark.parametrize("n,d,seed", [(40, 30, 0), (100, 20, 3)])
+def test_gamma_constants_equal_the_fsum_formulas(small_binary_ds, n, d, seed):
+    for ds in (small_binary_ds, gen_orthant_separable(n=n, d=d, seed=seed)):
+        assert compute_gamma_constants(ds) == _gamma_by_fsum(ds)
+
+
+# ---------------------------------------------------------------------------
+# Correctly rounded array sum
+# ---------------------------------------------------------------------------
+
+def _sum_outcome(total, x):
+    """The bytes of ``total(x)``, so that the sign of zero counts, or the
+    type of the exception it raises."""
+    try:
+        return struct.pack("<d", total(x))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_sums_like_fsum(x):
+    assert _sum_outcome(exact_sum, x) == _sum_outcome(lambda a: math.fsum(a.tolist()), x)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1e16, -1e16,
+                            1e308, -1e308, 1.7976931348623157e308])
+
+
+@st.composite
+def float_arrays(draw, special=_SPECIAL):
+    """Up to 5000 float64 entries: random mantissas and signs at exponents
+    drawn from a window of the whole range (subnormals and values near 1e308
+    included), the last half optionally the negated first half (heavy
+    cancellation), with a few drawn values planted at drawn positions."""
+    size = draw(st.integers(0, 5000))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    low = draw(st.integers(-1080, 1024))
+    high = draw(st.integers(low, 1024))
+    x = np.ldexp(gen.uniform(0.5, 1.0, size) * gen.choice([-1.0, 1.0], size),
+                 gen.integers(low, high, size, endpoint=True))
+    if draw(st.booleans()):
+        x[size - size // 2:] = -x[: size // 2]
+    for _ in range(draw(st.integers(0, 8))):
+        if x.size:
+            x[draw(st.integers(0, x.size - 1))] = draw(special)
+    return x
+
+
+@given(float_arrays())
+@example(np.array([1e16, 1.0, -1e16]))
+@example(np.array([1.0, 2.0 ** -200, 2.0 ** -60, -(2.0 ** -200) * 3]))     # remainders left
+@example(np.array([1e-310, -3e-312]))                                     # sigma below normal
+@example(-np.zeros(0))
+@example(-np.zeros(1))
+@example(-np.zeros(4999))
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_returns_the_bits_of_fsum(x):
+    _assert_sums_like_fsum(x)
+
+
+@given(float_arrays(special=st.sampled_from([math.nan, math.inf, -math.inf, 1e308])))
+@example(np.array([math.nan]))
+@example(np.array([math.inf, 1.0]))
+@example(np.array([-math.inf, -math.inf]))
+@example(np.array([math.inf, -math.inf]))                  # inf - inf: ValueError
+@example(np.array([1e308, 1e308, -1e308]))                 # intermediate overflow
+@example(np.array([1e308, -1e308, 1e308]))
+@settings(max_examples=100, deadline=None)
+def test_exact_sum_fails_like_fsum_on_non_finite_sums(x):
+    _assert_sums_like_fsum(x)
 
 
 def test_lambda_min_matches_power_iteration():

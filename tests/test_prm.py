@@ -166,6 +166,21 @@ def test_cached_teacher_terms_are_keyed_on_d_M_and_seed():
     assert np.array_equal(teacher_matrix(c), cached.V)
 
 
+@pytest.mark.parametrize("m,M", [(1, 1), (3, 7), (33, 40), (40, 40)])
+@pytest.mark.parametrize("low,high", [(1e-150, 1e150), (1e-150, 1e-150), (1.0, 1.0)])
+def test_population_loss_is_bit_identical_to_the_fsum_oracle(m, M, low, high):
+    # Row norms spread log-evenly over [low, high].  The spread leaves
+    # remainders after both extraction rounds of the kernel sums; rows of
+    # norm 1e-150 put the student-student sum below the normal range, where
+    # the sum falls back to fsum itself.
+    c = cfg(d=40, m=m, M=M)
+    W = np.random.default_rng(m * M).standard_normal((m, c.d))
+    W *= (np.geomspace(low, high, m) / np.linalg.norm(W, axis=1))[:, None]
+    origin, loss, _ = _prm_terms_from_fresh_teacher(W, c)
+    assert loss_at_origin(c) == origin
+    assert population_loss(W, c) == loss
+
+
 # ---------------------------------------------------------------------------
 # Schedule constants and run
 # ---------------------------------------------------------------------------
