@@ -18,7 +18,10 @@ early-binary ``verify`` at eta = 1e-4 with its default horizon (T_e =
 2204), three ``verify`` runs whose partition checks fail (the early-binary
 workload at m = 512, kappa = 100; the global-poly workload and the suite's
 global-exp regime at kappa = 1 for 300 steps), a ``verify`` of the
-early-binary and global-poly workloads at ``train.record_every: 5``, and
+early-binary and global-poly workloads at ``train.record_every: 5``, four
+``verify`` runs whose certificates are partly unmeasured (the suite's
+early-binary regime at ``train.steps: 5`` and ``train.steps: 0``, the
+multiclass-sgd workload at ``train.steps: 0`` and at full batch), and
 ``report`` on every verify and prm run directory.
 Each command then runs through each tree's own CLI (``python -m
 relulab.cli`` with that tree's ``src`` on the path and BLAS at one thread,
@@ -104,6 +107,15 @@ def write_inputs(change: Path, inputs: Path) -> list:
     for name, cfg in (("early-binary", early), ("global-poly", poly)):
         configs[f"record-every-5-{name}"] = ("verify", dict(
             cfg, train=dict(cfg["train"], record_every=5)))
+
+    # Runs that measure only part of their kind's certificates.
+    multi = configs["perfbench-multiclass-sgd"][1]
+    for steps in (5, 0):
+        configs[f"early-binary-steps-{steps}"] = ("verify", dict(suite.EARLY_BINARY,
+                                                                 train={"steps": steps}))
+    configs["multiclass-sgd-steps-0"] = ("verify", dict(multi, train=dict(multi["train"], steps=0)))
+    configs["multiclass-sgd-full-batch"] = ("verify", dict(multi, train={
+        k: v for k, v in multi["train"].items() if k != "batch"}))
 
     commands = []
     for name, (command, cfg) in configs.items():

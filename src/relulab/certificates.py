@@ -260,7 +260,10 @@ def check_block_structure(G: np.ndarray, ds: LabeledDataset) -> CertificateRepor
 
 def check_gram_lower_bound(G: np.ndarray, ds: LabeledDataset,
                            consts: TheoryConstants) -> CertificateReport:
-    """Binary same-class entries: G_ij >= (999/1000) x_i^T x_j ((pi - arccos)/pi - sqrt(8 log(n^2/delta)/m))."""
+    """Binary same-class entries: G_ij >= (999/1000) x_i^T x_j ((pi - arccos)/pi - sqrt(8 log(n^2/delta)/m)).
+
+    A bound <= 0 holds trivially; with no positive bound at any same-class
+    pair the report is inconclusive."""
     x, y = ds.inputs, ds.labels
     gram = np.clip(x @ x.T, -1.0, 1.0)
     tail = concentration_tail(consts.n, consts.m, consts.delta)
@@ -269,10 +272,11 @@ def check_gram_lower_bound(G: np.ndarray, ds: LabeledDataset,
     slack = (G - bound)[same]
     worst = float(np.min(slack))
     idx = np.argwhere(same)[int(np.argmin(slack))]
+    vacuous = not np.any(bound[same] > 0.0)
     return CertificateReport(
         cert_id="gram-same-class-lower",
         theoretical=float(bound[tuple(idx)]), measured=float(G[tuple(idx)]),
-        passed=worst >= 0.0, slack=worst,
+        passed=worst >= 0.0 and not vacuous, slack=worst, inconclusive=vacuous,
         context={"pair": idx.tolist()},
     )
 
@@ -380,16 +384,12 @@ def fit_convergence_rate(records, kind: str, V: float, c: float) -> CertificateR
 
     ``kind``: ``poly_stage1`` checks L(t) <= L(1)/t^{Vc/2};
     ``exponential`` checks L(t) <= (1 - Vc/2)^{t-1} L(1).  Also reports the
-    least-squares fitted decay for diagnostics.  A run with no record at
-    t >= 1 (one that aborted at step 0) is inconclusive.
+    least-squares fitted decay for diagnostics.
     """
     if kind not in ("poly_stage1", "exponential"):
         raise ValueError(f"unknown envelope kind {kind!r}")
     rate = V * c / 2.0
     pts = [(r.t, r.loss) for r in records if r.t >= 1]
-    if not pts:
-        return CertificateReport(f"rate-{kind}", rate, math.nan, False, math.nan, inconclusive=True,
-                                 context={"worst_t": None, "fitted_decay": math.nan})
     L1 = dict(pts).get(1)
     if L1 is None:
         raise ValueError("record at t = 1 required")

@@ -10,8 +10,8 @@ Subcommands
 ``report``    print a human-readable summary of a stored run directory
 
 Configs are strict JSON: unknown keys are errors, so a misspelled constant
-cannot silently fall back to a default.  What a kind trains and certifies is
-one ``Kind`` record in ``_KINDS``.  Exit code 0: no certificate failed and no
+cannot silently fall back to a default.  What a kind trains and certifies,
+and the ids of its certificates, is one ``Kind`` record in ``_KINDS``.  Exit code 0: no certificate failed and no
 run aborted; 1: one did; 2: a usage or config error.
 """
 
@@ -174,25 +174,19 @@ def _kappa_global(eta: float, ctx) -> float:
 
 
 def _partition_report(cert_id: str, viols: list) -> dict:
-    # A run that reached no step t >= 1 checked no segment: its only
-    # violation is the horizon rule, and it measured nothing.
-    unmeasured = [v.rule for v in viols] == ["horizon"]
-    count = math.nan if unmeasured else float(len(viols))
     return certs.CertificateReport(
-        cert_id, 0.0, count, len(viols) == 0, -count, inconclusive=unmeasured,
+        cert_id, 0.0, float(len(viols)), not viols, -float(len(viols)),
         context={"first": viols[0].__dict__ if viols else None}).as_dict()
 
 
 def _hitting_time_report(record, ts: int) -> dict:
-    # Not hit: the true T is at least the last step the run reached, which
-    # shows T >= t* only when that step is t* or later.  A run that reached
-    # no step measured nothing.  A violation at t <= 1 is a hit with T = -1.
+    # Not hit: T is at least the last step reached (the window rule reads a
+    # run that stopped before t*).  A violation at t <= 1 is a hit with T = -1.
     hit = record.first_violation is not None
-    measured = record.measured_T if hit else record.records[-1].t if record.records else math.nan
-    passed = measured >= ts
+    measured = record.measured_T if hit else record.records[-1].t
     return certs.CertificateReport(
-        "hitting-time-at-least-tstar", float(ts), float(measured), passed, float(measured - ts),
-        inconclusive=not hit and not passed, context={"sentinel_not_yet_hit": not hit}).as_dict()
+        "hitting-time-at-least-tstar", float(ts), float(measured), not hit or measured >= ts,
+        float(measured - ts), context={"sentinel_not_yet_hit": not hit}).as_dict()
 
 
 def _early_descent_report(cert_id: str, bound: float, records, ts: int,
@@ -210,14 +204,15 @@ def _early_descent_report(cert_id: str, bound: float, records, ts: int,
 # Each ``_certify_*`` takes the run context before training and returns
 # (observers, report): the observers watch every training step, and
 # ``report(record)`` reads them and the run's step records into report dicts.
+# A builder emits only what the run measured; ``evaluate_certificates`` fills
+# in the rest of the kind's ``cert_ids``.
 
 def _certify_early_binary(ctx):
-    ds, delta, m = ctx["ds"], ctx["delta"], ctx["m"]
+    ds, delta, m, ts = ctx["ds"], ctx["delta"], ctx["m"], ctx["tstar"]
     g1, g2 = compute_gamma_constants(ds)
     consts = certs.TheoryConstants(n=ds.n, d=ds.d, m=m, delta=delta,
                                    eta=ctx["schedule"].eta, gamma1=g1, gamma2=g2)
     budget = certs.probability_budget(consts, "binary_early")
-    ts = tstar(consts.eta, "binary")
     te = exp_hitting_time_Te(consts.eta, ds.n, m, delta, "binary")
     gram = certs.GramChecks(ds, consts, range(1, ts + 1))
     dynamics = part.EarlyDynamics(ds, range(ts + 1))
@@ -226,7 +221,8 @@ def _certify_early_binary(ctx):
         out = _early_descent_report("early-descent-binary", certs.descent_bound_binary(consts),
                                     record.records, ts, inconclusive=budget >= 1.0,
                                     budget=budget, T_e=te)
-        out.append(_hitting_time_report(record, ts))
+        if record.records:
+            out.append(_hitting_time_report(record, ts))
         grad_lower = []   # (slack, t, bound, measured) for every t in 1..t*
         for r in record.records[1:ts + 1]:
             gl = certs.gradient_lower_bound_early(r.t, consts)
@@ -242,19 +238,18 @@ def _certify_early_binary(ctx):
                 context={"t": t,
                          "failing_steps": [g[1] for g in live if g[0] < 0.0]}).as_dict())
         out.extend(r.as_dict() for r in gram.reports())
-        out.append(_partition_report("partition-dynamics-early", dynamics.violations()))
+        if dynamics.seen > 1:   # steps 0 and 1: the first-step rules
+            out.append(_partition_report("partition-dynamics-early", dynamics.violations()))
         return out
 
     return [gram, dynamics], report
 
 
 def _certify_early_multiclass(ctx):
-    ds = ctx["ds"]
-    eta = ctx["schedule"].eta
-    consts = certs.TheoryConstants(n=ds.n, d=ds.d, m=ctx["m"], delta=ctx["delta"], eta=eta,
-                                   batch=ctx["batch_size"])
+    ds, ts = ctx["ds"], ctx["tstar"]
+    consts = certs.TheoryConstants(n=ds.n, d=ds.d, m=ctx["m"], delta=ctx["delta"],
+                                   eta=ctx["schedule"].eta, batch=ctx["batch_size"])
     budget = certs.probability_budget(consts, "multi_early") if ctx["batch_size"] else None
-    ts = tstar(eta, "multi")
     gram = certs.MultiGramMin(ds, range(1, ts + 1))
 
     def report(record) -> list:
@@ -284,18 +279,26 @@ def _certify_global(ctx, envelope: str):
     dynamics = part.GlobalDynamics(ds)
 
     def report(record) -> list:
-        rep = certs.fit_convergence_rate(record.records, envelope, dc.V, ctx["schedule"].c)
-        if dc.vacuous:
-            rep = dataclasses.replace(rep, inconclusive=True,
-                                      context=dict(rep.context, vacuous_V=True))
+        # Stage II starts at t = 1, and its claims say how the run goes on
+        # from there: a run that reached no t >= 2 shows only what failed.
+        reached = len(record.records) > 2
+        out = []
+        if reached:
+            rep = certs.fit_convergence_rate(record.records, envelope, dc.V, ctx["schedule"].c)
+            if dc.vacuous:
+                rep = dataclasses.replace(rep, inconclusive=True,
+                                          context=dict(rep.context, vacuous_V=True))
+            out.append(rep.as_dict())
         cc = part.check_correct_classification(record)
-        # A run with no step at t >= 1 measured no margin.
-        unmeasured = len(record.records) < 2
-        margin = math.nan if unmeasured else 0.0 if cc is None else cc[1]
-        return [rep.as_dict(), certs.CertificateReport(
-            "correct-classification", 0.0, margin, cc is None and not unmeasured, margin,
-            inconclusive=unmeasured, context={"first_violation": cc}).as_dict(),
-            _partition_report("partition-dynamics-global", dynamics.violations())]
+        if reached or cc is not None:
+            margin = 0.0 if cc is None else cc[1]
+            out.append(certs.CertificateReport(
+                "correct-classification", 0.0, margin, cc is None, margin,
+                context={"first_violation": cc}).as_dict())
+        viols = dynamics.violations()
+        if reached or viols:
+            out.append(_partition_report("partition-dynamics-global", viols))
+        return out
 
     return [dynamics], report
 
@@ -326,23 +329,32 @@ class Kind:
     schedules: Tuple[str, ...]    # schedule types the certificates can read
     kappa_cap: Callable[[float, dict], float]   # (eta, run context) -> kappa for "auto"
     certify: Callable[[dict], tuple]   # ctx -> (observers, report(record) -> report dicts)
+    cert_ids: Tuple[str, ...]     # the certificates of every verify run, in this order
     trains: bool = True           # False: no schedule and no training steps by default
 
 
 _ANY_LOSS = ("quadratic", "general", "exptype")
+_GLOBAL_IDS = ("correct-classification", "partition-dynamics-global")
 _KINDS = {
     "early-binary": Kind("binary", "quadratic", _ANY_LOSS, "all", ("constant",),
-                         _kappa_early_binary, _certify_early_binary),
+                         _kappa_early_binary, _certify_early_binary,
+                         ("early-descent-binary", "hitting-time-at-least-tstar",
+                          "early-gradient-lower", "gram-cross-class-zero",
+                          "gram-same-class-lower", "partition-dynamics-early")),
     "early-multiclass": Kind("multi", "logistic", ("general", "exptype"), "all", ("constant",),
-                             _kappa_early_multi, _certify_early_multiclass),
+                             _kappa_early_multi, _certify_early_multiclass,
+                             ("early-descent-multi", "multi-gram-entries-at-least-one",
+                              "stochastic-gradient-alignment")),
     "global-poly": Kind("binary", "exp", ("exptype",), "all", ("loss-inverse", "two-stage-poly"),
-                        _kappa_global, functools.partial(_certify_global, envelope="poly_stage1")),
+                        _kappa_global, functools.partial(_certify_global, envelope="poly_stage1"),
+                        ("rate-poly_stage1",) + _GLOBAL_IDS),
     "global-exp": Kind("binary", "exp", ("exptype",), "input_only",
                        ("loss-inverse", "two-stage-poly"),
-                       _kappa_global, functools.partial(_certify_global, envelope="exponential")),
+                       _kappa_global, functools.partial(_certify_global, envelope="exponential"),
+                       ("rate-exponential",) + _GLOBAL_IDS),
     "certify-only": Kind("binary", "quadratic", _ANY_LOSS, "all",
                          ("constant", "loss-inverse", "two-stage-poly"),
-                         _kappa_global, _certify_dataset, trains=False),
+                         _kappa_global, _certify_dataset, ("gamma-sandwich",), trains=False),
 }
 
 
@@ -400,11 +412,18 @@ def run_experiment(config: dict, certify: bool = True):
     kappa = model_spec.get("kappa", "auto")
     kappa = kappa if kappa == "auto" else _cast(kappa, "model.kappa")
     batch_spec = train_spec.get("batch")
+    if batch_spec is not None and spec.variant != "multi":
+        raise ConfigError(f"{kind} is certified for full-batch training only and takes no train.batch")
     batch_size = (None if batch_spec is None else
                   _require(_strict(batch_spec, {"B", "seed"}, "train.batch"), "B", "train.batch", int))
     eta = schedule.eta if isinstance(schedule, Constant) else schedule.eta0
-    default_steps = (0 if not spec.trains else
-                     tstar(eta, spec.variant) if isinstance(schedule, Constant) else 1000)
+    ts = None   # t*: the early kinds' default horizon and their certificates' window
+    if spec.trains and isinstance(schedule, Constant) and (certify or "steps" not in train_spec):
+        try:
+            ts = tstar(eta, spec.variant)
+        except ValueError as exc:
+            raise ConfigError(f"schedule.eta: {exc} to define t*, not {eta!r}") from None
+    default_steps = ts if ts is not None else 1000 if spec.trains else 0
     steps = _cast(train_spec.get("steps", default_steps), "train.steps", int)
     if steps < 0:
         raise ConfigError("steps must be >= 0")
@@ -416,7 +435,7 @@ def run_experiment(config: dict, certify: bool = True):
     labels = "onehot" if spec.variant == "multi" else "binary"
     if ds.label_kind != labels:
         raise ConfigError(f"{kind} requires a dataset with {labels} labels")
-    ctx = {"ds": ds, "schedule": schedule, "kind": kind, "delta": delta,
+    ctx = {"ds": ds, "schedule": schedule, "kind": kind, "delta": delta, "tstar": ts,
            "batch_size": batch_size, "seed": seed, "m": m, "record_every": record_every}
     kappa = spec.kappa_cap(eta, ctx) if kappa == "auto" else kappa
     init = InitSpec(kappa=kappa, seed=seed)
@@ -432,8 +451,30 @@ def run_experiment(config: dict, certify: bool = True):
 
 
 def evaluate_certificates(record, ctx) -> list:
-    """The experiment kind's certificates of a run made with ``certify``; a list of report dicts."""
-    return ctx["report"](record)
+    """One report dict per id of the kind's ``cert_ids``, in order, for a run
+    made with ``certify``.  An id that no builder emitted reads INCONCLUSIVE
+    with NaN values, and so does a report that did not fail of an early run
+    that stopped before t*; both carry ``context["reason"]``.  An undeclared
+    or repeated id is a RuntimeError."""
+    cert_ids, ts = _KINDS[ctx["kind"]].cert_ids, ctx["tstar"]
+    emitted = {}
+    for rep in ctx["report"](record):
+        if rep["cert_id"] not in cert_ids or rep["cert_id"] in emitted:
+            raise RuntimeError(f"{ctx['kind']} emitted {rep['cert_id']!r} twice or outside {cert_ids}")
+        emitted[rep["cert_id"]] = rep
+    last = record.records[-1].t if record.records else -1
+    reached = f"the run reached t = {last}" if record.records else "the run reached no step"
+    out = []
+    for cert_id in cert_ids:
+        rep = emitted.get(cert_id)
+        if rep is None:
+            rep = certs.CertificateReport(cert_id, math.nan, math.nan, False, math.nan, True,
+                                          {"reason": f"not measured; {reached}"}).as_dict()
+        elif ts is not None and last < ts and certs.holds(rep):
+            rep = dict(rep, passed=False, inconclusive=True, context=dict(
+                rep["context"], reason=f"the claim covers t <= t* = {ts}; {reached}"))
+        out.append(rep)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +568,14 @@ def _run_holds(status: str, cert_dicts: list) -> bool:
     return status in ("completed", "converged-exactly") and all(certs.holds(c) for c in cert_dicts)
 
 
+def _reason(c: dict) -> str:
+    return f" ({c['context']['reason']})" if "reason" in c["context"] else ""
+
+
 def _print_certificates(cert_dicts: list) -> None:
     for c in cert_dicts:
         print(f"  [{certs.verdict(c)}] {c['cert_id']}: bound={c['theoretical']:.6g} "
-              f"measured={c['measured']:.6g} slack={c['slack']:.3g}")
+              f"measured={c['measured']:.6g} slack={c['slack']:.3g}{_reason(c)}")
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +713,7 @@ def cmd_report(rundir: Path) -> int:
         print(f"  certificates ({len(cert_dicts)}):")
     for c in cert_dicts:
         print(f"    [{certs.verdict(c)}] {c['cert_id']}: bound={c['theoretical']} "
-              f"measured={c['measured']} slack={c['slack']}")
+              f"measured={c['measured']} slack={c['slack']}{_reason(c)}")
     # A prm summary carries no status: its run cannot abort.
     return 0 if _run_holds(summary.get("status", "completed"), cert_dicts) else 1
 

@@ -472,6 +472,16 @@ def test_global_kinds_default_to_the_exp_loss():
           train={"steps": 3, "trained_layers": "input_only"}),
      "early-multiclass: input-only training is defined for the binary network only"),
     (PRM, "use run_prm_experiment for prm configs"),
+    (dict(TINY, train={"steps": 3, "batch": {"B": 4}}),
+     "early-binary is certified for full-batch training only and takes no train.batch"),
+    (dict(GLOBAL_POLY, train={"steps": 3, "batch": {"B": 4}}),
+     "global-poly is certified for full-batch training only and takes no train.batch"),
+    (dict(GLOBAL_POLY, kind="global-exp", schedule=LOSS_INVERSE, train={"batch": {"B": 4}}),
+     "global-exp is certified for full-batch training only and takes no train.batch"),
+    (dict(TINY, kind="certify-only", train={"batch": {"B": 4}}),
+     "certify-only is certified for full-batch training only and takes no train.batch"),
+    (dict(TINY, schedule={"type": "constant", "eta": 0.05}, train={}),
+     "schedule.eta: eta must lie in (0, 0.01] to define t*, not 0.05"),
 ])
 def test_config_errors_come_before_dataset_and_init(tmp_path, capsys, monkeypatch,
                                                     config, message):
@@ -621,10 +631,12 @@ def test_hitting_time_is_inconclusive_when_the_run_stops_before_tstar():
 
 
 @pytest.mark.parametrize("batch", [None, {"B": 4, "seed": 1}], ids=["full", "stochastic"])
-def test_a_non_finite_gradient_aborts_the_run_at_its_step(tmp_path, monkeypatch, batch):
-    """A NaN gradient entry at t = 2 (in the full gradient under Full(), in the
-    batch gradient under Stochastic) stops the run there: the status names the
-    step, t = 2 is the last record, and verify exits 1 with a run directory."""
+def test_a_non_finite_gradient_aborts_the_run_at_its_step(tmp_path, monkeypatch, onehot_spec,
+                                                          batch):
+    """A NaN gradient entry at t = 2 (in the full gradient of an early-binary
+    run under Full(), in the batch gradient of an early-multiclass run under
+    Stochastic) stops the run there: the status names the step, t = 2 is the
+    last record, and verify exits 1 with a run directory."""
     name = "evaluate" if batch is None else "grad_loss_struct"
     original, calls = getattr(training, name), []
 
@@ -636,7 +648,9 @@ def test_a_non_finite_gradient_aborts_the_run_at_its_step(tmp_path, monkeypatch,
         return out
 
     monkeypatch.setattr(training, name, poisoned)
-    config = dict(TINY, train={"steps": 5} if batch is None else {"steps": 5, "batch": batch})
+    config = (dict(TINY, train={"steps": 5}) if batch is None else
+              dict(TINY, kind="early-multiclass", loss="logistic", dataset=onehot_spec,
+                   train={"steps": 5, "batch": batch}))
     record, _ = run_experiment(config, certify=False)
     assert record.status == "aborted:non-finite-gradient-at-t=2"
     assert record.records[-1].t == 2
@@ -645,3 +659,105 @@ def test_a_non_finite_gradient_aborts_the_run_at_its_step(tmp_path, monkeypatch,
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "aborted:non-finite-gradient-at-t=2" and summary["steps"] == 2
+
+
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_only_a_run_that_needs_tstar_caps_eta(tmp_path, capsys, command):
+    # train with train.steps needs no t*; verify of an early kind does, and
+    # t* is defined for eta in (0, 0.01] only.
+    cfg = write_config(tmp_path, "c.json", dict(TINY, schedule={"type": "constant", "eta": 0.05},
+                                                 train={"steps": 10}))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    if command == "train":
+        assert code == 0 and err == ""
+    else:
+        assert code == 2
+        assert err == "error: schedule.eta: eta must lie in (0, 0.01] to define t*, not 0.05\n"
+
+
+def _kind_config(kind, onehot):
+    """A small config of ``kind`` at its default horizon."""
+    if kind == "early-binary":
+        return dict(TINY, train={})
+    if kind == "early-multiclass":
+        return dict(TINY, kind=kind, loss="logistic", dataset=onehot,
+                    model={"m": 32, "kappa": "auto"}, train={"batch": {"B": 8, "seed": 1}})
+    if kind == "global-poly":
+        return dict(GLOBAL_POLY, train={})
+    if kind == "global-exp":
+        return dict(GLOBAL_POLY, kind=kind, schedule=LOSS_INVERSE, train={})
+    return {k: v for k, v in dict(TINY, kind=kind).items() if k != "train"}
+
+
+# certify-only takes no training steps: its only run is the full one.
+KIND_RUNS = [(kind, run) for kind in sorted(cli._KINDS)
+             for run in ("full", "steps-0", "short", "abort-at-0")
+             if kind != "certify-only" or run == "full"]
+
+
+@pytest.mark.parametrize("kind,run", KIND_RUNS)
+def test_every_run_emits_its_kinds_cert_ids_once_in_order(monkeypatch, onehot_spec, kind, run):
+    """Whatever the horizon, a run reports each id of its kind's cert_ids once,
+    in order.  A run that stopped short (before t* for the early kinds, at
+    t = 1 for the global ones) or reached no step passes nothing: a report
+    that did not fail is INCONCLUSIVE and says why."""
+    config = json.loads(json.dumps(_kind_config(kind, onehot_spec)))
+    if run == "steps-0":
+        config["train"]["steps"] = 0
+    elif run == "short":
+        config["train"]["steps"] = 5 if kind.startswith("early-") else 1
+    elif run == "abort-at-0":
+        evaluate = training.evaluate
+        monkeypatch.setattr(training, "evaluate",
+                            lambda *a, **k: (math.nan, *evaluate(*a, **k)[1:]))
+    record, ctx = run_experiment(config)
+    reports = evaluate_certificates(record, ctx)
+    assert [c["cert_id"] for c in reports] == list(cli._KINDS[kind].cert_ids)
+    assert (record.records == []) == (run == "abort-at-0")
+    for c in reports:
+        if run == "full":
+            assert "reason" not in c["context"], c
+        elif verdict(c) != "FAIL":
+            assert verdict(c) == "INCONCLUSIVE" and c["context"]["reason"], c
+
+
+def test_a_certificate_outside_the_kinds_cert_ids_is_a_programming_error():
+    record, ctx = run_experiment(TINY)
+    build = ctx["report"]
+    for extra in ("hessian-binary_early", "gram-cross-class-zero"):   # undeclared; a repeat
+        ctx["report"] = lambda record, extra=extra: build(record) + [
+            CertificateReport(extra, 0.0, 0.0, True, 0.0).as_dict()]
+        with pytest.raises(RuntimeError, match=extra):
+            evaluate_certificates(record, ctx)
+
+
+SUITE_EARLY_BINARY = dict(EARLY_BINARY, dataset={"type": "synthetic", "n": 40, "d": 30, "seed": 0},
+                          delta=0.01, seed=0)
+
+
+def test_gram_same_class_lower_is_inconclusive_when_the_bound_is_vacuous():
+    # n = 40, delta = 0.01: the width tail exceeds 1 for m <= 64, so the bound
+    # is <= 0 at every same-class pair; it is positive from m = 256 on, and
+    # refuted from m = 512.
+    verdicts = {}
+    for m in (16, 64, 256, 512):
+        record, ctx = run_experiment(dict(SUITE_EARLY_BINARY, model={"m": m, "kappa": "auto"}))
+        (rep,) = [c for c in evaluate_certificates(record, ctx)
+                  if c["cert_id"] == "gram-same-class-lower"]
+        verdicts[m] = verdict(rep)
+        assert (rep["theoretical"] <= 0.0) == (m <= 64), (m, rep)
+    assert verdicts == {16: "INCONCLUSIVE", 64: "INCONCLUSIVE", 256: "PASS", 512: "FAIL"}
+
+
+def test_verify_and_report_print_why_a_certificate_was_not_measured(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", dict(TINY, train={"steps": 5}))
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert ("[INCONCLUSIVE] early-descent-binary: bound=nan measured=nan slack=nan "
+            "(not measured; the run reached t = 5)\n") in printed
+    assert "(the claim covers t <= t* = 44; the run reached t = 5)\n" in printed
+    assert main(["report", "--out", str(out)]) == 0
+    assert "measured=nan slack=nan (not measured; the run reached t = 5)\n" in \
+        capsys.readouterr().out

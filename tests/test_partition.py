@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from relulab.datasets import LabeledDataset, gen_orthant_separable
 from relulab.losses import loss_family
-from relulab.models import BinaryNet, InitSpec, MultiNet, init_binary, init_multi
+from relulab.models import BinaryNet, InitSpec, MultiNet, init_binary, init_multi, preactivation
 from relulab.partition import (
     FD,
     FL,
     TD,
     TL,
+    EarlyDynamics,
     check_correct_classification,
     check_dynamics_early,
     check_dynamics_global,
@@ -159,12 +160,14 @@ def test_masks_reproduce_the_outer_product_rule_and_the_sign_rule(seed):
 
 
 def test_early_dynamics_insufficient_horizon():
+    # One state checks no rule: the observer shows it by the states it saw,
+    # not by a violation.
     ds = gen_orthant_separable(n=8, d=6, seed=4)
     net0 = init_binary(64, 6, InitSpec(kappa=1e-4, seed=4))
-    violations = check_dynamics_early([net0], ds)
-    assert len(violations) == 1
-    assert violations[0].rule == "horizon"
-    assert "insufficient horizon" in violations[0].detail
+    observer = EarlyDynamics(ds)
+    observer.step(0, net0, preactivation(net0, ds.inputs))
+    assert observer.seen == 1 and observer.violations() == []
+    assert check_dynamics_early([net0], ds) == []
 
 
 def test_global_dynamics_clean_on_adaptive_run():
