@@ -104,23 +104,27 @@ def holds(report: dict) -> bool:
 # Gram matrices
 # ---------------------------------------------------------------------------
 
-def gram_matrix(net: Net, ds: LabeledDataset, H: Optional[np.ndarray] = None) -> np.ndarray:
+def gram_matrix(net: Net, ds: LabeledDataset, H: Optional[np.ndarray] = None,
+                alive: Optional[np.ndarray] = None) -> np.ndarray:
     """G_ij = <model gradient at x_i, model gradient at x_j>.
 
     For the binary network this is the n x n matrix
     sum_k sigma_ik sigma_jk + sum_k a_k^2 D_ik D_jk x_i^T x_j.
     For the multi-output network, the (Cn) x (Cn) block matrix with blocks
     indexed by output channel is returned, laid out as (i*C + alpha).
-    ``H`` is the full-data preactivation when the caller already holds it.
+    ``H`` is the full-data preactivation, and ``alive`` its mask H > 0, when
+    the caller already holds them.
     """
     X = ds.inputs
     if H is None:
         H = preactivation(net, X)
+    if alive is None:
+        alive = H > 0.0
     S = np.maximum(H, 0.0)
     if isinstance(net, BinaryNet):
-        M = np.multiply(H > 0.0, net.a[None, :])
+        M = np.multiply(alive, net.a[None, :])
         return S @ S.T + (M @ M.T) * (X @ X.T)
-    D = H > 0.0
+    D = alive
     # Entry ((i,alpha),(j,beta)) = delta_{alpha beta} sum_k S_ik S_jk
     #   + (x_i^T x_j + 1) sum_k a_{k alpha} a_{k beta} D_ik D_jk, that is
     # kron(S S^T, I_C) + kron(X X^T + 1, 1_{CxC}) * F F^T with
@@ -181,9 +185,9 @@ class MultiGramMin:
         self.row_xx1_min = np.where(below_diagonal, np.inf, self.XX1).min(axis=1, initial=np.inf)
         self.minima: List[float] = []
 
-    def step(self, t: int, net: MultiNet, H: np.ndarray, record=None) -> None:
+    def step(self, t: int, net: MultiNet, H: np.ndarray, alive: np.ndarray, record=None) -> None:
         if t in self.steps:
-            self.minima.append(self._min_entry(net, H))
+            self.minima.append(self._min_entry(net, H, alive))
 
     def _pair_bound(self, E: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """``bound_ij`` on ``rows`` x every column; all n rows use ``E @ E.T``,
@@ -196,14 +200,13 @@ class MultiGramMin:
         bound *= self.XX1[rows]
         return bound
 
-    def _min_entry(self, net: MultiNet, H: np.ndarray) -> float:
+    def _min_entry(self, net: MultiNet, H: np.ndarray, D: np.ndarray) -> float:
         ds, n, XX1 = self.ds, self.ds.n, self.XX1
         amin = net.A.min(axis=1)
         if self.dense_only or np.any(amin < 0.0):
             # Conservative shortcut invalid; fall back to the dense form.
-            return float(gram_matrix(net, ds, H).min())
+            return float(gram_matrix(net, ds, H, D).min())
         S = np.maximum(H, 0.0)
-        D = H > 0.0
         A, eye = net.A, np.eye(net.C)
 
         def block_min(i: int, j: int) -> float:
@@ -240,7 +243,8 @@ def multi_gram_min_entry(nets: Sequence[MultiNet], ds: LabeledDataset) -> List[f
     """``MultiGramMin`` over a list of nets: one minimum entry per net."""
     obs = MultiGramMin(ds)
     for t, net in enumerate(nets):
-        obs.step(t, net, preactivation(net, ds.inputs))
+        H = preactivation(net, ds.inputs)
+        obs.step(t, net, H, H > 0.0)
     return obs.minima
 
 
@@ -290,10 +294,10 @@ class GramChecks:
         self.block: Optional[CertificateReport] = None
         self.lower: Optional[CertificateReport] = None
 
-    def step(self, t: int, net: BinaryNet, H: np.ndarray, record=None) -> None:
+    def step(self, t: int, net: BinaryNet, H: np.ndarray, alive: np.ndarray, record=None) -> None:
         if t not in self.steps:
             return
-        G = gram_matrix(net, self.ds, H)
+        G = gram_matrix(net, self.ds, H, alive)
         block = check_block_structure(G, self.ds)
         lower = check_gram_lower_bound(G, self.ds, self.consts)
         if self.block is None or block.slack < self.block.slack:

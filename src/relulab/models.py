@@ -9,11 +9,11 @@ Two architectures are supported:
 The activation pattern of every neuron on every sample is the object the
 gradient bounds rest on.  ``preactivation`` is the one place that forms
 H = X B^T (+ c); one activation pass over a sample subset derives from it
-S = sigma(H), D = [H > 0], the outputs f and the margins z.  The loss,
-margins, gradient, ``evaluate`` (all of them at once, as a training step
-needs), the Hessian-vector product and the certificates' Gram matrices all
-read that pass.  The Hessian's spectral norm is a Lanczos solve on the
-exact Hessian-vector product.
+S = sigma(H), the boolean activity mask D = [H > 0], the outputs f and the
+margins z.  The loss, margins, gradient, ``evaluate`` (all of them at once,
+as a training step needs), the Hessian-vector product and the certificates'
+Gram matrices all read that pass.  The Hessian's spectral norm is a Lanczos
+solve on the exact Hessian-vector product.
 
 The derivative convention at the ReLU kink is sigma'(0) = 0: every activity
 indicator is the strict comparison ``preactivation > 0``.  All arithmetic is
@@ -25,6 +25,7 @@ and the descent step read that one layout.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -167,9 +168,10 @@ def _activations(net: Net, ds: LabeledDataset, subset: Optional[np.ndarray] = No
                  H: Optional[np.ndarray] = None):
     """One pass over the (multi)set of sample indices (full data by default).
 
-    Returns (X, Y, S, D, f, z): inputs, labels, S = relu(H), D = [H > 0],
-    outputs f and margins z for H = preactivation(net, X).  A caller that
-    already holds the full-data H passes it in place of forming it again.
+    Returns (X, Y, S, D, f, z): inputs, labels, S = relu(H), the boolean
+    mask D = [H > 0], outputs f and margins z for H = preactivation(net, X).
+    D enters the arithmetic as 0.0 / 1.0.  A caller that already holds the
+    full-data H passes it in place of forming it again.
     """
     kind = "binary" if isinstance(net, BinaryNet) else "onehot"
     if ds.label_kind != kind:
@@ -181,8 +183,8 @@ def _activations(net: Net, ds: LabeledDataset, subset: Optional[np.ndarray] = No
         X, Y = ds.inputs[idx], ds.labels[idx]
     if H is None:
         H = preactivation(net, X)
+    D = H > 0.0
     S = np.maximum(H, 0.0)
-    D = (H > 0.0).astype(np.float64)
     if isinstance(net, BinaryNet):
         f = S @ net.a
         return X, Y, S, D, f, Y * f
@@ -197,8 +199,11 @@ def _refuse_multi_quadratic(net: Net, loss: LossFamily) -> None:
 
 
 def _risk(net: Net, loss: LossFamily, z) -> float:
+    """The mean loss over the margins z, shape (n,): ``np.add.reduce(v) / n``
+    has the bits of ``np.mean(v)`` without its dispatch."""
     _refuse_multi_quadratic(net, loss)
-    return float(np.mean(loss.value(z)))
+    v = loss.value(z)
+    return float(np.add.reduce(v)) / v.size
 
 
 def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, z):
@@ -209,8 +214,10 @@ def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, z):
     if isinstance(net, BinaryNet):
         w = loss.deriv(z) * Y / nsub
         ga = S.T @ w
-        # D is this pass's own array: scale it, then gB, in place.
-        gB = np.multiply(D, w[:, None], out=D).T @ X
+        # A float copy of the mask, scaled in place: numpy's mixed
+        # bool-float product takes its slower, buffered loop.
+        M = D.astype(np.float64)
+        gB = np.multiply(M, w[:, None], out=M).T @ X
         gB *= net.a[:, None]
         if trained_layers == "input_only":
             ga = np.zeros_like(ga)
@@ -227,13 +234,15 @@ def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, z):
 
 
 def evaluate(net: Net, ds: LabeledDataset, loss: LossFamily, trained_layers: str = "all"):
-    """(L, z, f, grad parts, H) from one activation pass over the full data;
-    see ``loss_value``, ``per_sample_margins``, ``forward`` and
-    ``grad_loss_struct``.  H is the preactivation the pass was built on."""
+    """(L, z, f, grad parts, H, alive) from one activation pass over the full
+    data; see ``loss_value``, ``per_sample_margins``, ``forward`` and
+    ``grad_loss_struct``.  H is the preactivation the pass was built on and
+    alive = [H > 0] its activity mask, the pass's own D.  S = relu(H) is not
+    returned: it dies with the pass."""
     H = preactivation(net, ds.inputs)
-    X, Y, S, D, f, z = _activations(net, ds, H=H)
+    X, Y, S, alive, f, z = _activations(net, ds, H=H)
     return (_risk(net, loss, z), z, f,
-            _grad_parts(net, loss, trained_layers, X, Y, S, D, z), H)
+            _grad_parts(net, loss, trained_layers, X, Y, S, alive, z), H, alive)
 
 
 def forward(net: Net, x: np.ndarray) -> np.ndarray:
@@ -289,8 +298,10 @@ def apply_gradient(net: Net, parts, eta: float) -> Net:
 
 
 def param_norm(net: Net) -> float:
-    """Euclidean norm of the full flat parameter vector."""
-    return float(np.linalg.norm(flatten_params(net)))
+    """Euclidean norm of the full flat parameter vector: the square root of its
+    BLAS dot product with itself, as ``np.linalg.norm`` forms it."""
+    flat = flatten_params(net)
+    return math.sqrt(flat.dot(flat))
 
 
 # ---------------------------------------------------------------------------

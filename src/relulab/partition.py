@@ -15,8 +15,8 @@ verifies that positivity before relying on it.
 
 The dynamics checks are observers of a training run (``EarlyDynamics``,
 ``GlobalDynamics``): each step hands them the preactivation H of the
-training pass, which they reduce to the boolean masks agree (y_i a_k > 0)
-and alive (H > 0); they keep two states' cells, not the trajectory.
+training pass and its activity mask alive (H > 0); they add the mask agree
+(y_i a_k > 0) and keep two states' cells, not the trajectory.
 ``check_dynamics_early`` / ``check_dynamics_global`` drive the same
 observers over a list of states.
 
@@ -90,9 +90,9 @@ class DynamicsViolation:
     lam: Optional[float] = None  # S5 only: where the sign leaves its reference, in [0, 1]
 
 
-def _masks(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _agree(net: Net, ds: LabeledDataset) -> np.ndarray:
     """Validate the net against the labels and reduce every (sample, neuron)
-    pair to two masks: agree (y_i a_k > 0) and alive (H > 0, strict)."""
+    pair to the mask agree (y_i a_k > 0); alive is H > 0, strict."""
     if isinstance(net, BinaryNet):
         if ds.label_kind != "binary":
             raise TypeError("binary network requires binary labels")
@@ -109,12 +109,12 @@ def _masks(net: Net, ds: LabeledDataset, H: np.ndarray) -> Tuple[np.ndarray, np.
             i, k = np.argwhere(ya == 0.0)[0]
             raise ValueError(f"partition undefined: y_{i}^T a_{k} is exactly 0")
         agree = ya > 0.0
-    return agree, H > 0.0
+    return agree
 
 
 def compute_partition(net: Net, ds: LabeledDataset) -> PartitionSnapshot:
     """Classify every (sample, neuron) pair; strict > 0 for living, <= 0 for dead."""
-    return PartitionSnapshot(*_masks(net, ds, preactivation(net, ds.inputs)))
+    return PartitionSnapshot(_agree(net, ds), preactivation(net, ds.inputs) > 0.0)
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,10 @@ class _Segments:
         if t == 0 or self.found:
             return
         if self._ref is None:
-            self._ref = (alive, H < 0.0)
+            # A copy: the pass's own mask, held for the whole run, leaves the
+            # heap laid out so that each early-binary call takes about 100
+            # more page faults (scripts/call_faults.py).
+            self._ref = (alive.copy(), H < 0.0)
         bad = _off_sign(self._ref, H, alive)
         H0, bad0 = self._H0, self._bad0
         if H0 is not None and (bad0.any() or bad.any()):
@@ -198,6 +201,11 @@ class _Segments:
                 f"preactivation sign changed along segment t={t - 1}->{t} at lambda*={lam[j]:.6g}",
                 lam=float(lam[j])))
         self._H0, self._bad0 = H, bad
+
+    def hold(self, H: np.ndarray) -> None:
+        """A step known to keep every sign of step 1, after a step that did:
+        only the segment's start moves (``_bad0`` stays all False)."""
+        self._H0 = H
 
 
 def _off_sign(ref: Tuple[np.ndarray, np.ndarray], H: np.ndarray, alive: np.ndarray) -> np.ndarray:
@@ -216,10 +224,11 @@ def _record(out: List[DynamicsViolation], rule: str, t: int, mask: np.ndarray, d
 
 class _Dynamics:
     """Checks partition rules on the states in ``steps`` from each state's
-    agree/alive masks (``_masks``); ``_rules`` keeps the cells the next state
-    reads, and ``prev > cell`` is prev & ~cell: the pairs that left a cell.
-    Violations list as persist + cells + signs + positive; ``seen`` counts
-    the states checked, so a run too short for any rule shows as such."""
+    agree/alive masks (``_agree`` and the pass's own alive); ``_rules`` keeps
+    the cells the next state reads, and ``prev > cell`` is prev & ~cell: the
+    pairs that left a cell.  Violations list as persist + cells + signs +
+    positive; ``seen`` counts the states checked, so a run too short for any
+    rule shows as such."""
 
     def __init__(self, ds: LabeledDataset, steps: range, sign_rule: str):
         self.ds, self.steps = ds, steps
@@ -228,17 +237,19 @@ class _Dynamics:
         self.signs = _Segments(sign_rule)
         self._prev = self._net = None
 
-    def step(self, t: int, net: Net, H: np.ndarray, record=None) -> None:
+    def step(self, t: int, net: Net, H: np.ndarray, alive: np.ndarray, record=None) -> None:
         if t not in self.steps:
             return
-        agree, alive = _masks(net, self.ds, H)
-        self._prev = self._rules(t, net, H, agree, alive, self._prev)
+        self._prev = self._rules(t, net, H, _agree(net, self.ds), alive, self._prev)
         self.signs.step(t, H, alive)
         self._net = net
         self.seen += 1
 
     def violations(self) -> List[DynamicsViolation]:
         return self.persist + self.cells + self.signs.found + self.positive
+
+    def _found(self) -> int:
+        return len(self.persist) + len(self.cells) + len(self.signs.found) + len(self.positive)
 
 
 class EarlyDynamics(_Dynamics):
@@ -282,11 +293,36 @@ class GlobalDynamics(_Dynamics):
 
     From step 1 on: |a_k| is non-decreasing (StageII-S1), TL and FD cells
     persist (S2, S3), every cell is TL or FD (S4), and preactivation signs
-    are constant along inter-step segments (S5).
+    are constant along inter-step segments (S5).  Binary network only.
+
+    A step t >= 1 is clean when it broke no rule and none of its
+    preactivations is 0 or NaN.  After a clean step, the next one breaks no
+    rule either when alive is unchanged, every entry that is not alive is
+    negative, the signs of a are unchanged and no |a_k| decreased: its cells
+    are the clean step's, all TL or FD (S2-S4), and its signs are the clean
+    step's, those of step 1 (S5).  That step costs these few comparisons;
+    every other step runs the full rules (``_Dynamics.step``).
     """
 
     def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
         super().__init__(ds, steps, "StageII-S5")
+        self._clean = None     # (alive, sign(a)) of the last step seen, if it was clean
+
+    def step(self, t: int, net: Net, H: np.ndarray, alive: np.ndarray, record=None) -> None:
+        if t not in self.steps:
+            return
+        sign = np.sign(net.a)
+        clean = self._clean
+        if (clean is not None and (alive == clean[0]).all() and (sign == clean[1]).all()
+                and not (np.abs(net.a) < np.abs(self._net.a)).any() and _signed(H, alive)):
+            self.signs.hold(H)
+            self._net = net
+            self.seen += 1
+            return
+        found = self._found()
+        super().step(t, net, H, alive, record)
+        is_clean = t >= 1 and self._found() == found and _signed(H, alive)
+        self._clean = (alive, sign) if is_clean else None
 
     def _rules(self, t, net, H, agree, alive, prev):
         tl, fd = agree & alive, ~(agree | alive)
@@ -300,9 +336,15 @@ class GlobalDynamics(_Dynamics):
         return tl, fd
 
 
+def _signed(H: np.ndarray, alive: np.ndarray) -> bool:
+    """Every entry of H is positive (alive) or negative: none is 0 or NaN."""
+    return np.count_nonzero(H < 0.0) == H.size - np.count_nonzero(alive)
+
+
 def _drive(observer, nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsViolation]:
     for t, net in enumerate(nets):
-        observer.step(t, net, preactivation(net, ds.inputs))
+        H = preactivation(net, ds.inputs)
+        observer.step(t, net, H, H > 0.0)
     return observer.violations()
 
 

@@ -19,8 +19,12 @@ A run keeps one record per step in ``RunRecord.records``: the hitting time,
 the certificates and ``steps.csv`` all read that one list, and only
 ``steps_csv(record, every)`` thins it, when writing (the last step reached is
 always a row).  Checks that need the network watch the run as observers:
-``run`` calls ``observer.step(t, net, H, record)`` on every step, with H the
-preactivation of that step's full-data pass, so they need no kept trajectory.
+``run`` calls ``observer.step(t, net, H, alive, record)`` on every step, with
+H the preactivation of that step's full-data pass and alive = [H > 0] the
+activity mask that pass formed, so they need no kept trajectory and form no
+mask of their own.  An observer may keep what it is handed (the networks,
+H and alive are never written to after the call), but it receives no float
+array of the pass beyond H: S = relu(H) dies with the pass.
 """
 
 from __future__ import annotations
@@ -173,7 +177,8 @@ class StepRecord:
 class Observer(Protocol):
     """Sees every step of a run; each observer ignores the steps outside its window."""
 
-    def step(self, t: int, net: Net, H: np.ndarray, record: StepRecord) -> None: ...
+    def step(self, t: int, net: Net, H: np.ndarray, alive: np.ndarray,
+             record: StepRecord) -> None: ...
 
 
 @dataclass
@@ -202,41 +207,51 @@ def hitting_time(records: Sequence[StepRecord]) -> Tuple[int, Optional[int]]:
     return max(first - 2, -1), first
 
 
+def _extremes(z: np.ndarray, f: np.ndarray) -> Tuple[float, float, float]:
+    """(min z, max z, max |f|) with the bits of ``float(np.min(z))``,
+    ``float(np.max(z))`` and ``float(np.max(np.abs(f)))``: the same ufunc
+    reductions, called without ``np.min``'s dispatch.  numpy picks between
+    tied signed zeros by position, so Python's ``min`` on ``z.tolist()``
+    would not do."""
+    return float(z.min()), float(z.max()), float(np.abs(f).max())
+
+
 def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
         config: TrainConfig, observers: Sequence[Observer] = ()) -> RunRecord:
     """Train and record.  Deterministic given (net0, ds, loss, schedule, config).
 
     Every step whose loss is finite gets a record, and each observer's
-    ``step(t, net, H, record)`` runs on it, before the parameter update.
+    ``step(t, net, H, alive, record)`` runs on it, before the parameter update.
     """
     rec = RunRecord()
     net = net0
+    a0 = net0.output_weights
     batch_gen = None
     if isinstance(config.batching, Stochastic):
         batch_gen = rng.make_generator(config.batching.seed, stream=1)
 
     for t in range(config.steps + 1):
-        L, z, f, parts, H = evaluate(net, ds, loss, trained_layers=config.trained_layers)
+        L, z, f, parts, H, alive = evaluate(net, ds, loss, trained_layers=config.trained_layers)
         if not math.isfinite(L):
             rec.status = f"aborted:non-finite-loss-at-t={t}"
             break
         with np.errstate(over="ignore"):
             # Diverging runs (negative controls) legitimately overflow to inf
             # here; the non-finite guards below handle them.
-            gnorm = float(math.sqrt(sum(float(np.sum(p * p)) for p in parts)))
+            gnorm = math.sqrt(sum([float(np.add.reduce(p * p, axis=None)) for p in parts]))
         if isinstance(schedule, Constant) or L > 0.0:
             eta_t = schedule.rate(t, L)
         else:
             eta_t = math.nan
+        min_margin, max_margin, max_abs_pred = _extremes(z, f)
         r = StepRecord(
             t=t, loss=L, eta=eta_t, grad_norm=gnorm,
-            min_margin=float(np.min(z)), max_margin=float(np.max(z)),
-            param_norm=param_norm(net),
-            max_abs_pred=float(np.max(np.abs(f))),
-            a_sign_ok=bool(np.all(net.output_weights * net0.output_weights > 0.0)),
+            min_margin=min_margin, max_margin=max_margin,
+            param_norm=param_norm(net), max_abs_pred=max_abs_pred,
+            a_sign_ok=bool((net.output_weights * a0 > 0.0).all()),
         )
         for observer in observers:
-            observer.step(t, net, H, r)
+            observer.step(t, net, H, alive, r)
         rec.records.append(r)
         if t == config.steps:
             break

@@ -25,7 +25,7 @@ class KeepNets:
     def __init__(self, steps=EVERY_STEP):
         self.steps, self.nets = steps, []
 
-    def step(self, t, net, H, record):
+    def step(self, t, net, H, alive, record):
         if t in self.steps:
             self.nets.append(net)
 

@@ -381,6 +381,38 @@ GLOBAL_POLY = {
 }
 
 
+def test_partition_dynamics_global_fails_through_verify(tmp_path):
+    """Negative control: at kappa = 0.1 the global-poly run leaves TL/FD at
+    step 1, and verify reports it."""
+    cfg = write_config(tmp_path, "c.json", dict(GLOBAL_POLY, model={"m": 256, "kappa": 0.1}))
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    (rep,) = [c for c in json.loads((out / "certificates.json").read_text())
+              if c["cert_id"] == "partition-dynamics-global"]
+    assert verdict(rep) == "FAIL" and rep["measured"] == 3.0 and rep["slack"] == -3.0
+    assert rep["context"]["first"] == {
+        "rule": "StageII-S4", "step": 1, "sample": 2, "neuron": 65, "lam": None,
+        "detail": "cell outside TL/FD at step >= 1"}
+
+
+def test_correct_classification_fails_on_a_nonpositive_margin():
+    """Negative control: a nonpositive min_margin planted at t >= 1 fails
+    correct-classification, which names the first such step and its margin."""
+    record, ctx = run_experiment(GLOBAL_POLY)
+
+    def report():
+        (rep,) = [c for c in evaluate_certificates(record, ctx)
+                  if c["cert_id"] == "correct-classification"]
+        return rep
+
+    assert verdict(report()) == "PASS"
+    for t, margin in ((0, -5.0), (30, 0.0), (7, -0.25), (12, -1.0)):   # t = 0 is not checked
+        record.records[t] = dataclasses.replace(record.records[t], min_margin=margin)
+    rep = report()
+    assert verdict(rep) == "FAIL" and rep["measured"] == rep["slack"] == -0.25
+    assert tuple(rep["context"]["first_violation"]) == (7, -0.25)
+
+
 def _small_config(name, onehot):
     if name == "early-binary":
         return EARLY_BINARY

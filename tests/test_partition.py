@@ -11,6 +11,7 @@ from relulab.partition import (
     TD,
     TL,
     EarlyDynamics,
+    GlobalDynamics,
     check_correct_classification,
     check_dynamics_early,
     check_dynamics_global,
@@ -18,7 +19,7 @@ from relulab.partition import (
     initial_partition_stats,
     partition_counts_csv,
 )
-from relulab.partition import _masks, _off_sign
+from relulab.partition import _Dynamics, _agree, _off_sign
 from relulab.training import Constant, Full, LossInverse, TrainConfig
 from tests.conftest import run_keeping_nets
 
@@ -146,9 +147,8 @@ def test_masks_reproduce_the_outer_product_rule_and_the_sign_rule(seed):
                     B=_planted(gen, (m, n), [0.0, -0.0]))
     H = ds.inputs @ net.B.T
     assert np.array_equal(H, net.B.T)
-    agree, alive = _masks(net, ds, H)
     expected = np.outer(ds.labels, net.a) > 0.0
-    assert np.array_equal(agree, expected) and np.array_equal(alive, H > 0.0)
+    assert np.array_equal(_agree(net, ds), expected)
     table = np.where(expected, np.where(H > 0.0, TL, TD), np.where(H > 0.0, FL, FD))
     snap = compute_partition(net, ds)
     assert np.array_equal(snap.agree, expected) and np.array_equal(snap.alive, H > 0.0)
@@ -165,7 +165,8 @@ def test_early_dynamics_insufficient_horizon():
     ds = gen_orthant_separable(n=8, d=6, seed=4)
     net0 = init_binary(64, 6, InitSpec(kappa=1e-4, seed=4))
     observer = EarlyDynamics(ds)
-    observer.step(0, net0, preactivation(net0, ds.inputs))
+    H = preactivation(net0, ds.inputs)
+    observer.step(0, net0, H, H > 0.0)
     assert observer.seen == 1 and observer.violations() == []
     assert check_dynamics_early([net0], ds) == []
 
@@ -322,3 +323,113 @@ def test_exact_sign_rule_reports_zero_endpoint_at_lambda_one():
     ds, nets = _planted_trajectory({(1, 0): 0.0})
     (v,) = _segment_reports(check_dynamics_early(nets, ds))
     assert (v.step, v.sample, v.neuron, v.lam) == (2, 1, 0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# GlobalDynamics' clean-step check against the full rules
+# ---------------------------------------------------------------------------
+
+class _FullRules(GlobalDynamics):
+    """The reference walk: agree, the cells and the sign masks formed on
+    every step, with no clean-step check."""
+
+    step = _Dynamics.step
+
+
+_CLEAN_STEPS = 8
+_MAG = np.array([[0.5, 1.25, 2.0, 0.75],
+                 [1.5, 0.5, 1.0, 1.75],
+                 [1.0, 2.0, 0.5, 1.25],
+                 [0.75, 1.0, 1.5, 0.5]])
+_A_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _clean_trajectory():
+    """(dataset, [(a_t, H_t)]) that breaks no rule: on the standard basis with
+    labels (+, +, -, -), H_t[i, k] = y_i sign(a_k) |.| > 0 exactly on the
+    agreeing pairs, so every cell is TL or FD, and |H| and |a| grow with t."""
+    ds = LabeledDataset(inputs=np.eye(4), labels=np.array([1.0, 1.0, -1.0, -1.0]),
+                        label_kind="binary", source="test-clean-step")
+    signs = np.outer(ds.labels, _A_SIGN)
+    steps = [(_A_SIGN * np.array([1.0, 1.5, 0.5, 2.0]) * (1.0 + 0.05 * t),
+              signs * _MAG * (1.0 + 0.1 * t)) for t in range(_CLEAN_STEPS)]
+    return ds, steps
+
+
+def _plant_h(t0, i, k, value, until=_CLEAN_STEPS):
+    def plant(steps):
+        for t in range(t0, until):
+            steps[t][1][i, k] = value
+    return plant
+
+
+def _plant_a(t0, k, value):
+    def plant(steps):
+        for t in range(t0, _CLEAN_STEPS):
+            steps[t][0][k] = value
+    return plant
+
+
+# Pair (0, 0) agrees (TL), pair (0, 1) does not (FD).
+_PLANTS = {
+    "sign-crossing-at-t3": [_plant_h(3, 0, 0, -0.5)],
+    "zero-at-step-1": [_plant_h(1, 0, 1, 0.0, until=2)],
+    "zero-at-step-1-and-step-5": [_plant_h(1, 0, 1, 0.0, until=2), _plant_h(5, 2, 0, 0.0, until=6)],
+    "zero-on-a-dead-pair-at-t4": [_plant_h(4, 0, 1, 0.0, until=5)],
+    "nan-in-H-at-t3": [_plant_h(3, 0, 1, np.nan, until=4)],
+    "nan-in-H-at-step-1": [_plant_h(1, 3, 3, np.nan, until=2)],
+    "inf-in-H": [_plant_h(3, 0, 0, np.inf), _plant_h(4, 0, 1, -np.inf, until=6)],
+    "inf-crossing": [_plant_h(4, 0, 1, np.inf, until=5)],
+    "shrinking-a-at-t4": [_plant_a(4, 2, 0.25)],
+    "a-sign-flip-at-t3": [_plant_a(3, 1, 1.5)],
+    "s4-break-from-step-1": [_plant_h(1, 0, 0, -1.0)],
+}
+
+
+def _fields(violations):
+    """``_full`` with lam by repr, so that a NaN lambda* compares equal to itself."""
+    return [(v.rule, v.step, v.sample, v.neuron, repr(v.lam), v.detail) for v in violations]
+
+
+def _walk(observer, steps, ds):
+    for t, (a, H) in enumerate(steps):
+        observer.step(t, BinaryNet(a=a, B=np.zeros((a.size, ds.d))), H, H > 0.0)
+    return _fields(observer.violations()), observer.seen
+
+
+def test_the_clean_trajectory_takes_the_clean_step_check():
+    ds, steps = _clean_trajectory()
+    observer, calls = GlobalDynamics(ds), []
+    rules = observer._rules
+    observer._rules = lambda t, *rest: calls.append(t) or rules(t, *rest)
+    assert _walk(observer, steps, ds) == _walk(_FullRules(ds), steps, ds) == ([], _CLEAN_STEPS)
+    assert calls == [0, 1]            # from t = 2 on, every step is clean
+
+
+@pytest.mark.parametrize("name", sorted(_PLANTS))
+def test_clean_step_check_agrees_with_the_full_rules(name):
+    ds, steps = _clean_trajectory()
+    for plant in _PLANTS[name]:
+        plant(steps)
+    got = _walk(GlobalDynamics(ds), steps, ds)
+    expected = _walk(_FullRules(ds), steps, ds)
+    assert got == expected
+    if name != "inf-in-H":               # +-inf keeps every sign: nothing to report
+        assert expected[0], name
+
+
+def test_nan_output_weight_agrees_with_the_full_rules():
+    """A NaN a_k where a_k < 0: NaN > 0 is False, as a_k > 0 was, and
+    |NaN| < |a_k| is False too, so a check of either alone passes the step;
+    but agree loses the column, and its TL pairs leave TL (StageII-S2, S4)."""
+    ds, steps = _clean_trajectory()
+    _plant_a(4, 1, np.nan)(steps)
+    nets = [BinaryNet(a=a, B=H.T.copy()) for a, H in steps]
+    got = check_dynamics_global(nets, ds)
+    reference = _FullRules(ds)
+    for t, net in enumerate(nets):
+        H = preactivation(net, ds.inputs)
+        reference.step(t, net, H, H > 0.0)
+    assert _fields(got) == _fields(reference.violations())
+    assert [(v.rule, v.step, v.sample, v.neuron) for v in got] == [("StageII-S2", 3, 2, 1)] + [
+        ("StageII-S4", t, 2, 1) for t in range(4, _CLEAN_STEPS)]

@@ -35,6 +35,7 @@ from relulab.training import (
     tstar,
     varphi,
 )
+from relulab.training import _extremes
 from tests.conftest import make_onehot_dataset
 
 
@@ -289,6 +290,47 @@ def test_an_overflowed_gradient_norm_of_a_finite_gradient_does_not_abort():
               TrainConfig(steps=2, batching=Full()))
     assert rec.status == "completed" and [r.t for r in rec.records] == [0, 1, 2]
     assert all(math.isfinite(r.loss) and r.grad_norm == math.inf for r in rec.records)
+
+
+def _numpy_extremes(z, f):
+    return float(np.min(z)), float(np.max(z)), float(np.max(np.abs(f)))
+
+
+_EXTREME_CASES = [
+    ([0.0, -0.0], [0.0, -0.0]),
+    ([-0.0, 0.0], [-0.0, 0.0]),
+    ([-0.0, -0.0], [-0.0, -0.0]),
+    ([1.0, 0.0, -0.0], [-1.0, -0.0, 0.0]),
+    ([1.0, -0.0, 0.0], [1.0, 0.0, -0.0]),
+    ([np.inf, -np.inf, 0.5], [-np.inf, 2.0]),
+    ([-np.inf, np.inf], [np.inf, -np.inf]),
+    ([np.inf, -0.0, 0.0], [-np.inf, -0.0]),
+    ([0.25], [-0.25]),
+]
+
+
+@pytest.mark.parametrize("z,f", _EXTREME_CASES)
+def test_record_extremes_keep_numpys_bits(z, f):
+    """min_margin, max_margin and max_abs_pred are numpy's reductions, not
+    Python's min / max, which break a tie of signed zeros the other way:
+    np.min([0.0, -0.0]) is -0.0, min() gives 0.0.  A sample with no active
+    neuron has z_i = +-0.0 exactly, and steps.csv prints repr()."""
+    z, f = np.array(z), np.array(f)
+    assert list(map(repr, _extremes(z, f))) == list(map(repr, _numpy_extremes(z, f)))
+
+
+def test_record_extremes_keep_numpys_bits_on_planted_zeros():
+    # Lengths past numpy's unrolled and vector loops, zeros of both signs planted.
+    gen = np.random.default_rng(0)
+    for n in (3, 8, 9, 17, 40, 130):
+        for _ in range(20):
+            z = gen.standard_normal(n)
+            z[gen.random(n) < 0.5] = 0.0
+            z[gen.random(n) < 0.3] = -0.0
+            if gen.random() < 0.5:
+                z = np.where(z == 0.0, z, np.abs(z))    # the zeros are the minimum
+            f = np.stack([z, -z], axis=1) if n % 2 else z * gen.choice([-1.0, 1.0], n)
+            assert list(map(repr, _extremes(z, f))) == list(map(repr, _numpy_extremes(z, f)))
 
 
 # ---------------------------------------------------------------------------
