@@ -10,9 +10,10 @@ The inputs are written once, from the change tree: the regimes of
 IDX corpus), the four workload configs of ``perfbench/workloads.py`` (read,
 never changed), a ``train`` run at its default horizon, at ``train.steps:
 10`` and at ``train.record_every: 5``, ``prm`` in extension mode (M > d, so
-some teachers are random), at a fixed numeric ``eta`` and at d = 40, m = 33,
+some teachers are random), at a fixed numeric ``eta``, at d = 40, m = 33,
 M = 40 for 300 steps (a non-square student-teacher kernel matrix at the
-benchmark's scale), ``gen-data`` on a binary dataset with and without the
+benchmark's scale) and at kappa = 0.9, where the certified horizon is empty,
+with and without ``prm.steps``, ``gen-data`` on a binary dataset with and without the
 antipodal pair and on the IDX corpus, a two-cell ``sweep``, a small
 early-binary ``verify`` at eta = 1e-4 with its default horizon (T_e =
 2204), three ``verify`` runs whose partition checks fail (the early-binary
@@ -71,6 +72,10 @@ def write_inputs(change: Path, inputs: Path) -> list:
         "prm-extension-mode": ("prm", {"kind": "prm", "prm": dict(suite.PRM["prm"], M=14)}),
         "prm-fixed-eta": ("prm", {"kind": "prm", "prm": dict(suite.PRM["prm"], eta=0.003,
                                                               steps=20)}),
+        # kappa >= 1/pi: the certified horizon T*+1 is empty (-4.42).
+        "prm-kappa-0.9": ("prm", {"kind": "prm", "prm": dict(suite.PRM["prm"], kappa=0.9)}),
+        "prm-kappa-0.9-no-steps": ("prm", {"kind": "prm", "prm": {
+            k: v for k, v in dict(suite.PRM["prm"], kappa=0.9).items() if k != "steps"}}),
         "suite-early-multiclass": ("verify", suite.early_multiclass_config(corpus)),
         "train-early-binary": ("train", suite.EARLY_BINARY),
         "train-steps-10": ("train", dict(suite.EARLY_BINARY, train={"steps": 10})),

@@ -35,6 +35,9 @@ __all__ = [
     "CertificateReport",
     "verdict",
     "holds",
+    "at_least",
+    "at_most",
+    "worst_entry",
     "gram_matrix",
     "MultiGramMin",
     "multi_gram_min_entry",
@@ -98,6 +101,34 @@ def verdict(report: dict) -> str:
 def holds(report: dict) -> bool:
     """True unless the report failed: an inconclusive report does not fail a run."""
     return verdict(report) != "FAIL"
+
+
+def at_least(cert_id: str, bound: float, measured: float, inconclusive: bool = False,
+             **context) -> CertificateReport:
+    """measured >= bound, slack measured - bound.  A met bound > 0 PASSes, a met bound <= 0
+    holds trivially (INCONCLUSIVE), a miss FAILs unless ``inconclusive`` (a vacuous budget)."""
+    slack = measured - bound
+    met = slack >= 0.0
+    return CertificateReport(cert_id, bound, measured, met and bound > 0.0, slack,
+                             inconclusive or (met and bound <= 0.0), context)
+
+
+def at_most(cert_id: str, bound: float, measured: float, **context) -> CertificateReport:
+    """measured <= bound, slack -(measured - bound): -0.0 for a zero count
+    against a zero bound.  PASS when met, else FAIL."""
+    slack = -(measured - bound)
+    return CertificateReport(cert_id, bound, measured, slack >= 0.0, slack, context=context)
+
+
+def worst_entry(bound: np.ndarray, measured: np.ndarray) -> int:
+    """The entry a lower-bound claim over many entries reports: the least-slack missed one,
+    else the least-slack one with a positive bound, else the least-slack one; first on a tie."""
+    slack = measured - bound
+    for pick in (~(slack >= 0.0), bound > 0.0):
+        if pick.any():
+            rows = np.flatnonzero(pick)
+            return int(rows[np.argmin(slack[rows])])
+    return int(np.argmin(slack))
 
 
 # ---------------------------------------------------------------------------
@@ -254,35 +285,22 @@ def check_block_structure(G: np.ndarray, ds: LabeledDataset) -> CertificateRepor
     cross = np.outer(y, y) < 0
     bad = np.argwhere(cross & (G != 0.0))
     worst = float(np.max(np.abs(G[cross]))) if np.any(cross) else 0.0
-    return CertificateReport(
-        cert_id="gram-cross-class-zero",
-        theoretical=0.0, measured=worst,
-        passed=bad.size == 0, slack=-worst,
-        context={} if bad.size == 0 else {"pair": bad[0].tolist()},
-    )
+    return at_most("gram-cross-class-zero", 0.0, worst,
+                   **({"pair": bad[0].tolist()} if bad.size else {}))
 
 
 def check_gram_lower_bound(G: np.ndarray, ds: LabeledDataset,
                            consts: TheoryConstants) -> CertificateReport:
     """Binary same-class entries: G_ij >= (999/1000) x_i^T x_j ((pi - arccos)/pi - sqrt(8 log(n^2/delta)/m)).
 
-    A bound <= 0 holds trivially; with no positive bound at any same-class
-    pair the report is inconclusive."""
+    Reports the pair that ``worst_entry`` picks among the same-class pairs."""
     x, y = ds.inputs, ds.labels
     gram = np.clip(x @ x.T, -1.0, 1.0)
     tail = concentration_tail(consts.n, consts.m, consts.delta)
     bound = 0.999 * gram * ((np.pi - np.arccos(gram)) / np.pi - tail)
     same = np.outer(y, y) > 0
-    slack = (G - bound)[same]
-    worst = float(np.min(slack))
-    idx = np.argwhere(same)[int(np.argmin(slack))]
-    vacuous = not np.any(bound[same] > 0.0)
-    return CertificateReport(
-        cert_id="gram-same-class-lower",
-        theoretical=float(bound[tuple(idx)]), measured=float(G[tuple(idx)]),
-        passed=worst >= 0.0 and not vacuous, slack=worst, inconclusive=vacuous,
-        context={"pair": idx.tolist()},
-    )
+    idx = tuple(np.argwhere(same)[worst_entry(bound[same], G[same])].tolist())
+    return at_least("gram-same-class-lower", float(bound[idx]), float(G[idx]), pair=list(idx))
 
 
 class GramChecks:
@@ -356,12 +374,7 @@ def check_hessian_bound(net: Net, ds: LabeledDataset, loss: LossFamily,
     else:
         raise ValueError(f"unknown Hessian regime {regime!r}")
     measured = hessian_spectral_norm(net, ds, loss, trained_layers=layers)
-    return CertificateReport(
-        cert_id=f"hessian-{regime}",
-        theoretical=cap, measured=measured,
-        passed=measured <= cap, slack=cap - measured,
-        context={"regime": regime},
-    )
+    return at_most(f"hessian-{regime}", cap, measured, regime=regime)
 
 
 # ---------------------------------------------------------------------------

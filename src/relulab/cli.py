@@ -174,9 +174,8 @@ def _kappa_global(eta: float, ctx) -> float:
 
 
 def _partition_report(cert_id: str, viols: list) -> dict:
-    return certs.CertificateReport(
-        cert_id, 0.0, float(len(viols)), not viols, -float(len(viols)),
-        context={"first": viols[0].__dict__ if viols else None}).as_dict()
+    return certs.at_most(cert_id, 0.0, float(len(viols)),
+                         first=viols[0].__dict__ if viols else None).as_dict()
 
 
 def _hitting_time_report(record, ts: int) -> dict:
@@ -196,9 +195,7 @@ def _early_descent_report(cert_id: str, bound: float, records, ts: int,
     if len(records) <= ts:
         return []
     measured = records[0].loss - records[ts].loss
-    return [certs.CertificateReport(
-        cert_id, bound, measured, measured >= bound, measured - bound,
-        inconclusive=inconclusive, context=dict(context, t_star=ts)).as_dict()]
+    return [certs.at_least(cert_id, bound, measured, inconclusive, t_star=ts, **context).as_dict()]
 
 
 # Each ``_certify_*`` takes the run context before training and returns
@@ -223,20 +220,14 @@ def _certify_early_binary(ctx):
                                     budget=budget, T_e=te)
         if record.records:
             out.append(_hitting_time_report(record, ts))
-        grad_lower = []   # (slack, t, bound, measured) for every t in 1..t*
-        for r in record.records[1:ts + 1]:
-            gl = certs.gradient_lower_bound_early(r.t, consts)
-            grad_lower.append((r.grad_norm ** 2 - gl, r.t, gl, r.grad_norm ** 2))
-        if grad_lower:
-            # A bound <= 0 holds trivially; with no positive bound at
-            # any step the certificate says nothing.
-            live = [g for g in grad_lower if g[2] > 0.0]
-            slack, t, gl, measured = min(live or grad_lower)
-            out.append(certs.CertificateReport(
-                "early-gradient-lower", gl, measured, bool(live) and slack >= 0.0,
-                slack, inconclusive=not live,
-                context={"t": t,
-                         "failing_steps": [g[1] for g in live if g[0] < 0.0]}).as_dict())
+        steps = record.records[1:ts + 1]
+        if steps:
+            bound = np.array([certs.gradient_lower_bound_early(r.t, consts) for r in steps])
+            measured = np.array([r.grad_norm ** 2 for r in steps])
+            k = certs.worst_entry(bound, measured)
+            failing = [r.t for r, b, g in zip(steps, bound, measured) if not g >= b]
+            out.append(certs.at_least("early-gradient-lower", float(bound[k]), float(measured[k]),
+                                      t=steps[k].t, failing_steps=failing).as_dict())
         out.extend(r.as_dict() for r in gram.reports())
         if dynamics.seen > 1:   # steps 0 and 1: the first-step rules
             out.append(_partition_report("partition-dynamics-early", dynamics.violations()))
@@ -258,16 +249,12 @@ def _certify_early_multiclass(ctx):
                                     inconclusive=budget is not None and budget >= 1.0,
                                     budget=budget)
         if gram.minima:
-            worst = min(gram.minima)
-            out.append(certs.CertificateReport(
-                "multi-gram-entries-at-least-one", 1.0, worst, worst >= 1.0,
-                worst - 1.0).as_dict())
+            out.append(certs.at_least("multi-gram-entries-at-least-one", 1.0,
+                                      min(gram.minima)).as_dict())
         if record.batch_alignments:
-            worst_align = min(record.batch_alignments)
-            out.append(certs.CertificateReport(
-                "stochastic-gradient-alignment", certs.STOCHASTIC_ALIGNMENT_BOUND,
-                worst_align, worst_align >= certs.STOCHASTIC_ALIGNMENT_BOUND,
-                worst_align - certs.STOCHASTIC_ALIGNMENT_BOUND).as_dict())
+            out.append(certs.at_least("stochastic-gradient-alignment",
+                                      certs.STOCHASTIC_ALIGNMENT_BOUND,
+                                      min(record.batch_alignments)).as_dict())
         return out
 
     return [gram], report
@@ -291,10 +278,11 @@ def _certify_global(ctx, envelope: str):
             out.append(rep.as_dict())
         cc = part.check_correct_classification(record)
         if reached or cc is not None:
-            margin = 0.0 if cc is None else cc[1]
+            # A strict bound, margin > 0 from t = 1 on; the least margin is the slack.
+            least = min(record.records[1:], key=lambda r: r.min_margin)
             out.append(certs.CertificateReport(
-                "correct-classification", 0.0, margin, cc is None, margin,
-                context={"first_violation": cc}).as_dict())
+                "correct-classification", 0.0, least.min_margin, cc is None, least.min_margin,
+                context={"t": least.t, "first_violation": cc}).as_dict())
         viols = dynamics.violations()
         if reached or viols:
             out.append(_partition_report("partition-dynamics-global", viols))
@@ -493,7 +481,11 @@ def run_prm_experiment(config: dict):
     eta = spec.get("eta", "auto")
     cfg = dataclasses.replace(
         cfg, eta=prm_mod.max_compliant_eta(cfg) if eta == "auto" else _cast(eta, "prm.eta"))
-    steps = spec["steps"] if "steps" in spec else math.ceil(prm_mod.prm_tstar_plus_one(cfg)) + 2
+    horizon = prm_mod.prm_tstar_plus_one(cfg)
+    if "steps" not in spec and horizon <= 0.0:
+        raise ConfigError(f"prm: the certified horizon T*+1 = {horizon:.6g} is empty at "
+                          f"prm.kappa = {cfg.kappa!r} >= 1/pi; set prm.steps")
+    steps = spec["steps"] if "steps" in spec else math.ceil(horizon) + 2
     cfg = dataclasses.replace(cfg, steps=_cast(steps, "prm.steps", int))
     record = prm_mod.run_prm_gd(cfg)
     cert = prm_mod.prm_descent_certificate(cfg, record)

@@ -28,7 +28,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from . import rng
-from .certificates import CertificateReport
+from .certificates import CertificateReport, at_least
 from .datasets import exact_sum
 
 __all__ = [
@@ -295,18 +295,21 @@ def descent_bound_two_term(config: TeacherStudentConfig) -> float:
 
 def prm_descent_certificate(config: TeacherStudentConfig,
                             record: PrmRunRecord) -> CertificateReport:
-    """Compare measured descent over the closed-form horizon against the two-term bound."""
-    t_eval = math.ceil(prm_tstar_plus_one(config))
+    """Compare measured descent over the closed-form horizon against the two-term bound.
+
+    INCONCLUSIVE, with NaN measured and slack, when the horizon is empty
+    (T*+1 <= 0, at kappa >= 1/pi) or the run recorded too few steps."""
+    horizon = prm_tstar_plus_one(config)
+    t_eval = math.ceil(horizon)
     bound = descent_bound_two_term(config)
-    if len(record.losses) <= t_eval:
-        return CertificateReport(
-            "prm-two-term-descent", bound, math.nan, False, math.nan, inconclusive=True,
-            context={"detail": f"horizon too short: need {t_eval + 1} recorded steps"})
+    if t_eval <= 0 or len(record.losses) <= t_eval:
+        detail = (f"empty horizon: T*+1 = {horizon!r} <= 0" if t_eval <= 0 else
+                  f"horizon too short: need {t_eval + 1} recorded steps")
+        return CertificateReport("prm-two-term-descent", bound, math.nan, False, math.nan,
+                                 inconclusive=True, context={"detail": detail})
     L0 = loss_at_origin(config)
-    measured = L0 - record.losses[t_eval]
-    return CertificateReport(
-        "prm-two-term-descent", bound, measured, measured >= bound, measured - bound,
-        context={"detail": f"evaluated at step {t_eval}; loss at the zero student {L0!r}"})
+    return at_least("prm-two-term-descent", bound, L0 - record.losses[t_eval],
+                    detail=f"evaluated at step {t_eval}; loss at the zero student {L0!r}")
 
 
 def prm_csv(record: PrmRunRecord) -> str:

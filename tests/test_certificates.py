@@ -13,6 +13,56 @@ from relulab import certificates as C
 from tests.conftest import make_onehot_dataset, run_keeping_nets
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize("rule,bound,measured,inconclusive,expected,slack", [
+    # at_least: slack measured - bound; a met bound <= 0 holds trivially.
+    ("at_least", 1.0, 2.5, False, "PASS", 1.5),
+    ("at_least", 1.0, 2.5, True, "PASS", 1.5),           # a pass outranks the flag
+    ("at_least", 1.0, 0.25, False, "FAIL", -0.75),
+    ("at_least", 1.0, 0.25, True, "INCONCLUSIVE", -0.75),
+    ("at_least", 1.0, 1.0, False, "PASS", 0.0),
+    ("at_least", 0.0, 0.5, False, "INCONCLUSIVE", 0.5),
+    ("at_least", 0.0, 0.0, False, "INCONCLUSIVE", 0.0),
+    ("at_least", -0.5, 0.25, False, "INCONCLUSIVE", 0.75),
+    ("at_least", -0.5, 0.25, True, "INCONCLUSIVE", 0.75),
+    ("at_least", -0.5, -1.0, False, "FAIL", -0.5),
+    ("at_least", -0.5, -1.0, True, "INCONCLUSIVE", -0.5),
+    ("at_least", 1.0, NAN, False, "FAIL", NAN),
+    # at_most: slack -(measured - bound), PASS exactly when met.
+    ("at_most", 0.0, 0.0, False, "PASS", -0.0),          # a zero count: slack -0.0
+    ("at_most", 0.0, 3.0, False, "FAIL", -3.0),
+    ("at_most", 2.0, 0.5, False, "PASS", 1.5),
+    ("at_most", -1.0, -0.5, False, "FAIL", -0.5),
+    ("at_most", 2.0, NAN, False, "FAIL", NAN),
+])
+def test_comparison_rule_table(rule, bound, measured, inconclusive, expected, slack):
+    if rule == "at_least":
+        rep = C.at_least("id", bound, measured, inconclusive, step=3)
+    else:
+        rep = C.at_most("id", bound, measured, step=3)
+    d = rep.as_dict()
+    assert C.verdict(d) == expected
+    assert (d["cert_id"], d["theoretical"], d["context"]) == ("id", bound, {"step": 3})
+    assert d["measured"] == measured or math.isnan(measured)
+    if math.isnan(slack):
+        assert math.isnan(d["slack"])
+    else:
+        assert d["slack"] == slack and math.copysign(1.0, d["slack"]) == math.copysign(1.0, slack)
+
+
+@pytest.mark.parametrize("bound,measured,k", [
+    ([1.0, 2.0, -1.0, 3.0], [0.5, 1.5, -3.0, 2.0], 2),    # the least-slack missed entry
+    ([1.0, 2.0, -1.0], [1.5, 2.25, -0.5], 1),             # none missed: least slack, bound > 0
+    ([0.0, -1.0, -2.0], [0.5, -0.75, 0.0], 1),            # every bound <= 0: least slack
+    ([1.0, 1.0, 1.0], [1.5, 1.25, 1.25], 1),              # the first on a tie
+    ([1.0, 1.0], [2.0, NAN], 1),                          # NaN is a miss
+])
+def test_worst_entry_picks_missed_then_positive_then_any(bound, measured, k):
+    assert C.worst_entry(np.array(bound), np.array(measured)) == k
+
+
 def test_closed_series_matches_brute_force_and_reference():
     closed = descent_series_closed_form(0.01, 44)
     brute = descent_series_brute_force(0.01, 44)

@@ -84,6 +84,25 @@ def test_verify_at_a_tiny_rate_keeps_the_exit_code_contract(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+PRM_KAPPA_09 = {"kind": "prm", "prm": {"d": 10, "m": 10, "M": 10, "kappa": 0.9}}
+
+
+def test_prm_at_an_empty_horizon_needs_explicit_steps(tmp_path, capsys):
+    """At kappa = 0.9 >= 1/pi the certified horizon T*+1 is -4.42: there is
+    no default step count, and with one the certificate says nothing."""
+    with pytest.raises(cli.ConfigError, match=r"prm\.kappa = 0\.9.*prm\.steps"):
+        cli.run_prm_experiment(PRM_KAPPA_09)
+    cfg = write_config(tmp_path, "p.json", PRM_KAPPA_09)
+    assert main(["prm", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+    assert "prm.steps" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "q.json", {"kind": "prm", "prm": dict(PRM_KAPPA_09["prm"],
+                                                                        steps=10)})
+    assert main(["prm", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert "[INCONCLUSIVE] prm-two-term-descent" in capsys.readouterr().out
+    (rep,) = json.loads((tmp_path / "b" / "certificates.json").read_text())
+    assert rep["context"]["detail"].startswith("empty horizon: T*+1 = -4.419")
+
+
 def test_prm_subcommand(tmp_path):
     cfg = write_config(tmp_path, "p.json", PRM)
     out = tmp_path / "prm"
@@ -208,6 +227,37 @@ def test_early_gradient_lower_is_inconclusive_when_the_bound_is_vacuous():
     assert rep["theoretical"] <= 0.0
 
 
+def test_early_descent_binary_fails_on_its_own():
+    """Negative control: a loss at t* planted above L(0) - bound fails
+    early-descent-binary; every other report keeps its verdict."""
+    record, ctx = run_experiment(EARLY_BINARY)
+    before = {c["cert_id"]: verdict(c) for c in evaluate_certificates(record, ctx)}
+    assert before["early-descent-binary"] == "PASS"
+    ts = ctx["tstar"]
+    record.records[ts] = dataclasses.replace(record.records[ts], loss=record.records[0].loss)
+    after = {c["cert_id"]: c for c in evaluate_certificates(record, ctx)}
+    rep = after.pop("early-descent-binary")
+    assert verdict(rep) == "FAIL" and rep["measured"] == 0.0 < rep["theoretical"]
+    assert rep["slack"] == -rep["theoretical"] and rep["context"]["t_star"] == ts
+    assert {k: verdict(c) for k, c in after.items()} == {
+        k: v for k, v in before.items() if k != "early-descent-binary"}
+
+
+# The small-rate run of scripts/same_outputs.py: t* = 4479, and at m = 16 the
+# descent bound is negative.
+SMALL_RATE = {"kind": "early-binary", "dataset": {"type": "synthetic", "n": 6, "d": 8, "seed": 1},
+              "model": {"m": 16, "kappa": "auto"}, "loss": "quadratic",
+              "schedule": {"type": "constant", "eta": 1e-4}, "delta": 0.01, "seed": 1}
+
+
+def test_early_descent_binary_is_inconclusive_on_a_negative_bound():
+    record, ctx = run_experiment(SMALL_RATE)
+    (rep,) = [c for c in evaluate_certificates(record, ctx)
+              if c["cert_id"] == "early-descent-binary"]
+    assert rep["theoretical"] < 0.0 < rep["measured"]
+    assert verdict(rep) == "INCONCLUSIVE" and rep["slack"] > 0.0
+
+
 def test_unknown_nested_key_is_an_error(tmp_path, capsys):
     bad = json.loads(json.dumps(EARLY_BINARY))
     bad["schedule"]["rate"] = 0.5
@@ -290,6 +340,25 @@ def test_early_descent_multi_is_inconclusive_when_the_budget_is_vacuous(tmp_path
     assert rep["context"]["budget"] >= 1.0
     assert rep["measured"] < rep["theoretical"]
     assert verdict(rep) == "INCONCLUSIVE"
+
+
+def test_multi_gram_entries_at_least_one_fails_on_a_planted_minimum(onehot_spec):
+    """Negative control: a minimum entry below 1 at one step of the Gram
+    observer fails multi-gram-entries-at-least-one, which reports the least."""
+    record, ctx = run_experiment(_small_config("early-multiclass", onehot_spec))
+    (gram,), report = cli._certify_early_multiclass(ctx)
+
+    def multi_gram():
+        (rep,) = [c for c in report(record) if c["cert_id"] == "multi-gram-entries-at-least-one"]
+        return rep
+
+    gram.minima = [1.5, 1.25, 3.0]
+    rep = multi_gram()
+    assert verdict(rep) == "PASS" and (rep["measured"], rep["slack"]) == (1.25, 0.25)
+    gram.minima = [1.5, 0.75, 0.5, 3.0]
+    rep = multi_gram()
+    assert verdict(rep) == "FAIL" and (rep["theoretical"], rep["measured"]) == (1.0, 0.5)
+    assert rep["slack"] == -0.5
 
 
 TINY = dict(EARLY_BINARY, dataset={"type": "synthetic", "n": 6, "d": 8, "seed": 1},
@@ -397,7 +466,8 @@ def test_partition_dynamics_global_fails_through_verify(tmp_path):
 
 def test_correct_classification_fails_on_a_nonpositive_margin():
     """Negative control: a nonpositive min_margin planted at t >= 1 fails
-    correct-classification, which names the first such step and its margin."""
+    correct-classification, which reports the least margin over t >= 1 and
+    its step, and names the first nonpositive one."""
     record, ctx = run_experiment(GLOBAL_POLY)
 
     def report():
@@ -405,11 +475,15 @@ def test_correct_classification_fails_on_a_nonpositive_margin():
                   if c["cert_id"] == "correct-classification"]
         return rep
 
-    assert verdict(report()) == "PASS"
+    least = min(record.records[1:], key=lambda r: r.min_margin)
+    rep = report()
+    assert verdict(rep) == "PASS" and rep["measured"] == rep["slack"] == least.min_margin > 0.0
+    assert rep["context"] == {"t": least.t, "first_violation": None}
     for t, margin in ((0, -5.0), (30, 0.0), (7, -0.25), (12, -1.0)):   # t = 0 is not checked
         record.records[t] = dataclasses.replace(record.records[t], min_margin=margin)
     rep = report()
-    assert verdict(rep) == "FAIL" and rep["measured"] == rep["slack"] == -0.25
+    assert verdict(rep) == "FAIL" and rep["measured"] == rep["slack"] == -1.0
+    assert rep["context"]["t"] == 12
     assert tuple(rep["context"]["first_violation"]) == (7, -0.25)
 
 

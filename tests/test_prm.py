@@ -215,11 +215,32 @@ def test_run_norm_growth_and_certificate():
     assert cert.theoretical == pytest.approx(descent_bound_two_term(c), rel=1e-15)
 
 
-def test_certificate_inconclusive_when_horizon_short():
-    eta = max_compliant_eta(cfg(eta=1.0))
-    c = cfg(eta=eta, steps=2)
+@pytest.mark.parametrize("kappa,steps,detail", [
+    (0.1, 2, "horizon too short: need 8 recorded steps"),
+    # kappa = 0.9 >= 1/pi: T*+1 = -4.42, and the bound is negative.
+    (0.9, 10, "empty horizon: T*+1 = -4.419"),
+], ids=["short-run", "empty-horizon"])
+def test_certificate_inconclusive_when_horizon_short(kappa, steps, detail):
+    c = cfg(kappa=kappa, eta=max_compliant_eta(cfg(kappa=kappa, eta=1.0)), steps=steps)
     cert = prm_descent_certificate(c, run_prm_gd(c))
     assert cert.inconclusive and not cert.passed
+    assert math.isnan(cert.measured) and math.isnan(cert.slack)
+    assert cert.theoretical == descent_bound_two_term(c)
+    assert cert.context["detail"].startswith(detail)
+
+
+def test_certificate_fails_on_a_planted_loss():
+    """Negative control: a loss at T*+1 planted at the zero student's loss
+    (no descent) fails the two-term bound."""
+    c = cfg(eta=max_compliant_eta(cfg(eta=1.0)), steps=10)
+    rec = run_prm_gd(c)
+    t_eval = math.ceil(prm_tstar_plus_one(c))
+    losses = list(rec.losses)
+    losses[t_eval] = loss_at_origin(c)
+    cert = prm_descent_certificate(c, dataclasses.replace(rec, losses=losses))
+    assert not cert.passed and not cert.inconclusive
+    assert cert.measured == 0.0 and cert.slack == -cert.theoretical < 0.0
+    assert cert.context["detail"].startswith(f"evaluated at step {t_eval};")
 
 
 def test_prm_csv_layout():
