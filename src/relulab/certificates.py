@@ -168,6 +168,19 @@ def gram_matrix(net: Net, ds: LabeledDataset, H: Optional[np.ndarray] = None,
     return G
 
 
+def _mirror_upper(M: np.ndarray) -> None:
+    """Copy the upper triangle of the square ``M`` below its diagonal, 64
+    columns at a time."""
+    block = 64
+    below = np.tri(block, k=-1, dtype=bool)
+    for r0 in range(0, M.shape[0], block):
+        r1 = r0 + block
+        M[r1:, r0:r1] = M[r0:r1, r1:].T
+        diag = M[r0:r1, r0:r1]
+        low = below[:diag.shape[0], :diag.shape[0]]
+        diag[low] = diag.T[low]
+
+
 class MultiGramMin:
     """Exact minimum entry of the (Cn) x (Cn) model-gradient Gram matrix at
     each step in ``steps``, appended to ``minima``.
@@ -206,45 +219,84 @@ class MultiGramMin:
     pair (j, i) has the same block as pair (i, j).  With dense activation
     patterns the floor is tight and one row is usually kept; with sparse
     ones it is 0 and every row is scanned.
+
+    ``X Xᵀ + 1`` is held once, as its upper triangle packed row by row in
+    n(n+1)/2 doubles: row i's entries j >= i start at ``row_start[i]``.  Its
+    construction peaks at about 1.5 n² doubles (the full product and the
+    triangle), and every packed entry keeps the bits of the full product.
     """
 
     def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
         self.ds, self.steps = ds, steps
-        self.XX1 = ds.inputs @ ds.inputs.T + 1.0
-        self.dense_only = bool(np.any(self.XX1 < 0.0))
-        below_diagonal = np.tri(ds.n, k=-1, dtype=bool)
-        self.row_xx1_min = np.where(below_diagonal, np.inf, self.XX1).min(axis=1, initial=np.inf)
+        n = ds.n
+        XX1 = ds.inputs @ ds.inputs.T
+        XX1 += 1.0
+        start = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
+        packed = np.empty(start[-1])
+        for i in range(n):
+            packed[start[i]:start[i + 1]] = XX1[i, i:]
+        del XX1
+        self.packed, self.row_start = packed, start
+        # Row i's column j < i is entry (j, i), at row_start[j] + i - j.
+        self._back = start[:-1] - np.arange(n)
+        # fmin skips NaN: true when some entry is negative, as np.any(XX1 < 0).
+        self.dense_only = bool(np.fmin.reduce(packed, initial=np.inf) < 0.0)
+        self.row_xx1_min = np.minimum.reduceat(packed, start[:-1])
         self.minima: List[float] = []
 
     def step(self, t: int, net: MultiNet, H: np.ndarray, alive: np.ndarray, record=None) -> None:
         if t in self.steps:
             self.minima.append(self._min_entry(net, H, alive))
 
+    def _xx1(self, i: int, j: int) -> float:
+        """Entry (i, j) of ``X Xᵀ + 1``."""
+        i, j = min(i, j), max(i, j)
+        return self.packed[self.row_start[i] + j - i]
+
+    def _xx1_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of ``X Xᵀ + 1``: a gather for the columns below the
+        diagonal, a slice of the triangle for the rest."""
+        packed, start = self.packed, self.row_start
+        out = np.empty((rows.size, self.ds.n))
+        for r, i in enumerate(rows.tolist()):
+            out[r, :i] = packed[self._back[:i] + i]
+            out[r, i:] = packed[start[i]:start[i + 1]]
+        return out
+
     def _pair_bound(self, E: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``bound_ij`` on ``rows`` x every column; all n rows use ``E @ E.T``,
-        which numpy forms as a symmetric rank-k update."""
-        if rows.size == self.ds.n:
-            bound = E @ E.T
-            bound *= self.XX1
+        """``bound_ij`` on ``rows`` x every column.  Fewer than n rows are scaled
+        by their unpacked rows of ``X Xᵀ + 1``.  All n rows use ``E @ E.T``,
+        which numpy forms as a symmetric rank-k update, so both factors are
+        exactly symmetric: the upper triangle is scaled by the packed one, row
+        by row, and mirrored below the diagonal with the same bits."""
+        if rows.size < self.ds.n:
+            bound = E[rows] @ E.T
+            bound *= self._xx1_rows(rows)
             return bound
-        bound = E[rows] @ E.T
-        bound *= self.XX1[rows]
+        packed, start = self.packed, self.row_start
+        bound = E @ E.T
+        for i in range(self.ds.n):
+            bound[i, i:] *= packed[start[i]:start[i + 1]]
+        _mirror_upper(bound)
         return bound
 
     def _min_entry(self, net: MultiNet, H: np.ndarray, D: np.ndarray) -> float:
-        ds, n, XX1 = self.ds, self.ds.n, self.XX1
+        ds, n = self.ds, self.ds.n
         amin = net.A.min(axis=1)
         if self.dense_only or np.any(amin < 0.0):
             # Conservative shortcut invalid; fall back to the dense form.
             return float(gram_matrix(net, ds, H, D).min())
-        S = np.maximum(H, 0.0)
         A, eye = net.A, np.eye(net.C)
 
         def block_min(i: int, j: int) -> float:
-            block = (A.T * (D[i] * D[j])[None, :]) @ A * XX1[i, j] + eye * (S[i] @ S[j])
+            Si, Sj = np.maximum(H[i], 0.0), np.maximum(H[j], 0.0)
+            block = (A.T * (D[i] * D[j])[None, :]) @ A * self._xx1(i, j) + eye * (Si @ Sj)
             return float(block.min())
 
-        E = D * amin[None, :]
+        # A float copy of the mask, scaled in place: numpy's mixed
+        # bool-float product takes its slower, buffered loop.
+        E = D.astype(np.float64)
+        E *= amin
         cover, W = E @ amin, float(amin @ amin)
         rel = (net.m + 2) * np.finfo(np.float64).eps
         rho = self.row_xx1_min * np.maximum(cover + (cover.min() - W - 4.0 * rel * W), 0.0)

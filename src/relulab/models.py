@@ -160,7 +160,7 @@ def preactivation(net: Net, X: np.ndarray) -> np.ndarray:
     """Pre-activations H = X B^T (+ c), shape (n, m)."""
     H = X @ net.B.T
     if isinstance(net, MultiNet):
-        H = H + net.c[None, :]
+        H += net.c
     return H
 
 
@@ -229,7 +229,9 @@ def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, z):
         raise ValueError("input-only training is defined for the binary network")
     w = loss.deriv(z) / nsub
     gA = S.T @ (w[:, None] * Y)
-    T = D * (Y @ net.A.T) * w[:, None]   # y_i^T a_k on active pairs, weighted
+    T = Y @ net.A.T           # y_i^T a_k on active pairs, weighted, in place
+    T *= D
+    T *= w[:, None]
     return gA, T.T @ X, T.sum(axis=0)
 
 

@@ -87,7 +87,9 @@ class DynamicsViolation:
     sample: int                # -1 when not sample-specific
     neuron: int                # -1 when not neuron-specific
     detail: str
-    lam: Optional[float] = None  # S5 only: where the sign leaves its reference, in [0, 1]
+    # S5 only: where the sign leaves its reference, in [0, 1]; NaN when the
+    # entry's preactivation at the segment's end is NaN.
+    lam: Optional[float] = None
 
 
 def _agree(net: Net, ds: LabeledDataset) -> np.ndarray:
@@ -228,9 +230,16 @@ class _Dynamics:
     the cells the next state reads, and ``prev > cell`` is prev & ~cell: the
     pairs that left a cell.  Violations list as persist + cells + signs +
     positive; ``seen`` counts the states checked, so a run too short for any
-    rule shows as such."""
+    rule shows as such.  The rules read the states before a step, so a
+    window may start no later than ``latest_start``."""
+
+    latest_start = 0
 
     def __init__(self, ds: LabeledDataset, steps: range, sign_rule: str):
+        first = next(iter(steps), 0)
+        if first > self.latest_start:
+            raise ValueError(f"{type(self).__name__} window starts at step {first}: its rules "
+                             f"need it to start no later than step {self.latest_start}")
         self.ds, self.steps = ds, steps
         self.seen = 0
         self.persist, self.cells, self.positive = [], [], []
@@ -260,6 +269,7 @@ class EarlyDynamics(_Dynamics):
     on, preactivation signs are constant along every inter-step parameter
     segment (S5).  Multi-output: TL persists, TD flips to TL at the first
     step, and segment signs stay constant and positive from step 1 on.
+    The window starts at step 0, whose cells S1-S4 read.
     """
 
     def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
@@ -302,7 +312,12 @@ class GlobalDynamics(_Dynamics):
     are the clean step's, all TL or FD (S2-S4), and its signs are the clean
     step's, those of step 1 (S5).  That step costs these few comparisons;
     every other step runs the full rules (``_Dynamics.step``).
+
+    The window starts at step 0 or 1: from step 2 on, StageII-S1 reads the
+    network of the step before.
     """
+
+    latest_start = 1
 
     def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
         super().__init__(ds, steps, "StageII-S5")

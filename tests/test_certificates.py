@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,43 @@ def test_multi_gram_min_row_filter_prunes_dense_and_scans_sparse(monkeypatch):
     net = MultiNet(A=gen.random((40, 3)), B=gen.standard_normal((40, 6)), c=np.zeros(40))
     assert C.multi_gram_min_entry([net], ds)[0] == multi_gram_min_full_bound(net, ds)
     assert ds.n in bounded_rows
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 600])
+def test_multi_gram_min_packs_xx1_bit_for_bit(n):
+    ds = make_onehot_dataset(n=n, d=64, num_classes=10, seed=0)
+    XX1 = ds.inputs @ ds.inputs.T + 1.0
+    obs = C.MultiGramMin(ds)
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    assert np.array_equal(_bits(obs.packed), _bits(XX1[upper]))
+    few, every = np.unique([0, n // 2, n - 1])[:n - 1], np.arange(n)
+    for rows in (few, every):
+        assert np.array_equal(_bits(obs._xx1_rows(rows)), _bits(XX1[rows]))
+    # The pair bound on both of its paths: the few rows and all n rows.
+    gen = np.random.default_rng(n)
+    E = (gen.random((n, 40)) < 0.5) * gen.random(40)
+    for rows, full in ((few, E[few] @ E.T), (every, E @ E.T)):
+        assert np.array_equal(_bits(obs._pair_bound(E, rows)), _bits(full * XX1[rows]))
+
+
+def test_multi_gram_min_holds_half_of_xx1():
+    ds = make_onehot_dataset(600, 64, 10, 0)
+    size = ds.n ** 2 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        obs = C.MultiGramMin(ds)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.6 * size
+    assert held - before <= 0.6 * size
+    assert obs.packed.size == ds.n * (ds.n + 1) // 2
 
 
 def test_multi_gram_min_entry_visits_several_candidates():

@@ -171,6 +171,26 @@ def test_early_dynamics_insufficient_horizon():
     assert check_dynamics_early([net0], ds) == []
 
 
+@pytest.mark.parametrize("start", [1, 2, 5])
+def test_early_dynamics_refuses_a_window_after_step_0(start):
+    ds = gen_orthant_separable(n=8, d=6, seed=4)
+    with pytest.raises(ValueError, match=f"EarlyDynamics window starts at step {start}:"):
+        EarlyDynamics(ds, range(start, 10))
+    EarlyDynamics(ds, range(0, 10))
+    EarlyDynamics(ds, range(3, 3))      # an empty window checks nothing
+
+
+@pytest.mark.parametrize("start", [2, 3, 7])
+def test_global_dynamics_refuses_a_window_after_step_1(start):
+    ds, steps = _clean_trajectory()
+    with pytest.raises(ValueError, match=f"GlobalDynamics window starts at step {start}:"):
+        GlobalDynamics(ds, range(start, _CLEAN_STEPS))
+    # A window from step 1 reads no step before it: it sees every step of
+    # the clean trajectory but the first and reports nothing.
+    observer = GlobalDynamics(ds, range(1, _CLEAN_STEPS))
+    assert _walk(observer, steps, ds) == ([], _CLEAN_STEPS - 1)
+
+
 def test_global_dynamics_clean_on_adaptive_run():
     ds = gen_orthant_separable(n=12, d=25, seed=5)
     net0 = init_binary(1024, 25, InitSpec(kappa=1e-5, seed=5))
@@ -416,6 +436,8 @@ def test_clean_step_check_agrees_with_the_full_rules(name):
     assert got == expected
     if name != "inf-in-H":               # +-inf keeps every sign: nothing to report
         assert expected[0], name
+    if name == "nan-in-H-at-t3":         # lambda* = h0 / (h0 - NaN) is NaN, not a point of [0, 1]
+        assert [v[4] for v in got[0] if v[0] == "StageII-S5"] == ["nan"]
 
 
 def test_nan_output_weight_agrees_with_the_full_rules():
