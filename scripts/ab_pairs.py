@@ -3,19 +3,18 @@
 
 Usage:
 
-    python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload multiclass-sgd --pairs 10 --seed 0 \
-        --metric peak_rss_mb
+    python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload multiclass-sgd --pairs 10 --seed 0
 
 Each pair runs ``perfbench/run.py --workload W --seed S`` once in each tree,
 each in its own tree as working directory, and alternates which side runs
 first.  For every end-to-end metric listed in the change tree's
 ``BENCHMARK.json`` it prints each side's median and quartiles and how many
-pairs the change won (ties count for neither side).  The last line says
-whether ``--metric`` (default ``run_s``) meets the gain rule, in the
-direction of its ``better`` in ``BENCHMARK.json``: the change wins at least
-nine tenths of the pairs, and the medians differ by more than the parent's
-quartile spread.  The script only runs the benchmark; it changes nothing under
-``perfbench/``.  Exit code 0 when every call of every run was correct.
+pairs the change won (ties count for neither side), and whether the metric
+meets the gain rule in the direction of its ``better``: the change wins at
+least nine tenths of the pairs, and the medians differ by more than the
+parent's quartile spread.  The script only runs the benchmark; it changes
+nothing under ``perfbench/``.  Exit code 0 when every call of every run was
+correct.
 """
 
 from __future__ import annotations
@@ -57,42 +56,32 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=None,
                         help="run length per benchmark run (default: BENCHMARK.json's)")
-    parser.add_argument("--metric", default="run_s",
-                        help="end-to-end metric whose gain verdict is printed (default: run_s)")
     args = parser.parse_args(argv)
 
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-    units = {m["name"]: m["unit"] for m in metrics}
-    if args.metric not in units:
-        parser.error(f"--metric must be one of {', '.join(units)}")
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             runs[side].append(bench_once(sides[side], args.workload, args.seed, args.seconds))
-        p, c = (runs[s][-1]["metrics"][args.metric]["value"] for s in ("parent", "change"))
-        print(f"pair {i + 1:2d} ({order[0]} first): {args.metric} parent {p:.4f}  "
-              f"change {c:.4f}", flush=True)
+        p, c = (runs[s][-1]["metrics"]["run_s"]["value"] for s in ("parent", "change"))
+        print(f"pair {i + 1:2d} ({order[0]} first): run_s parent {p:.4f}  change {c:.4f}",
+              flush=True)
 
     correct = all(r["correct"] for side in runs.values() for r in side)
     print(f"workload={args.workload} seed={args.seed} pairs={args.pairs} "
           f"all calls correct: {correct}")
-    summary = {}
     for m in metrics:
         name, sign = m["name"], (1.0 if m["better"] == "lower" else -1.0)
         vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
         wins = sum(sign * (c - p) < 0.0 for p, c in zip(vals["parent"], vals["change"]))
         qp, qc = quartiles(vals["parent"]), quartiles(vals["change"])
-        summary[name] = (wins, sign * (qp[1] - qc[1]), qp[2] - qp[0])
+        gain, spread = sign * (qp[1] - qc[1]), qp[2] - qp[0]
+        met = wins >= 0.9 * args.pairs and gain > spread
         print(f"  {name:12s} parent median {qp[1]:.4f} [{qp[0]:.4f}, {qp[2]:.4f}]  "
               f"change median {qc[1]:.4f} [{qc[0]:.4f}, {qc[2]:.4f}] {m['unit']}  "
-              f"change won {wins}/{args.pairs}")
-    wins, gain, spread = summary[args.metric]
-    met = wins >= 0.9 * args.pairs and gain > spread
-    unit = units[args.metric]
-    print(f"{args.metric} gain {'MET' if met else 'NOT MET'}: won {wins}/{args.pairs}, "
-          f"median gain {gain:.4f} {unit} against parent quartile spread {spread:.4f} {unit}")
+              f"change won {wins}/{args.pairs}  gain {'MET' if met else 'NOT MET'}")
     return 0 if correct else 1
 
 

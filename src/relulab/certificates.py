@@ -168,19 +168,6 @@ def gram_matrix(net: Net, ds: LabeledDataset, H: Optional[np.ndarray] = None,
     return G
 
 
-def _mirror_upper(M: np.ndarray) -> None:
-    """Copy the upper triangle of the square ``M`` below its diagonal, 64
-    columns at a time."""
-    block = 64
-    below = np.tri(block, k=-1, dtype=bool)
-    for r0 in range(0, M.shape[0], block):
-        r1 = r0 + block
-        M[r1:, r0:r1] = M[r0:r1, r1:].T
-        diag = M[r0:r1, r0:r1]
-        low = below[:diag.shape[0], :diag.shape[0]]
-        diag[low] = diag.T[low]
-
-
 class MultiGramMin:
     """Exact minimum entry of the (Cn) x (Cn) model-gradient Gram matrix at
     each step in ``steps``, appended to ``minima``.
@@ -214,7 +201,8 @@ class MultiGramMin:
 
     This is exact: a pair holding an entry below ``best`` has
     ``rho_i <= bound <= entry < best``, so its row is kept and the pair is
-    visited.  Only pairs with i <= j are visited: ``X Xᵀ + 1`` is exactly
+    visited.  Only pairs with i <= j are bounded and visited (the pair
+    bound reads inf below the diagonal): ``X Xᵀ + 1`` is exactly
     symmetric (numpy forms ``X @ X.T`` as a symmetric rank-k update), and
     pair (j, i) has the same block as pair (i, j).  With dense activation
     patterns the floor is tight and one row is usually kept; with sparse
@@ -237,8 +225,6 @@ class MultiGramMin:
             packed[start[i]:start[i + 1]] = XX1[i, i:]
         del XX1
         self.packed, self.row_start = packed, start
-        # Row i's column j < i is entry (j, i), at row_start[j] + i - j.
-        self._back = start[:-1] - np.arange(n)
         # fmin skips NaN: true when some entry is negative, as np.any(XX1 < 0).
         self.dense_only = bool(np.fmin.reduce(packed, initial=np.inf) < 0.0)
         self.row_xx1_min = np.minimum.reduceat(packed, start[:-1])
@@ -253,31 +239,15 @@ class MultiGramMin:
         i, j = min(i, j), max(i, j)
         return self.packed[self.row_start[i] + j - i]
 
-    def _xx1_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` of ``X Xᵀ + 1``: a gather for the columns below the
-        diagonal, a slice of the triangle for the rest."""
-        packed, start = self.packed, self.row_start
-        out = np.empty((rows.size, self.ds.n))
-        for r, i in enumerate(rows.tolist()):
-            out[r, :i] = packed[self._back[:i] + i]
-            out[r, i:] = packed[start[i]:start[i + 1]]
-        return out
-
     def _pair_bound(self, E: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``bound_ij`` on ``rows`` x every column.  Fewer than n rows are scaled
-        by their unpacked rows of ``X Xᵀ + 1``.  All n rows use ``E @ E.T``,
-        which numpy forms as a symmetric rank-k update, so both factors are
-        exactly symmetric: the upper triangle is scaled by the packed one, row
-        by row, and mirrored below the diagonal with the same bits."""
-        if rows.size < self.ds.n:
-            bound = E[rows] @ E.T
-            bound *= self._xx1_rows(rows)
-            return bound
+        """``bound_ij`` on ``rows`` x every column, with inf below the diagonal
+        (j < i): each row is scaled by its slice of the packed triangle.  All n
+        rows use ``E @ E.T``, which numpy forms as a symmetric rank-k update."""
         packed, start = self.packed, self.row_start
-        bound = E @ E.T
-        for i in range(self.ds.n):
-            bound[i, i:] *= packed[start[i]:start[i + 1]]
-        _mirror_upper(bound)
+        bound = E @ E.T if rows.size == self.ds.n else E[rows] @ E.T
+        for r, i in enumerate(rows.tolist()):
+            bound[r, :i] = np.inf
+            bound[r, i:] *= packed[start[i]:start[i + 1]]
         return bound
 
     def _min_entry(self, net: MultiNet, H: np.ndarray, D: np.ndarray) -> float:
@@ -312,9 +282,8 @@ class MultiGramMin:
         k0 = int(np.argmin(bound))
         best = min(best, block_min(rows[k0 // n], k0 % n))
         kept = np.flatnonzero(bound < best)
+        kept = kept[kept != k0]
         i, j = rows[kept // n], kept % n
-        visit = (i <= j) & (kept != k0)
-        kept, i, j = kept[visit], i[visit], j[visit]
         for k in np.argsort(bound[kept]):
             if bound[kept[k]] >= best:
                 break

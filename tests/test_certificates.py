@@ -296,14 +296,16 @@ def test_multi_gram_min_packs_xx1_bit_for_bit(n):
     obs = C.MultiGramMin(ds)
     upper = np.triu(np.ones((n, n), dtype=bool))
     assert np.array_equal(_bits(obs.packed), _bits(XX1[upper]))
+    # The pair bound on both of its paths, the few rows and all n rows, keeps
+    # the bits of the full product on and above the diagonal, and inf below.
     few, every = np.unique([0, n // 2, n - 1])[:n - 1], np.arange(n)
-    for rows in (few, every):
-        assert np.array_equal(_bits(obs._xx1_rows(rows)), _bits(XX1[rows]))
-    # The pair bound on both of its paths: the few rows and all n rows.
     gen = np.random.default_rng(n)
     E = (gen.random((n, 40)) < 0.5) * gen.random(40)
     for rows, full in ((few, E[few] @ E.T), (every, E @ E.T)):
-        assert np.array_equal(_bits(obs._pair_bound(E, rows)), _bits(full * XX1[rows]))
+        bound = obs._pair_bound(E, rows)
+        on_or_above = np.arange(n) >= rows[:, None]
+        assert np.array_equal(_bits(bound[on_or_above]), _bits((full * XX1[rows])[on_or_above]))
+        assert np.all(bound[~on_or_above] == np.inf)
 
 
 def test_multi_gram_min_holds_half_of_xx1():
