@@ -12,9 +12,13 @@ first.  For every end-to-end metric listed in the change tree's
 pairs the change won (ties count for neither side), and whether the metric
 meets the gain rule in the direction of its ``better``: the change wins at
 least nine tenths of the pairs, and the medians differ by more than the
-parent's quartile spread.  The script only runs the benchmark; it changes
-nothing under ``perfbench/``.  Exit code 0 when every call of every run was
-correct.
+parent's quartile spread.  Next to it stands the no-regression verdict
+against the metric's relative ``bound``: ``REGRESSED`` when the change's
+median is worse than the parent's by more than the bound, else
+``UNRESOLVED`` when the parent's quartile spread exceeds the bound and not
+every change run beats every parent run, else ``within bound``.  The script
+only runs the benchmark; it changes nothing under ``perfbench/``.  Exit code
+0 when every call of every run was correct.
 """
 
 from __future__ import annotations
@@ -45,6 +49,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def regression(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """The no-regression verdict of one metric; ``sign`` is 1 when lower is
+    better, -1 when higher is, and ``bound`` is relative to the parent's median."""
+    qp, qc = quartiles(parent), quartiles(change)
+    allowed = bound * abs(qp[1])
+    if sign * (qc[1] - qp[1]) > allowed:
+        return "REGRESSED"
+    if qp[2] - qp[0] > allowed and not max(sign * c for c in change) < min(sign * p for p in parent):
+        return "UNRESOLVED"
+    return "within bound"
 
 
 def main(argv=None) -> int:
@@ -81,7 +97,8 @@ def main(argv=None) -> int:
         met = wins >= 0.9 * args.pairs and gain > spread
         print(f"  {name:12s} parent median {qp[1]:.4f} [{qp[0]:.4f}, {qp[2]:.4f}]  "
               f"change median {qc[1]:.4f} [{qc[0]:.4f}, {qc[2]:.4f}] {m['unit']}  "
-              f"change won {wins}/{args.pairs}  gain {'MET' if met else 'NOT MET'}")
+              f"change won {wins}/{args.pairs}  gain {'MET' if met else 'NOT MET'}  "
+              f"{regression(vals['parent'], vals['change'], sign, m['bound'])}")
     return 0 if correct else 1
 
 

@@ -6,6 +6,9 @@ interface, then summarizes every emitted certificate.  A failed certificate
 is a finding, not a crash: the script prints it and exits 1 so automation
 can notice, while the per-run artifacts under --out hold the details.
 
+At seed 0 the early-binary and global-poly workloads of the benchmark
+(``perfbench/workloads.py``) are ``EARLY_BINARY`` and ``GLOBAL_POLY``.
+
 Usage:
     python3 scripts/run_suite.py --out runs/suite [--data-dir data/digits]
 """

@@ -135,14 +135,11 @@ def worst_entry(bound: np.ndarray, measured: np.ndarray) -> int:
 # Gram matrices
 # ---------------------------------------------------------------------------
 
-def gram_matrix(net: Net, ds: LabeledDataset, H: Optional[np.ndarray] = None,
+def gram_matrix(net: BinaryNet, ds: LabeledDataset, H: Optional[np.ndarray] = None,
                 alive: Optional[np.ndarray] = None) -> np.ndarray:
-    """G_ij = <model gradient at x_i, model gradient at x_j>.
+    """G_ij = <model gradient at x_i, model gradient at x_j> of the binary network,
+    the n x n matrix sum_k sigma_ik sigma_jk + sum_k a_k^2 D_ik D_jk x_i^T x_j.
 
-    For the binary network this is the n x n matrix
-    sum_k sigma_ik sigma_jk + sum_k a_k^2 D_ik D_jk x_i^T x_j.
-    For the multi-output network, the (Cn) x (Cn) block matrix with blocks
-    indexed by output channel is returned, laid out as (i*C + alpha).
     ``H`` is the full-data preactivation, and ``alive`` its mask H > 0, when
     the caller already holds them.
     """
@@ -152,20 +149,8 @@ def gram_matrix(net: Net, ds: LabeledDataset, H: Optional[np.ndarray] = None,
     if alive is None:
         alive = H > 0.0
     S = np.maximum(H, 0.0)
-    if isinstance(net, BinaryNet):
-        M = np.multiply(alive, net.a[None, :])
-        return S @ S.T + (M @ M.T) * (X @ X.T)
-    D = alive
-    # Entry ((i,alpha),(j,beta)) = delta_{alpha beta} sum_k S_ik S_jk
-    #   + (x_i^T x_j + 1) sum_k a_{k alpha} a_{k beta} D_ik D_jk, that is
-    # kron(S S^T, I_C) + kron(X X^T + 1, 1_{CxC}) * F F^T with
-    # F[(i,alpha), k] = D_ik a_{k alpha}.
-    n, C = ds.n, net.C
-    F = (D[:, None, :] * net.A.T[None, :, :]).reshape(n * C, net.m)
-    G = F @ F.T
-    G *= np.kron(X @ X.T + 1.0, np.ones((C, C)))
-    G += np.kron(S @ S.T, np.eye(C))
-    return G
+    M = np.multiply(alive, net.a[None, :])
+    return S @ S.T + (M @ M.T) * (X @ X.T)
 
 
 class MultiGramMin:
@@ -173,10 +158,15 @@ class MultiGramMin:
     each step in ``steps``, appended to ``minima``.
 
     Entry ((i,alpha),(j,beta)) is ``(x_iᵀx_j + 1) sum_k a_{k alpha} a_{k beta}
-    D_ik D_jk`` plus ``S_i·S_j`` when alpha = beta.  When the output weights
-    and ``X Xᵀ + 1`` are nonnegative (otherwise the dense Gram matrix is
-    used), every entry of the pair's C x C block is at least the pair bound
+    D_ik D_jk`` plus ``S_i·S_j`` when alpha = beta.  Every value comes from
+    the exact block of one pair (i, j), a C x C product; the (Cn) x (Cn)
+    matrix is never formed.  When the output weights and ``X Xᵀ + 1`` are
+    nonnegative, every entry of the pair's block is at least the pair bound
     ``bound_ij = (E Eᵀ)_ij (x_iᵀx_j + 1)`` with ``E_ik = D_ik min_alpha a_{k alpha}``.
+    Otherwise no pair bound holds, and every pair i <= j is evaluated:
+    n(n+1)/2 blocks.  Training reaches no such input: the IDX and CIFAR
+    pixels are nonnegative, so ``X Xᵀ + 1 >= 1``, and the output weights start
+    positive and only grow (gA <= 0 for a loss with ℓ' <= 0).
 
     The n x n x m product ``E Eᵀ`` is formed only on the rows that can hold
     the minimum.  With ``w_k = (min_alpha a_{k alpha})²``, the cover
@@ -225,8 +215,6 @@ class MultiGramMin:
             packed[start[i]:start[i + 1]] = XX1[i, i:]
         del XX1
         self.packed, self.row_start = packed, start
-        # fmin skips NaN: true when some entry is negative, as np.any(XX1 < 0).
-        self.dense_only = bool(np.fmin.reduce(packed, initial=np.inf) < 0.0)
         self.row_xx1_min = np.minimum.reduceat(packed, start[:-1])
         self.minima: List[float] = []
 
@@ -251,11 +239,7 @@ class MultiGramMin:
         return bound
 
     def _min_entry(self, net: MultiNet, H: np.ndarray, D: np.ndarray) -> float:
-        ds, n = self.ds, self.ds.n
-        amin = net.A.min(axis=1)
-        if self.dense_only or np.any(amin < 0.0):
-            # Conservative shortcut invalid; fall back to the dense form.
-            return float(gram_matrix(net, ds, H, D).min())
+        n = self.ds.n
         A, eye = net.A, np.eye(net.C)
 
         def block_min(i: int, j: int) -> float:
@@ -263,6 +247,9 @@ class MultiGramMin:
             block = (A.T * (D[i] * D[j])[None, :]) @ A * self._xx1(i, j) + eye * (Si @ Sj)
             return float(block.min())
 
+        amin = A.min(axis=1)
+        if np.any(amin < 0.0) or np.any(self.row_xx1_min < 0.0):
+            return min(block_min(i, j) for i in range(n) for j in range(i, n))
         # A float copy of the mask, scaled in place: numpy's mixed
         # bool-float product takes its slower, buffered loop.
         E = D.astype(np.float64)

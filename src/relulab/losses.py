@@ -76,10 +76,9 @@ def _one(z):
 
 def _logistic_value(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    # log(1 + e^-z), stable on both tails: for z < -30 the direct form
-    # overflows, so use -z + log1p(e^z).
-    out = np.where(z > 0, np.log1p(np.exp(-np.abs(z))), -np.minimum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
-    return out
+    # log(1 + e^-z) = max(-z, 0) + log1p(e^-|z|): exp never overflows, and
+    # for z > 0 the first term is +0.0, which adds no rounding.
+    return np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _exp_or_inf(x: float) -> float:

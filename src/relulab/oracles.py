@@ -18,7 +18,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import rng
-from .certificates import gram_matrix
 from .datasets import LabeledDataset
 from .losses import LossFamily
 from .models import (BinaryNet, MultiNet, Net, _activations, _flatten_struct, _hessian_matvec,
@@ -31,6 +30,7 @@ __all__ = [
     "unflatten_like",
     "loss_of_flat",
     "min_preactivation_gap",
+    "multi_gram_matrix",
     "multi_gram_min_full_bound",
     "grad_loss",
     "hessian_loss",
@@ -131,14 +131,33 @@ def min_preactivation_gap(net: Net, ds: LabeledDataset) -> float:
 # Multi-class Gram minimum
 # ---------------------------------------------------------------------------
 
+def multi_gram_matrix(net: MultiNet, ds: LabeledDataset) -> np.ndarray:
+    """The (Cn) x (Cn) model-gradient Gram matrix of the multi-output network,
+    laid out as (i*C + alpha).
+
+    Entry ((i,alpha),(j,beta)) = delta_{alpha beta} sum_k S_ik S_jk
+      + (x_iᵀx_j + 1) sum_k a_{k alpha} a_{k beta} D_ik D_jk, that is
+    kron(S Sᵀ, I_C) + kron(X Xᵀ + 1, 1_{CxC}) * F Fᵀ with
+    F[(i,alpha), k] = D_ik a_{k alpha}.  The dense reference for
+    ``certificates.MultiGramMin``, which evaluates one C x C block at a time.
+    """
+    X, _, S, D, _, _ = _activations(net, ds)
+    n, C = ds.n, net.C
+    F = (D[:, None, :] * net.A.T[None, :, :]).reshape(n * C, net.m)
+    G = F @ F.T
+    G *= np.kron(X @ X.T + 1.0, np.ones((C, C)))
+    G += np.kron(S @ S.T, np.eye(C))
+    return G
+
+
 def multi_gram_min_full_bound(net: MultiNet, ds: LabeledDataset) -> float:
     """Minimum entry of the multi-class Gram matrix by a search over the full
     n x n pair bound.
 
     ``bound_ij = (E Eᵀ)_ij (x_iᵀx_j + 1)`` with ``E_ik = D_ik min_alpha a_{k alpha}``
     lies below every entry of the pair's C x C block when the output weights
-    and ``X Xᵀ + 1`` are nonnegative (otherwise the dense Gram matrix is
-    used).  The pair of least bound gives an exact block minimum m0; the
+    and ``X Xᵀ + 1`` are nonnegative (otherwise every block i <= j is
+    evaluated).  The pair of least bound gives an exact block minimum m0; the
     pairs (i <= j) with ``bound < m0`` are then visited in ascending bound
     order, stopping once a bound clears the running minimum.  The reference
     for ``certificates.MultiGramMin``, which forms the bound on fewer rows.
@@ -147,14 +166,14 @@ def multi_gram_min_full_bound(net: MultiNet, ds: LabeledDataset) -> float:
     n, A, eye = ds.n, net.A, np.eye(net.C)
     XX1 = X @ X.T + 1.0
     amin = A.min(axis=1)
-    if np.any(XX1 < 0.0) or np.any(amin < 0.0):
-        return float(gram_matrix(net, ds).min())
 
     def block_min(k: int) -> float:
         i, j = divmod(int(k), n)
         block = (A.T * (D[i] * D[j])[None, :]) @ A * XX1[i, j] + eye * (S[i] @ S[j])
         return float(block.min())
 
+    if np.any(XX1 < 0.0) or np.any(amin < 0.0):
+        return min(block_min(i * n + j) for i in range(n) for j in range(i, n))
     E = D * amin[None, :]
     bound = E @ E.T
     bound *= XX1

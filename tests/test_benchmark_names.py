@@ -2,7 +2,8 @@
 functions by module and name, and fails on a name that no longer exists;
 its OBSERVE table reads attributes of what some of them return.  These tests
 read both tables, without changing them, so a rename or a dropped result
-attribute shows up here first."""
+attribute shows up here first.  They also read the benchmark's workload
+configs (perfbench/workloads.py), which at seed 0 must equal the suite's."""
 
 import importlib
 import importlib.util
@@ -13,12 +14,23 @@ from relulab.cli import evaluate_certificates, run_experiment
 from relulab.prm import TeacherStudentConfig, run_prm_gd
 
 
+def _load(relative: str, name: str):
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _load("perfbench/tracing.py", "perfbench_tracing")
+
+
+def test_suite_regimes_equal_the_seed_0_workloads():
+    suite = _load("scripts/run_suite.py", "run_suite")
+    workloads = _load("perfbench/workloads.py", "perfbench_workloads")
+    assert workloads.config("early-binary", 0) == ("verify", suite.EARLY_BINARY)
+    assert workloads.config("global-poly", 0) == ("verify", suite.GLOBAL_POLY)
 
 
 def test_every_traced_name_resolves():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from relulab.datasets import compute_gamma_constants, compute_V, gen_orthant_sep
 from relulab.losses import loss_family
 from relulab.models import InitSpec, MultiNet, init_binary, init_multi
 from relulab.oracles import (descent_series_brute_force, descent_series_closed_form, grad_loss,
-                             multi_gram_min_full_bound, phi)
+                             multi_gram_matrix, multi_gram_min_full_bound, phi)
 from relulab.training import Constant, Full, TrainConfig, run, varphi
 from relulab import certificates as C
 from tests.conftest import make_onehot_dataset, run_keeping_nets
@@ -174,7 +175,7 @@ def test_gram_matches_direct_per_sample_gradients(binary_run, small_onehot_ds):
     for i in range(ds.n):
         for j in range(ds.n):
             direct[i * nc:(i + 1) * nc, j * nc:(j + 1) * nc] = J[i] @ J[j].T
-    assert np.allclose(C.gram_matrix(net, ds), direct, atol=1e-12)
+    assert np.allclose(multi_gram_matrix(net, ds), direct, atol=1e-12)
 
 
 def test_squared_gradient_norm_matches_gram_expansion(binary_run):
@@ -202,7 +203,7 @@ def test_multi_gram_entries_at_least_one(small_onehot_ds):
 def test_multi_gram_min_entry_matches_dense(small_onehot_ds):
     ds = small_onehot_ds
     net = init_multi(16, ds.d, ds.num_classes, InitSpec(kappa=0.2, seed=4))
-    dense = C.gram_matrix(net, ds)
+    dense = multi_gram_matrix(net, ds)
     assert C.multi_gram_min_entry([net], ds)[0] == pytest.approx(
         float(dense.min()), rel=1e-12)
 
@@ -221,7 +222,7 @@ def _pairs_below_first_block(net, ds):
     """How many pairs besides the least-bound one have a bound below that
     pair's exact block minimum, recomputed here from the dense Gram matrix."""
     nc = net.C
-    blocks = C.gram_matrix(net, ds).reshape(ds.n, nc, ds.n, nc).min(axis=(1, 3)).ravel()
+    blocks = multi_gram_matrix(net, ds).reshape(ds.n, nc, ds.n, nc).min(axis=(1, 3)).ravel()
     E = (ds.inputs @ net.B.T + net.c > 0.0) * net.A.min(axis=1)
     bound = ((E @ E.T) * (ds.inputs @ ds.inputs.T + 1.0)).ravel()
     k0 = int(np.argmin(bound))
@@ -230,17 +231,13 @@ def _pairs_below_first_block(net, ds):
     return int(below.sum())
 
 
-def test_multi_gram_min_entry_selection_matches_dense(monkeypatch):
-    dense_calls = []
-    gram = C.gram_matrix
-    monkeypatch.setattr(C, "gram_matrix", lambda *a: dense_calls.append(1) or gram(*a))
+def test_multi_gram_min_entry_selection_matches_dense():
     for seed in range(24):
         ds, net = _random_onehot_problem(seed, weight_spread=0.0 if seed % 2 else 2.0)
-        expected = float(gram(net, ds).min())
+        expected = float(multi_gram_matrix(net, ds).min())
         got = C.multi_gram_min_entry([net], ds)[0]
         assert got == pytest.approx(expected, rel=1e-12), seed
         assert got == multi_gram_min_full_bound(net, ds), seed
-    assert dense_calls == []
 
 
 def _dense_onehot_problem(seed, n, perturb, dead=0.0, b_scale=0.1):
@@ -330,19 +327,50 @@ def test_multi_gram_min_entry_visits_several_candidates():
     ds, net = _random_onehot_problem(3, weight_spread=3.0)
     assert _pairs_below_first_block(net, ds) > 1
     got = C.multi_gram_min_entry([net], ds)[0]
-    assert got == pytest.approx(float(C.gram_matrix(net, ds).min()), rel=1e-12)
+    assert got == pytest.approx(float(multi_gram_matrix(net, ds).min()), rel=1e-12)
     assert got == multi_gram_min_full_bound(net, ds)
 
 
-def test_multi_gram_min_entry_negative_weight_takes_dense_fallback(monkeypatch):
+def test_multi_gram_min_entry_without_a_pair_bound_visits_every_pair():
+    # No pair bound holds for a negative output weight, or for an X Xᵀ + 1
+    # entry below 0 (an antipodal pair at norm 1 + 1e-13): every block is
+    # evaluated.
     ds, net = _random_onehot_problem(5)
     net.A[0, 1] = -0.5
-    dense_calls = []
-    gram = C.gram_matrix
-    monkeypatch.setattr(C, "gram_matrix", lambda *a: dense_calls.append(1) or gram(*a))
     got = C.multi_gram_min_entry([net], ds)[0]
-    assert dense_calls == [1]
-    assert got == float(gram(net, ds).min()) == multi_gram_min_full_bound(net, ds)
+    assert got == float(multi_gram_matrix(net, ds).min()) == multi_gram_min_full_bound(net, ds)
+    x = ds.inputs.copy()
+    x[1] = -x[0]
+    x[:2] *= 1.0 + 1e-13
+    ds = dataclasses.replace(ds, inputs=x)
+    net.A[0, 1] = 0.5
+    assert C.MultiGramMin(ds)._xx1(0, 1) < 0.0 < net.A.min()
+    got = C.multi_gram_min_entry([net], ds)[0]
+    assert got == float(multi_gram_matrix(net, ds).min()) == multi_gram_min_full_bound(net, ds)
+
+
+def test_multi_gram_min_entry_negative_weight_forms_no_dense_matrix():
+    # The (Cn) x (Cn) Gram matrix is 100 n² doubles at C = 10; visiting the
+    # n(n+1)/2 blocks one by one holds a few C x C and m x C arrays.
+    n, d, nc, m = 200, 16, 10, 40
+    ds = make_onehot_dataset(n=n, d=d, num_classes=nc, seed=2)
+    gen = np.random.default_rng(2)
+    net = MultiNet(A=gen.standard_normal((m, nc)) / np.sqrt(m), B=gen.standard_normal((m, d)),
+                   c=gen.standard_normal(m))
+    assert net.A.min() < 0.0
+    obs = C.MultiGramMin(ds)
+    H = ds.inputs @ net.B.T + net.c
+    alive = H > 0.0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        obs.step(0, net, H, alive)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= n * n * 8
+    assert obs.minima == [multi_gram_min_full_bound(net, ds)]
 
 
 def test_multi_gram_min_entry_trajectory_matches_per_net_calls(small_onehot_ds):

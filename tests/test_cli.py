@@ -487,6 +487,49 @@ def test_correct_classification_fails_on_a_nonpositive_margin():
     assert tuple(rep["context"]["first_violation"]) == (7, -0.25)
 
 
+@pytest.mark.parametrize("kind,cert_id", [("global-poly", "rate-poly_stage1"),
+                                           ("global-exp", "rate-exponential")])
+def test_rate_envelope_fails_on_a_loss_above_it(kind, cert_id):
+    """Negative control: losses planted above the envelope at t = 20 (twice
+    L(1)) and t = 40 (1.5 L(1)) fail the kind's rate report, which names the
+    worse one; every other report keeps its verdict.  At m = 512 the certified
+    rate is positive, so the report is not made inconclusive by a vacuous V."""
+    schedule = GLOBAL_POLY["schedule"] if kind == "global-poly" else LOSS_INVERSE
+    record, ctx = run_experiment(dict(GLOBAL_POLY, kind=kind, schedule=schedule,
+                                      model={"m": 512, "kappa": "auto"}))
+    before = {c["cert_id"]: verdict(c) for c in evaluate_certificates(record, ctx)}
+    assert before[cert_id] == "PASS"
+    L1 = record.records[1].loss
+    for t, factor in ((20, 2.0), (40, 1.5)):
+        record.records[t] = dataclasses.replace(record.records[t], loss=factor * L1)
+    after = {c["cert_id"]: c for c in evaluate_certificates(record, ctx)}
+    rep = after.pop(cert_id)
+    rate = rep["theoretical"]
+    envelope = L1 / 20 ** rate if kind == "global-poly" else (1.0 - rate) ** 19 * L1
+    assert verdict(rep) == "FAIL" and rate > 0.0
+    assert rep["context"]["worst_t"] == 20 and rep["slack"] == envelope - 2.0 * L1 < 0.0
+    assert {k: verdict(c) for k, c in after.items()} == {
+        k: v for k, v in before.items() if k != cert_id}
+
+
+@pytest.mark.parametrize("scale", [0.25, 1.25])
+def test_gamma_sandwich_fails_on_a_gamma1_outside_it(monkeypatch, scale):
+    """Negative control: gamma1 replaced by scale * gamma2, below gamma2 / 2 or
+    above gamma2, fails gamma-sandwich by the distance to the nearer side."""
+    config = {"kind": "certify-only", "dataset": {"type": "synthetic", "n": 12, "d": 20, "seed": 0},
+              "model": {"m": 256, "kappa": "auto"}, "delta": 0.05, "seed": 0}
+    record, ctx = run_experiment(config)
+    (rep,) = evaluate_certificates(record, ctx)
+    assert verdict(rep) == "PASS"
+    g2 = rep["context"]["gamma2"]
+    measured = cli.compute_gamma_constants
+    monkeypatch.setattr(cli, "compute_gamma_constants", lambda ds: (scale * measured(ds)[1],
+                                                                    measured(ds)[1]))
+    (rep,) = evaluate_certificates(record, ctx)
+    assert verdict(rep) == "FAIL" and rep["measured"] == scale * g2
+    assert rep["slack"] == min(scale * g2 - g2 / 2.0, g2 - scale * g2) < 0.0
+
+
 def _small_config(name, onehot):
     if name == "early-binary":
         return EARLY_BINARY

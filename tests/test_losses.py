@@ -111,6 +111,16 @@ def test_logistic_derivatives_match_scipy_bit_for_bit(ndim):
         assert _same_bits(fam.second_deriv(z), expit(z) * expit(-z))
 
 
+def test_logistic_value_keeps_the_bits_of_the_two_branch_form():
+    """max(-z, 0) + log1p(e^-|z|) against the form that picks log1p(e^-|z|)
+    for z > 0 and -min(z, 0) + log1p(e^-|z|) otherwise."""
+    z = np.concatenate([_expit_grid(), [1e308, -1e308, 709.8, -709.8, 2.2e-308, -2.2e-308, 30.0]])
+    tail = np.log1p(np.exp(-np.abs(z)))
+    two_branch = np.where(z > 0, tail, -np.minimum(z, 0.0) + tail)
+    assert _same_bits(loss_family("logistic").value(z), two_branch)
+    assert _same_bits(loss_family("logistic").value(z.reshape(-1, 2)), two_branch.reshape(-1, 2))
+
+
 def _residual_grid():
     """Signed zeros, subnormals, outputs whose squares overflow, non-finite
     values, the zero residuals f = +-1, then random outputs."""
