@@ -19,7 +19,10 @@ early-binary ``verify`` at eta = 1e-4 with its default horizon (T_e =
 2204), three ``verify`` runs whose partition checks fail (the early-binary
 workload at m = 512, kappa = 100; the global-poly workload and the suite's
 global-exp regime at kappa = 1 for 300 steps), a ``verify`` of the
-early-binary and global-poly workloads at ``train.record_every: 5``, four
+early-binary and global-poly workloads at ``train.record_every: 5``, three
+runs of the streamed steps.csv (a global-poly ``verify`` at ``train.steps:
+5000`` and ``record_every: 7``, one that aborts at t = 30, and a ``train``
+of the multiclass-sgd workload at ``record_every: 4``), four
 ``verify`` runs whose certificates are partly unmeasured (the suite's
 early-binary regime at ``train.steps: 5`` and ``train.steps: 0``, the
 multiclass-sgd workload at ``train.steps: 0`` and at full batch), and
@@ -28,7 +31,7 @@ Each command then runs through each tree's own CLI (``python -m
 relulab.cli`` with that tree's ``src`` on the path and BLAS at one thread,
 as in the benchmark), in a fresh working directory per tree, with relative
 output paths.  Every output file, and each command's exit code, stdout and
-stderr, is compared byte for byte.  Exit code 0 only when all of them match.
+stderr (with the tree's path written as ``<tree>``), is compared byte for byte.  Exit code 0 only when all of them match.
 """
 
 from __future__ import annotations
@@ -112,9 +115,20 @@ def write_inputs(change: Path, inputs: Path) -> list:
     for name, cfg in (("early-binary", early), ("global-poly", poly)):
         configs[f"record-every-5-{name}"] = ("verify", dict(
             cfg, train=dict(cfg["train"], record_every=5)))
+    # steps.csv is streamed: a long run whose last step (5000) is no multiple
+    # of record_every, a run that aborts partway (stage 2 at c' = -0.5 ascends
+    # from T0 = 20 until the loss overflows at t = 30; the row of its last
+    # step, 29, is written when it stops), and a thinned train run.
+    configs["streamed-global-poly-5000-every-7"] = ("verify", dict(
+        poly, train={"steps": 5000, "record_every": 7}))
+    configs["streamed-global-poly-aborts"] = ("verify", dict(
+        poly, schedule=dict(poly["schedule"], T0=20, cprime=-0.5),
+        train={"steps": 300, "record_every": 7}))
+    multi = configs["perfbench-multiclass-sgd"][1]
+    configs["streamed-train-multiclass-sgd-every-4"] = ("train", dict(
+        multi, train=dict(multi["train"], record_every=4)))
 
     # Runs that measure only part of their kind's certificates.
-    multi = configs["perfbench-multiclass-sgd"][1]
     for steps in (5, 0):
         configs[f"early-binary-steps-{steps}"] = ("verify", dict(suite.EARLY_BINARY,
                                                                  train={"steps": steps}))
@@ -144,7 +158,8 @@ def run_tree(tree: Path, commands: list, workdir: Path) -> dict:
                               env=env, capture_output=True)
         outputs[f"<{name}: exit code>"] = str(proc.returncode).encode()
         outputs[f"<{name}: stdout>"] = proc.stdout
-        outputs[f"<{name}: stderr>"] = proc.stderr
+        # A warning names the source file, which lies under each tree's own path.
+        outputs[f"<{name}: stderr>"] = proc.stderr.replace(str(tree.resolve()).encode(), b"<tree>")
     for path in sorted(workdir.rglob("*")):
         if path.is_file():
             outputs[str(path.relative_to(workdir))] = path.read_bytes()

@@ -8,7 +8,8 @@ comparison meaningless.
 
 Checks that read the networks of a run are observers of the training run
 (``GramChecks``, ``MultiGramMin``): ``training.run`` hands them every step,
-so they keep no trajectory.
+so they keep no trajectory.  So is the rate envelope (``RateEnvelope``),
+which reads the step records as they are made.
 
 The early gradient lower bound reads the prediction envelope
 ``training.varphi``, the one copy of that envelope and of its width lead; the
@@ -20,6 +21,7 @@ envelope's scale, without the lead.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -49,6 +51,7 @@ __all__ = [
     "check_hessian_bound",
     "descent_bound_binary",
     "descent_bound_multi",
+    "RateEnvelope",
     "fit_convergence_rate",
     "probability_budget",
     "STOCHASTIC_ALIGNMENT_BOUND",
@@ -404,37 +407,79 @@ def descent_bound_multi() -> float:
 # Convergence-rate envelopes
 # ---------------------------------------------------------------------------
 
-def fit_convergence_rate(records, kind: str, V: float, c: float) -> CertificateReport:
-    """Check the per-step loss envelope of an adaptive-rate run.
+class RateEnvelope:
+    """Observer: the per-step loss envelope of an adaptive-rate run.
 
     ``kind``: ``poly_stage1`` checks L(t) <= L(1)/t^{Vc/2};
-    ``exponential`` checks L(t) <= (1 - Vc/2)^{t-1} L(1).  Also reports the
-    least-squares fitted decay for diagnostics.
+    ``exponential`` checks L(t) <= (1 - Vc/2)^{t-1} L(1).  From t = 1 on,
+    each step is one comparison against the envelope through L(1), and the
+    worst slack keeps its first step.  The (t, L) columns of those steps
+    are kept as float64 (16 B per step) for ``fit_convergence_rate``'s fit.
     """
-    if kind not in ("poly_stage1", "exponential"):
-        raise ValueError(f"unknown envelope kind {kind!r}")
-    rate = V * c / 2.0
-    pts = [(r.t, r.loss) for r in records if r.t >= 1]
-    L1 = dict(pts).get(1)
-    if L1 is None:
-        raise ValueError("record at t = 1 required")
-    worst_slack, worst_t = math.inf, None
-    for t, L in pts:
-        env = L1 / t ** rate if kind == "poly_stage1" else (1.0 - rate) ** (t - 1) * L1
+
+    def __init__(self, kind: str, V: float, c: float):
+        if kind not in ("poly_stage1", "exponential"):
+            raise ValueError(f"unknown envelope kind {kind!r}")
+        self.kind, self.rate = kind, V * c / 2.0
+        self.L1: Optional[float] = None
+        self.worst_slack, self.worst_t = math.inf, None
+        self.ts, self.losses = array("d"), array("d")
+
+    def step(self, t, net, H, alive, record) -> None:
+        if t < 1:
+            return
+        L = record.loss
+        if t == 1:
+            self.L1 = L
+        elif self.L1 is None:
+            raise ValueError("record at t = 1 required")
+        env = self.L1 / t ** self.rate if self.kind == "poly_stage1" else \
+            (1.0 - self.rate) ** (t - 1) * self.L1
         slack = env - L
-        if slack < worst_slack:
-            worst_slack, worst_t = slack, t
-    ts = np.array([t for t, L in pts if L > 0], dtype=np.float64)
-    Ls = np.array([L for _, L in pts if L > 0], dtype=np.float64)
-    if kind == "poly_stage1":
-        fit = float(np.polyfit(np.log(ts), np.log(Ls), 1)[0]) if len(ts) > 1 else math.nan
-    else:
-        fit = float(np.polyfit(ts, np.log(Ls), 1)[0]) if len(ts) > 1 else math.nan
+        if slack < self.worst_slack:
+            self.worst_slack, self.worst_t = slack, t
+        self.ts.append(t)
+        self.losses.append(L)
+
+
+def _fitted_decay(ts: np.ndarray, Ls: np.ndarray, log_t: bool) -> float:
+    """``np.polyfit(x, np.log(Ls), 1)[0]`` with x = log(ts) or ts, bit for bit,
+    in less memory: the same design [x, 1] scaled by its column norms and the
+    same ``lstsq`` call, without polyfit's copies of x and y, of the squared
+    design and of the scaling's buffer, and with x dropped before log L is
+    formed.  The squared norm of x is summed in row order, as numpy sums
+    axis 0 of the design; each column is divided by its norm as it is
+    filled, which rounds as dividing the whole design does."""
+    x = np.log(ts) if log_t else ts
+    n = len(x)
+    sq = x * x
+    np.add.accumulate(sq, out=sq)
+    scale = np.sqrt(np.array([sq[-1], float(n)]))
+    del sq
+    lhs = np.empty((n, 2))
+    np.divide(x, scale[0], out=lhs[:, 0])
+    lhs[:, 1] = 1.0 / scale[1]
+    del x
+    coef = np.linalg.lstsq(lhs, np.log(Ls), n * np.finfo(np.float64).eps)[0]
+    return float(coef[0] / scale[0])
+
+
+def fit_convergence_rate(envelope: RateEnvelope) -> CertificateReport:
+    """The rate-<kind> report of the steps ``envelope`` saw: the worst slack
+    against the envelope, and the least-squares fitted decay of the steps
+    with L > 0 for diagnostics."""
+    if envelope.L1 is None:
+        raise ValueError("record at t = 1 required")
+    ts, Ls = np.frombuffer(envelope.ts), np.frombuffer(envelope.losses)
+    positive = Ls > 0
+    if not positive.all():
+        ts, Ls = ts[positive], Ls[positive]
+    fit = _fitted_decay(ts, Ls, envelope.kind == "poly_stage1") if len(ts) > 1 else math.nan
     return CertificateReport(
-        cert_id=f"rate-{kind}",
-        theoretical=rate, measured=fit,
-        passed=worst_slack >= 0.0, slack=worst_slack,
-        context={"worst_t": worst_t, "fitted_decay": fit},
+        cert_id=f"rate-{envelope.kind}",
+        theoretical=envelope.rate, measured=fit,
+        passed=envelope.worst_slack >= 0.0, slack=envelope.worst_slack,
+        context={"worst_t": envelope.worst_t, "fitted_decay": fit},
     )
 
 

@@ -50,12 +50,13 @@ from .training import (
     Constant,
     Full,
     LossInverse,
+    StepLog,
+    StepWindow,
     Stochastic,
     TrainConfig,
     TwoStagePoly,
     exp_hitting_time_Te,
     run,
-    steps_csv,
     tstar,
 )
 from . import certificates as certs
@@ -182,7 +183,7 @@ def _hitting_time_report(record, ts: int) -> dict:
     # Not hit: T is at least the last step reached (the window rule reads a
     # run that stopped before t*).  A violation at t <= 1 is a hit with T = -1.
     hit = record.first_violation is not None
-    measured = record.measured_T if hit else record.records[-1].t
+    measured = record.measured_T if hit else record.records.last.t
     return certs.CertificateReport(
         "hitting-time-at-least-tstar", float(ts), float(measured), not hit or measured >= ts,
         float(measured - ts), context={"sentinel_not_yet_hit": not hit}).as_dict()
@@ -190,8 +191,8 @@ def _hitting_time_report(record, ts: int) -> dict:
 
 def _early_descent_report(cert_id: str, bound: float, records, ts: int,
                           inconclusive: bool = False, **context) -> list:
-    """L(0) - L(t*) against the early-descent bound; no report when the run
-    did not reach t*."""
+    """L(0) - L(t*) of the records of steps 0..t* against the early-descent
+    bound; no report when the run did not reach t*."""
     if len(records) <= ts:
         return []
     measured = records[0].loss - records[ts].loss
@@ -200,8 +201,10 @@ def _early_descent_report(cert_id: str, bound: float, records, ts: int,
 
 # Each ``_certify_*`` takes the run context before training and returns
 # (observers, report): the observers watch every training step, and
-# ``report(record)`` reads them and the run's step records into report dicts.
-# A builder emits only what the run measured; ``evaluate_certificates`` fills
+# ``report(record)`` reads them and the run record into report dicts.  Every
+# reader of the step records is an observer with bounded state: the early
+# kinds keep the records of steps 0..t*, a window the config fixes.  A
+# builder emits only what the run measured; ``evaluate_certificates`` fills
 # in the rest of the kind's ``cert_ids``.
 
 def _certify_early_binary(ctx):
@@ -213,14 +216,15 @@ def _certify_early_binary(ctx):
     te = exp_hitting_time_Te(consts.eta, ds.n, m, delta, "binary")
     gram = certs.GramChecks(ds, consts, range(1, ts + 1))
     dynamics = part.EarlyDynamics(ds, range(ts + 1))
+    window = StepWindow(range(ts + 1))
 
     def report(record) -> list:
         out = _early_descent_report("early-descent-binary", certs.descent_bound_binary(consts),
-                                    record.records, ts, inconclusive=budget >= 1.0,
+                                    window.records, ts, inconclusive=budget >= 1.0,
                                     budget=budget, T_e=te)
-        if record.records:
+        if window.records:
             out.append(_hitting_time_report(record, ts))
-        steps = record.records[1:ts + 1]
+        steps = window.records[1:]
         if steps:
             bound = np.array([certs.gradient_lower_bound_early(r.t, consts) for r in steps])
             measured = np.array([r.grad_norm ** 2 for r in steps])
@@ -233,7 +237,7 @@ def _certify_early_binary(ctx):
             out.append(_partition_report("partition-dynamics-early", dynamics.violations()))
         return out
 
-    return [gram, dynamics], report
+    return [gram, dynamics, window], report
 
 
 def _certify_early_multiclass(ctx):
@@ -242,28 +246,31 @@ def _certify_early_multiclass(ctx):
                                    eta=ctx["schedule"].eta, batch=ctx["batch_size"])
     budget = certs.probability_budget(consts, "multi_early") if ctx["batch_size"] else None
     gram = certs.MultiGramMin(ds, range(1, ts + 1))
+    window = StepWindow(range(ts + 1))
 
     def report(record) -> list:
         out = _early_descent_report("early-descent-multi", certs.descent_bound_multi(),
-                                    record.records, ts,
+                                    window.records, ts,
                                     inconclusive=budget is not None and budget >= 1.0,
                                     budget=budget)
         if gram.minima:
             out.append(certs.at_least("multi-gram-entries-at-least-one", 1.0,
                                       min(gram.minima)).as_dict())
-        if record.batch_alignments:
+        if record.min_batch_alignment is not None:
             out.append(certs.at_least("stochastic-gradient-alignment",
                                       certs.STOCHASTIC_ALIGNMENT_BOUND,
-                                      min(record.batch_alignments)).as_dict())
+                                      record.min_batch_alignment).as_dict())
         return out
 
-    return [gram], report
+    return [gram, window], report
 
 
 def _certify_global(ctx, envelope: str):
     ds = ctx["ds"]
     dc = compute_V(ds, ctx["m"], ctx["delta"])
     dynamics = part.GlobalDynamics(ds)
+    rate = certs.RateEnvelope(envelope, dc.V, ctx["schedule"].c)
+    margins = part.CorrectClassification()
 
     def report(record) -> list:
         # Stage II starts at t = 1, and its claims say how the run goes on
@@ -271,24 +278,24 @@ def _certify_global(ctx, envelope: str):
         reached = len(record.records) > 2
         out = []
         if reached:
-            rep = certs.fit_convergence_rate(record.records, envelope, dc.V, ctx["schedule"].c)
+            rep = certs.fit_convergence_rate(rate)
             if dc.vacuous:
                 rep = dataclasses.replace(rep, inconclusive=True,
                                           context=dict(rep.context, vacuous_V=True))
             out.append(rep.as_dict())
-        cc = part.check_correct_classification(record)
+        cc = margins.first_violation
         if reached or cc is not None:
             # A strict bound, margin > 0 from t = 1 on; the least margin is the slack.
-            least = min(record.records[1:], key=lambda r: r.min_margin)
+            t, least = margins.least
             out.append(certs.CertificateReport(
-                "correct-classification", 0.0, least.min_margin, cc is None, least.min_margin,
-                context={"t": least.t, "first_violation": cc}).as_dict())
+                "correct-classification", 0.0, least, cc is None, least,
+                context={"t": t, "first_violation": cc}).as_dict())
         viols = dynamics.violations()
         if reached or viols:
             out.append(_partition_report("partition-dynamics-global", viols))
         return out
 
-    return [dynamics], report
+    return [dynamics, rate, margins], report
 
 
 def _certify_dataset(ctx):
@@ -353,15 +360,18 @@ _KINDS = {
 _TOP_KEYS = {"kind", "dataset", "model", "loss", "schedule", "train", "delta", "seed"}
 
 
-def run_experiment(config: dict, certify: bool = True):
+def run_experiment(config: dict, certify: bool = True, outdir: Optional[Path] = None):
     """Execute a non-PRM experiment config; returns (record, context dict).
 
     With ``certify`` the kind's certificate observers watch every training
-    step and ``evaluate_certificates`` reads them and the step records
-    afterwards; no network is kept.  A malformed section or value, or a kind
-    that cannot use the config's train keys, loss, schedule or dataset labels,
-    is a ``ConfigError`` raised before training and, but for the labels,
-    before the dataset is built.
+    step and ``evaluate_certificates`` reads them and the run record
+    afterwards; no network and no step record beyond the observers' windows
+    is kept.  With ``outdir``, the run streams steps.csv into that directory
+    (made once the run is set up) one row at a time, at
+    ``train.record_every``; ``record.records.digest()`` is the file's SHA-256.
+    A malformed section or value, or a kind that cannot use the config's
+    train keys, loss, schedule or dataset labels, is a ``ConfigError`` raised
+    before training and, but for the labels, before the dataset is built.
     """
     kind = _require(_object(config, "config"), "kind", "config")
     spec = _KINDS.get(kind) if isinstance(kind, str) else None
@@ -424,7 +434,7 @@ def run_experiment(config: dict, certify: bool = True):
     if ds.label_kind != labels:
         raise ConfigError(f"{kind} requires a dataset with {labels} labels")
     ctx = {"ds": ds, "schedule": schedule, "kind": kind, "delta": delta, "tstar": ts,
-           "batch_size": batch_size, "seed": seed, "m": m, "record_every": record_every}
+           "batch_size": batch_size, "seed": seed, "m": m}
     kappa = spec.kappa_cap(eta, ctx) if kappa == "auto" else kappa
     init = InitSpec(kappa=kappa, seed=seed)
     net0 = (init_multi(m, ds.d, ds.num_classes, init) if spec.variant == "multi"
@@ -434,7 +444,11 @@ def run_experiment(config: dict, certify: bool = True):
     tconf = TrainConfig(steps=steps, batching=batching, trained_layers=trained_layers)
     ctx.update(net0=net0, kappa=kappa)
     observers, ctx["report"] = spec.certify(ctx) if certify else ((), None)
-    record = run(net0, ds, loss, schedule, tconf, observers)
+    if outdir is None:
+        return run(net0, ds, loss, schedule, tconf, observers, StepLog(record_every)), ctx
+    outdir.mkdir(parents=True, exist_ok=True)
+    with open(outdir / "steps.csv", "w") as sink:
+        record = run(net0, ds, loss, schedule, tconf, observers, StepLog(record_every, sink))
     return record, ctx
 
 
@@ -450,7 +464,7 @@ def evaluate_certificates(record, ctx) -> list:
         if rep["cert_id"] not in cert_ids or rep["cert_id"] in emitted:
             raise RuntimeError(f"{ctx['kind']} emitted {rep['cert_id']!r} twice or outside {cert_ids}")
         emitted[rep["cert_id"]] = rep
-    last = record.records[-1].t if record.records else -1
+    last = record.records.last.t if record.records else -1
     reached = f"the run reached t = {last}" if record.records else "the run reached no step"
     out = []
     for cert_id in cert_ids:
@@ -505,12 +519,12 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
 
 
-def _write_run_dir(outdir: Path, config: dict, steps_text: str, summary: dict,
+def _write_run_dir(outdir: Path, config: dict, steps_digest: str, summary: dict,
                    cert_dicts: Optional[list] = None) -> None:
-    """Write steps.csv, summary.json, certificates.json (when given) and a
-    manifest.json holding the config, versions and the digests of the others."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    digests = {"steps.csv": _write(outdir / "steps.csv", steps_text),
+    """Write summary.json, certificates.json (when given) and a manifest.json
+    holding the config, versions and the digests of the others, beside the
+    steps.csv already in ``outdir`` whose digest is ``steps_digest``."""
+    digests = {"steps.csv": steps_digest,
                "summary.json": _write(outdir / "summary.json", _json_dump(summary))}
     if cert_dicts is not None:
         digests["certificates.json"] = _write(outdir / "certificates.json",
@@ -525,14 +539,15 @@ def _write_run_dir(outdir: Path, config: dict, steps_text: str, summary: dict,
 
 
 def _emit_run(outdir: Path, config: dict, certify: bool):
-    """Run an experiment config and write its run directory.
+    """Run an experiment config and write its run directory: steps.csv as
+    the run goes, the other files once it has stopped.
 
     Returns (summary, report dicts, ok); ok is False when the run aborted
     or a certificate failed.
     """
-    record, ctx = run_experiment(config, certify=certify)
+    record, ctx = run_experiment(config, certify=certify, outdir=outdir)
     cert_dicts = evaluate_certificates(record, ctx) if certify else None
-    steps_text = steps_csv(record, ctx["record_every"])
+    steps_digest = record.records.digest()
     summary = {
         "kind": ctx["kind"],
         "status": record.status,
@@ -544,13 +559,13 @@ def _emit_run(outdir: Path, config: dict, certify: bool):
         "measured_T": record.measured_T,
         "dataset_digest": ctx["ds"].digest(),
         "net0_digest": digest(ctx["net0"]),
-        "run_digest": hashlib.sha256(steps_text.encode()).hexdigest(),
+        "run_digest": steps_digest,
     }
     if record.records:
-        first, last = record.records[0], record.records[-1]
+        first, last = record.records.first, record.records.last
         summary.update(initial_loss=first.loss, final_loss=last.loss,
                        descent=first.loss - last.loss, steps=last.t)
-    _write_run_dir(outdir, config, steps_text, summary, cert_dicts)
+    _write_run_dir(outdir, config, steps_digest, summary, cert_dicts)
     cert_dicts = cert_dicts or []
     return summary, cert_dicts, _run_holds(record.status, cert_dicts)
 
@@ -688,7 +703,9 @@ def cmd_prm(config: dict, outdir: Path, seed: Optional[int]) -> int:
         "norm_monotone": record.norm_monotone,
     }
     cert_dicts = [cert.as_dict()]
-    _write_run_dir(outdir, config, prm_mod.prm_csv(record), summary, cert_dicts)
+    outdir.mkdir(parents=True, exist_ok=True)
+    steps_digest = _write(outdir / "steps.csv", prm_mod.prm_csv(record))
+    _write_run_dir(outdir, config, steps_digest, summary, cert_dicts)
     _print_certificates(cert_dicts)
     return 0 if certs.holds(cert_dicts[0]) else 1
 

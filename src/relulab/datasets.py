@@ -54,9 +54,10 @@ class LabeledDataset:
         object.__setattr__(self, "labels", y)
         if x.ndim != 2:
             raise ValueError("inputs must be an (n, d) matrix")
-        norms = np.linalg.norm(x, axis=1)
-        if np.any(norms > 1.0 + 1e-12):
-            raise ValueError("every input must lie in the unit ball (tolerance 1e-12)")
+        # Written so that it fails on a NaN norm too: a row with a NaN or an
+        # infinite entry has a NaN or infinite norm.
+        if not np.all(np.linalg.norm(x, axis=1) <= 1.0 + 1e-12):
+            raise ValueError("every input must be finite and lie in the unit ball (tolerance 1e-12)")
         if self.label_kind == "binary":
             if y.shape != (x.shape[0],):
                 raise ValueError("binary labels must be an n-vector")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,9 @@ from .datasets import LabeledDataset
 from .losses import LossFamily
 from .models import (BinaryNet, MultiNet, Net, _activations, _flatten_struct, _hessian_matvec,
                      grad_loss_struct, loss_value)
+from .certificates import CertificateReport
 from .prm import TeacherStudentConfig, teacher_matrix
+from .training import StepRecord
 
 __all__ = [
     "fd_gradient",
@@ -35,6 +37,8 @@ __all__ = [
     "grad_loss",
     "hessian_loss",
     "phi",
+    "steps_csv",
+    "convergence_rate_of_records",
     "descent_series_closed_form",
     "descent_series_brute_force",
     "ConstantsReport",
@@ -187,6 +191,43 @@ def multi_gram_min_full_bound(net: MultiNet, ds: LabeledDataset) -> float:
             break
         best = min(best, block_min(k))
     return best
+
+
+# ---------------------------------------------------------------------------
+# Whole-run readers: the references of the streamed step log and reducers
+# ---------------------------------------------------------------------------
+
+def steps_csv(records: Sequence[StepRecord], every: int = 1) -> str:
+    """steps.csv rendered at once from a run's whole record list: the rows of
+    the steps with t % every == 0 and of the last record.  ``training.StepLog``
+    streams the same bytes one record at a time."""
+    lines = ["t,loss,eta,grad_norm,min_margin,max_margin,param_norm,max_abs_pred,a_sign_ok\n"]
+    for r in records:
+        if r.t % every == 0 or r is records[-1]:
+            lines.append(f"{r.t},{r.loss!r},{r.eta!r},{r.grad_norm!r},{r.min_margin!r},"
+                         f"{r.max_margin!r},{r.param_norm!r},{r.max_abs_pred!r},{int(r.a_sign_ok)}\n")
+    return "".join(lines)
+
+
+def convergence_rate_of_records(records: Sequence[StepRecord], kind: str, V: float,
+                                c: float) -> CertificateReport:
+    """The rate-<kind> report read from a run's whole record list, with
+    ``np.polyfit``: the reference for ``certificates.RateEnvelope``, which
+    reads one record at a time, and ``fit_convergence_rate``."""
+    rate = V * c / 2.0
+    pts = [(r.t, r.loss) for r in records if r.t >= 1]
+    L1 = dict(pts)[1]
+    worst_slack, worst_t = math.inf, None
+    for t, L in pts:
+        env = L1 / t ** rate if kind == "poly_stage1" else (1.0 - rate) ** (t - 1) * L1
+        if env - L < worst_slack:
+            worst_slack, worst_t = env - L, t
+    ts = np.array([t for t, L in pts if L > 0], dtype=np.float64)
+    Ls = np.array([L for _, L in pts if L > 0], dtype=np.float64)
+    x = np.log(ts) if kind == "poly_stage1" else ts
+    fit = float(np.polyfit(x, np.log(Ls), 1)[0]) if len(ts) > 1 else math.nan
+    return CertificateReport(f"rate-{kind}", rate, fit, worst_slack >= 0.0, worst_slack,
+                             context={"worst_t": worst_t, "fitted_decay": fit})
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ __all__ = [
     "GlobalDynamics",
     "check_dynamics_early",
     "check_dynamics_global",
-    "check_correct_classification",
+    "CorrectClassification",
     "partition_counts_csv",
 ]
 
@@ -373,13 +373,24 @@ def check_dynamics_global(nets: Sequence[Net], ds: LabeledDataset) -> List[Dynam
     return _drive(GlobalDynamics(ds), nets, ds)
 
 
-def check_correct_classification(record):
-    """First (t, min_margin) in ``record.records`` with a nonpositive margin at
-    t >= 1, or None when all pass."""
-    for r in record.records:
-        if r.t >= 1 and r.min_margin <= 0.0:
-            return (r.t, r.min_margin)
-    return None
+class CorrectClassification:
+    """Observer of the margins from t = 1 on: ``least`` is the (t, min_margin)
+    of the least margin (its first step on a tie) and ``first_violation``
+    the first (t, min_margin) with a nonpositive margin; each is None until
+    a step sets it."""
+
+    def __init__(self):
+        self.least: Optional[Tuple[int, float]] = None
+        self.first_violation: Optional[Tuple[int, float]] = None
+
+    def step(self, t, net, H, alive, record) -> None:
+        if t < 1:
+            return
+        margin = record.min_margin
+        if self.least is None or margin < self.least[1]:
+            self.least = (t, margin)
+        if self.first_violation is None and margin <= 0.0:
+            self.first_violation = (t, margin)
 
 
 # ---------------------------------------------------------------------------

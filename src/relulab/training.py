@@ -15,24 +15,31 @@ sup-norm, and whether every output weight kept its initial sign.  Each step
 makes one activation pass over the full data (``models.evaluate``), plus one
 over the mini-batch under SGD.
 
-A run keeps one record per step in ``RunRecord.records``: the hitting time,
-the certificates and ``steps.csv`` all read that one list, and only
-``steps_csv(record, every)`` thins it, when writing (the last step reached is
-always a row).  Checks that need the network watch the run as observers:
-``run`` calls ``observer.step(t, net, H, alive, record)`` on every step, with
-H the preactivation of that step's full-data pass and alive = [H > 0] the
-activity mask that pass formed, so they need no kept trajectory and form no
-mask of their own.  An observer may keep what it is handed (the networks,
-H and alive are never written to after the call), but it receives no float
-array of the pass beyond H: S = relu(H) dies with the pass.
+A run keeps no per-step object beyond its step, but for what a reader keeps
+of a window fixed before training.  Each ``StepRecord`` goes, as it is
+made, to the observers and to the run's ``StepLog``, and is then dropped.  The log renders steps.csv row by row (the steps with
+t % every == 0, and at the end the last step reached when it has no row
+yet) into an open file, if it is given one, and into a running SHA-256; of
+the records it keeps only the first and the last.  Whatever reads the
+records is an online reducer with bounded state: the hitting time keeps the
+first violation (``HittingTime``), a reader of a window fixed before
+training keeps that window (``StepWindow``), and the certificates' reducers
+live beside their checks.  Checks that need the network watch the run as
+observers too: ``run`` calls ``observer.step(t, net, H, alive, record)`` on
+every step, with H the preactivation of that step's full-data pass and
+alive = [H > 0] the activity mask that pass formed, so they need no kept
+trajectory and form no mask of their own.  An observer may keep what it is
+handed (the networks, H, alive and the records are never written to after
+the call), but it receives no float array of the pass beyond H: S = relu(H)
+dies with the pass.
 """
 
 from __future__ import annotations
 
-import io
+import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Tuple, Union
+from typing import List, Optional, Protocol, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -59,12 +66,13 @@ __all__ = [
     "RunRecord",
     "Observer",
     "EVERY_STEP",
-    "hitting_time",
+    "StepLog",
+    "StepWindow",
+    "HittingTime",
     "run",
     "tstar",
     "varphi",
     "exp_hitting_time_Te",
-    "steps_csv",
     "NOT_YET_HIT",
 ]
 
@@ -181,30 +189,105 @@ class Observer(Protocol):
              record: StepRecord) -> None: ...
 
 
-@dataclass
-class RunRecord:
-    records: List[StepRecord] = field(default_factory=list)   # one per step reached
-    nets: List[Net] = field(default_factory=list)      # always empty; perfbench/tracing.py reads its length
-    batch_alignments: List[float] = field(default_factory=list)  # <full grad, batch grad> per step
-    measured_T: int = NOT_YET_HIT
-    first_violation: Optional[int] = None   # hitting_time's; T is NOT_YET_HIT also for one at t <= 1
-    status: str = "completed"          # completed | converged-exactly | aborted
+_HEADER = "t,loss,eta,grad_norm,min_margin,max_margin,param_norm,max_abs_pred,a_sign_ok\n"
 
 
-def hitting_time(records: Sequence[StepRecord]) -> Tuple[int, Optional[int]]:
-    """(T, first violating step) of a run's step records.
+def _row(r: StepRecord) -> str:
+    return (f"{r.t},{r.loss!r},{r.eta!r},{r.grad_norm!r},{r.min_margin!r},"
+            f"{r.max_margin!r},{r.param_norm!r},{r.max_abs_pred!r},{int(r.a_sign_ok)}\n")
+
+
+class StepLog:
+    """A run's step records as a stream, in the canonical steps.csv layout.
+
+    ``append`` takes each record once, in step order, and writes its row
+    when t % every == 0; ``close`` writes the row of the last record when it
+    has none, so the last step reached is always a row.  Every row goes to
+    ``sink`` (an open text file, or nowhere) and into a running SHA-256 of
+    the CSV.  Of the records the log keeps the first and the last; ``len``
+    is the number appended.
+    """
+
+    def __init__(self, every: int = 1, sink: Optional[TextIO] = None):
+        self.every, self.sink = every, sink
+        self.first: Optional[StepRecord] = None
+        self.last: Optional[StepRecord] = None
+        self._count = 0
+        self._pending = False      # the last record has no row yet
+        self._sha = hashlib.sha256()
+        self._emit(_HEADER)
+
+    def _emit(self, text: str) -> None:
+        self._sha.update(text.encode())
+        if self.sink is not None:
+            self.sink.write(text)
+
+    def append(self, r: StepRecord) -> None:
+        if self.first is None:
+            self.first = r
+        self.last = r
+        self._count += 1
+        self._pending = r.t % self.every != 0
+        if not self._pending:
+            self._emit(_row(r))
+
+    def close(self) -> None:
+        if self._pending:
+            self._emit(_row(self.last))
+            self._pending = False
+
+    def digest(self) -> str:
+        """Hex SHA-256 of the CSV written so far."""
+        return self._sha.hexdigest()
+
+    def __len__(self) -> int:
+        return self._count
+
+
+class StepWindow:
+    """Observer that keeps the records of the steps in ``window``, a range
+    fixed before training, and nothing beyond them."""
+
+    def __init__(self, window: range = EVERY_STEP):
+        self.window = window
+        self.records: List[StepRecord] = []
+
+    def step(self, t, net, H, alive, record: StepRecord) -> None:
+        if t in self.window:
+            self.records.append(record)
+
+
+class HittingTime:
+    """The hitting time of the records it is shown, in step order.
 
     T is the largest t with max_i |f(x_i)| <= 1 and preserved output-weight
     signs for all s <= t+1 (for the multi-output network max_abs_pred is an
-    upper envelope of max f_alpha(x_i)).  T is NOT_YET_HIT, and the first
-    violation None, when no step violates the conditions: the true T is then
-    at least the horizon.
+    upper envelope of max f_alpha(x_i)).  The reducer keeps only the first
+    violating step: T is NOT_YET_HIT, and ``first`` None, while no step
+    violates the conditions (the true T is then at least the horizon).
     """
-    first = next((r.t for r in records if r.max_abs_pred > 1.0 or not r.a_sign_ok), None)
-    if first is None:
-        return NOT_YET_HIT, None
-    # Conditions must hold for every s <= t+1, so t+1 must precede the violation.
-    return max(first - 2, -1), first
+
+    def __init__(self):
+        self.first: Optional[int] = None
+
+    def step(self, t, net, H, alive, record: StepRecord) -> None:
+        if self.first is None and (record.max_abs_pred > 1.0 or not record.a_sign_ok):
+            self.first = t
+
+    @property
+    def T(self) -> int:
+        # Conditions must hold for every s <= t+1, so t+1 must precede the violation.
+        return NOT_YET_HIT if self.first is None else max(self.first - 2, -1)
+
+
+@dataclass
+class RunRecord:
+    records: StepLog = field(default_factory=StepLog)   # perfbench/tracing.py reads its length
+    nets: List[Net] = field(default_factory=list)      # always empty; perfbench/tracing.py reads its length
+    min_batch_alignment: Optional[float] = None   # least <full grad, batch grad> over the steps
+    measured_T: int = NOT_YET_HIT
+    first_violation: Optional[int] = None   # HittingTime.first; T is NOT_YET_HIT also for one at t <= 1
+    status: str = "completed"          # completed | converged-exactly | aborted
 
 
 def _extremes(z: np.ndarray, f: np.ndarray) -> Tuple[float, float, float]:
@@ -217,13 +300,17 @@ def _extremes(z: np.ndarray, f: np.ndarray) -> Tuple[float, float, float]:
 
 
 def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
-        config: TrainConfig, observers: Sequence[Observer] = ()) -> RunRecord:
+        config: TrainConfig, observers: Sequence[Observer] = (),
+        log: Optional[StepLog] = None) -> RunRecord:
     """Train and record.  Deterministic given (net0, ds, loss, schedule, config).
 
     Every step whose loss is finite gets a record, and each observer's
-    ``step(t, net, H, alive, record)`` runs on it, before the parameter update.
+    ``step(t, net, H, alive, record)`` runs on it, before the parameter update;
+    then the record goes to ``log`` (a fresh ``StepLog`` by default), which
+    ``run`` closes before it returns, whether the run completed or stopped.
     """
-    rec = RunRecord()
+    rec = RunRecord(records=StepLog() if log is None else log)
+    hit = HittingTime()
     net = net0
     a0 = net0.output_weights
     batch_gen = None
@@ -252,6 +339,7 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
         )
         for observer in observers:
             observer.step(t, net, H, alive, r)
+        hit.step(t, net, H, alive, r)
         rec.records.append(r)
         if t == config.steps:
             break
@@ -264,14 +352,18 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
             idx = np.minimum(idx, ds.n - 1)
             step = grad_loss_struct(net, ds, loss, subset=idx,
                                     trained_layers=config.trained_layers)
-            rec.batch_alignments.append(float(_flatten_struct(parts) @ _flatten_struct(step)))
+            alignment = float(_flatten_struct(parts) @ _flatten_struct(step))
+            # min() of the per-step values: a later value replaces only a larger one.
+            if rec.min_batch_alignment is None or alignment < rec.min_batch_alignment:
+                rec.min_batch_alignment = alignment
         # A finite full-batch gnorm means every entry of parts is finite.
         if not (step is parts and math.isfinite(gnorm) or all(np.all(np.isfinite(p)) for p in step)):
             rec.status = f"aborted:non-finite-gradient-at-t={t}"
             break
         net = apply_gradient(net, step, eta_t)
 
-    rec.measured_T, rec.first_violation = hitting_time(rec.records)
+    rec.records.close()
+    rec.measured_T, rec.first_violation = hit.T, hit.first
     return rec
 
 
@@ -321,15 +413,3 @@ def exp_hitting_time_Te(eta: float, n: int, m: int, delta: float, variant: str) 
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if holds(mid) else (lo, mid)
     return lo
-
-
-def steps_csv(record: RunRecord, every: int = 1) -> str:
-    """Render the records of the steps t with t % every == 0, and of the last
-    step reached, in the canonical CSV layout."""
-    buf = io.StringIO()
-    buf.write("t,loss,eta,grad_norm,min_margin,max_margin,param_norm,max_abs_pred,a_sign_ok\n")
-    for r in record.records:
-        if r.t % every == 0 or r is record.records[-1]:
-            buf.write(f"{r.t},{r.loss!r},{r.eta!r},{r.grad_norm!r},{r.min_margin!r},"
-                      f"{r.max_margin!r},{r.param_norm!r},{r.max_abs_pred!r},{int(r.a_sign_ok)}\n")
-    return buf.getvalue()

@@ -1,11 +1,13 @@
 """Shared fixtures: small deterministic datasets and networks."""
 
+import io
+
 import numpy as np
 import pytest
 
 from relulab.datasets import LabeledDataset, gen_orthant_separable
 from relulab.models import InitSpec, init_binary, init_multi
-from relulab.training import EVERY_STEP, run
+from relulab.training import EVERY_STEP, StepLog, StepWindow, run
 
 
 def make_onehot_dataset(n: int, d: int, num_classes: int, seed: int) -> LabeledDataset:
@@ -30,10 +32,18 @@ class KeepNets:
             self.nets.append(net)
 
 
-def run_keeping_nets(net0, ds, loss, schedule, config, steps=EVERY_STEP):
+def run_keeping_nets(net0, ds, loss, schedule, config, steps=EVERY_STEP, observers=()):
     """``training.run`` plus the networks of the steps in ``steps``: (record, nets)."""
     keep = KeepNets(steps)
-    return run(net0, ds, loss, schedule, config, [keep]), keep.nets
+    return run(net0, ds, loss, schedule, config, [*observers, keep]), keep.nets
+
+
+def run_recorded(net0, ds, loss, schedule, config, observers=(), every=1):
+    """``training.run`` with every step record kept by an observer and
+    steps.csv streamed into a string: (record, records, steps.csv text)."""
+    window, sink = StepWindow(), io.StringIO()
+    rec = run(net0, ds, loss, schedule, config, [*observers, window], StepLog(every, sink))
+    return rec, window.records, sink.getvalue()
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,7 @@ from relulab.training import (
     run,
     tstar,
 )
-from tests.conftest import make_onehot_dataset, run_keeping_nets
+from tests.conftest import KeepNets, make_onehot_dataset, run_keeping_nets, run_recorded
 
 ETA = 0.01
 TSTAR_BINARY = 44
@@ -90,9 +90,9 @@ def test_criterion_03_mnist_descent_table():
     descents = {}
     for m in (100, 200, 500, 1000):
         net0 = init_multi(m, ds.d, 10, InitSpec(kappa=kappa, seed=0))
-        rec = run(net0, ds, loss_family("logistic"), Constant(eta=ETA),
-                  TrainConfig(steps=34, batching=Stochastic(B=B, seed=1)))
-        L = {r.t: r.loss for r in rec.records}
+        _, records, _ = run_recorded(net0, ds, loss_family("logistic"), Constant(eta=ETA),
+                                     TrainConfig(steps=34, batching=Stochastic(B=B, seed=1)))
+        L = {r.t: r.loss for r in records}
         descents[m] = L[0] - L[34]
         assert descents[m] >= 0.263, (m, descents[m])
     assert 0.35 <= descents[200] <= 0.60, descents[200]
@@ -112,12 +112,15 @@ def compliant_binary_summaries():
         mu0 = validate_separable(ds).mu0
         kappa = min(ETA / 2000.0, ETA * mu0 / (3.0 * n))
         net0 = init_binary(m, d, InitSpec(kappa=kappa, seed=seed))
-        rec, nets = run_keeping_nets(net0, ds, loss_family("quadratic"), Constant(eta=ETA),
-                                     TrainConfig(steps=TSTAR_BINARY + 2, batching=Full()))
+        keep = KeepNets()
+        rec, records, _ = run_recorded(net0, ds, loss_family("quadratic"), Constant(eta=ETA),
+                                       TrainConfig(steps=TSTAR_BINARY + 2, batching=Full()),
+                                       observers=[keep])
+        nets = keep.nets
         g1, g2 = compute_gamma_constants(ds)
         consts = C.TheoryConstants(n=n, d=d, m=m, delta=delta, eta=ETA,
                                    gamma1=g1, gamma2=g2)
-        losses = {r.t: r.loss for r in rec.records}
+        losses = {r.t: r.loss for r in records}
         cross_zero = True
         gram_lower_worst = math.inf
         for t in range(1, TSTAR_BINARY + 1):
@@ -222,7 +225,7 @@ def _min_batch_alignment(loss_key: str, seed: int) -> float:
     net0 = init_multi(512, ds.d, 10, InitSpec(kappa=kappa, seed=seed))
     rec = run(net0, ds, loss_family(loss_key), Constant(eta=ETA),
               TrainConfig(steps=34, batching=Stochastic(B=B, seed=seed + 1)))
-    return min(rec.batch_alignments)
+    return rec.min_batch_alignment
 
 
 def test_criterion_07_stochastic_gradient_alignment():
@@ -297,13 +300,14 @@ def global_setting():
 
 def test_criterion_08_exponential_envelope(global_setting):
     ds, net0, dc = global_setting
+    envelope = C.RateEnvelope("exponential", dc.V, 0.5)
     rec = run(net0, ds, loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
-              TrainConfig(steps=1000, batching=Full(), trained_layers="input_only"))
-    rep = C.fit_convergence_rate(rec.records, "exponential", dc.V, 0.5)
+              TrainConfig(steps=1000, batching=Full(), trained_layers="input_only"), [envelope])
+    rep = C.fit_convergence_rate(envelope)
     assert rep.passed and rep.slack >= 0.0, rep.as_dict()
     # The run either covers the full horizon or terminates by exact
     # convergence (loss below 1e-14), which dominates any envelope.
-    assert rec.records[-1].t == 1000 or rec.status == "converged-exactly"
+    assert rec.records.last.t == 1000 or rec.status == "converged-exactly"
 
 
 def test_criterion_09_polynomial_stage1_envelope(global_setting):
@@ -311,11 +315,12 @@ def test_criterion_09_polynomial_stage1_envelope(global_setting):
     eta0 = 0.25
     c = 1.0 / (6.0 * (1.0 + 2.0 * eta0) ** 2 + 2.0)
     sched = TwoStagePoly(eta0=eta0, c=c, T0=10 ** 9, cprime=0.5, r=1.0)
+    envelope = C.RateEnvelope("poly_stage1", dc.V, c)
     rec = run(net0, ds, loss_family("exp"), sched,
-              TrainConfig(steps=2000, batching=Full(), trained_layers="input_only"))
-    rep = C.fit_convergence_rate(rec.records, "poly_stage1", dc.V, c)
+              TrainConfig(steps=2000, batching=Full(), trained_layers="input_only"), [envelope])
+    rep = C.fit_convergence_rate(envelope)
     assert rep.passed and rep.slack >= 0.0, rep.as_dict()
-    assert rec.records[-1].t == 2000
+    assert rec.records.last.t == 2000
     # Stage 2 is deliberately not certified: its start T0 is astronomically
     # large at these scales, so the run never leaves stage 1.
     assert sched.T0 > 2000

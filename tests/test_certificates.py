@@ -8,11 +8,12 @@ import pytest
 from relulab.datasets import compute_gamma_constants, compute_V, gen_orthant_separable
 from relulab.losses import loss_family
 from relulab.models import InitSpec, MultiNet, init_binary, init_multi
-from relulab.oracles import (descent_series_brute_force, descent_series_closed_form, grad_loss,
-                             multi_gram_matrix, multi_gram_min_full_bound, phi)
-from relulab.training import Constant, Full, TrainConfig, run, varphi
+from relulab.oracles import (convergence_rate_of_records, descent_series_brute_force,
+                             descent_series_closed_form, grad_loss, multi_gram_matrix,
+                             multi_gram_min_full_bound, phi)
+from relulab.training import Constant, Full, LossInverse, StepRecord, TrainConfig, run, varphi
 from relulab import certificates as C
-from tests.conftest import make_onehot_dataset, run_keeping_nets
+from tests.conftest import make_onehot_dataset, run_keeping_nets, run_recorded
 
 
 NAN = math.nan
@@ -397,11 +398,70 @@ def test_convergence_envelope_reports():
     ds = gen_orthant_separable(n=12, d=25, seed=11)
     net0 = init_binary(512, 25, InitSpec(kappa=1e-5, seed=11))
     from relulab.training import LossInverse
-    rec = run(net0, ds, loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
-              TrainConfig(steps=300, batching=Full(), trained_layers="input_only"))
     dc = compute_V(ds, 512, 0.01)
-    rep = C.fit_convergence_rate(rec.records, "exponential", dc.V, 0.5)
+    envelope = C.RateEnvelope("exponential", dc.V, 0.5)
+    run(net0, ds, loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
+        TrainConfig(steps=300, batching=Full(), trained_layers="input_only"), [envelope])
+    rep = C.fit_convergence_rate(envelope)
     assert rep.passed and rep.slack >= 0.0
+
+
+@pytest.mark.parametrize("kind", ["poly_stage1", "exponential"])
+def test_rate_envelope_reads_a_run_as_its_whole_record_list_does(kind):
+    ds = gen_orthant_separable(n=12, d=25, seed=11)
+    net0 = init_binary(512, 25, InitSpec(kappa=1e-5, seed=11))
+    dc = compute_V(ds, 512, 0.01)
+    envelope = C.RateEnvelope(kind, dc.V, 0.5)
+    _, records, _ = run_recorded(net0, ds, loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
+                                 TrainConfig(steps=300, batching=Full(), trained_layers="input_only"),
+                                 observers=[envelope])
+    assert C.fit_convergence_rate(envelope) == convergence_rate_of_records(records, kind, dc.V, 0.5)
+
+
+def _loss_records(losses):
+    return [StepRecord(t=t, loss=L, eta=0.1, grad_norm=1.0, min_margin=0.1, max_margin=0.2,
+                       param_norm=1.0, max_abs_pred=0.5, a_sign_ok=True)
+            for t, L in enumerate(losses)]
+
+
+@pytest.mark.parametrize("kind", ["poly_stage1", "exponential"])
+@pytest.mark.parametrize("V,losses,worst_t", [
+    (0.0, [1.0, 0.5, 0.75, 0.75, 0.25], 2),     # a flat envelope: a tie goes to the first step
+    (0.4, [1.0, 0.5, 0.0, 0.6, 0.0, 0.3], 3),   # zero losses leave the fit
+    (0.4, [1.0, 0.5, 0.0, 0.0], 1),             # one positive loss: no fit
+    (0.4, [1.0, 0.5], 1),
+])
+def test_rate_envelope_keeps_the_whole_list_rules(kind, V, losses, worst_t):
+    envelope = C.RateEnvelope(kind, V, 0.5)
+    records = _loss_records(losses)
+    for r in records:
+        envelope.step(r.t, None, None, None, r)
+    rep, ref = C.fit_convergence_rate(envelope), convergence_rate_of_records(records, kind, V, 0.5)
+    assert rep.context["worst_t"] == ref.context["worst_t"] == worst_t
+    assert (rep.passed, rep.slack) == (ref.passed, ref.slack)
+    assert rep.measured == ref.measured or math.isnan(rep.measured) and math.isnan(ref.measured)
+
+
+def test_rate_envelope_needs_the_step_at_t1():
+    envelope = C.RateEnvelope("exponential", 0.4, 0.5)
+    records = _loss_records([1.0, 0.5, 0.4])
+    envelope.step(0, None, None, None, records[0])
+    with pytest.raises(ValueError, match="t = 1"):
+        C.fit_convergence_rate(envelope)
+    with pytest.raises(ValueError, match="t = 1"):
+        envelope.step(2, None, None, None, records[2])
+    with pytest.raises(ValueError, match="envelope kind"):
+        C.RateEnvelope("linear", 0.4, 0.5)
+
+
+def test_fitted_decay_is_polyfits_to_the_bit():
+    gen = np.random.default_rng(0)
+    for n in [2, 3, 7, 64, 129, 1000, 2000, 5001]:
+        for ts in (np.arange(1.0, n + 1.0), np.exp(gen.standard_normal(n) * 10.0 ** gen.uniform(-3, 1))):
+            Ls = np.exp(gen.standard_normal(n))
+            for log_t in (True, False):
+                x = np.log(ts) if log_t else ts
+                assert C._fitted_decay(ts, Ls, log_t) == float(np.polyfit(x, np.log(Ls), 1)[0]), n
 
 
 def test_gradient_lower_bound_global_form():

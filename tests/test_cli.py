@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -9,19 +10,38 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relulab import cli, training
+from relulab import cli, oracles, training
 from relulab.certificates import CertificateReport, verdict
 from relulab.cli import evaluate_certificates, main, run_experiment
 from relulab.datasets import write_idx_images, write_idx_labels
 from relulab.losses import LOSS_KEYS
 from relulab.partition import DynamicsViolation
-from relulab.training import RunRecord, steps_csv
+from relulab.training import RunRecord, StepRecord
 
 
 def write_config(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
     return p
+
+
+def _hand_out(monkeypatch, changes=None):
+    """Wrap the step records that ``training.run`` hands out: the record of a
+    step t in ``changes`` is replaced by a copy with the fields that
+    ``changes[t](record)`` returns.  Every reader of the step stream (the
+    observers, the hitting time, the step log) sees the copy; training does
+    not read the records.  Returns the list of records handed out."""
+    changes, handed = changes or {}, []
+
+    def make(**fields):
+        r = StepRecord(**fields)
+        if r.t in changes:
+            r = dataclasses.replace(r, **changes[r.t](r))
+        handed.append(r)
+        return r
+
+    monkeypatch.setattr(training, "StepRecord", make)
+    return handed
 
 
 EARLY_BINARY = {
@@ -203,16 +223,16 @@ def _gradient_lower(record, ctx):
     return rep
 
 
-def test_early_gradient_lower_reports_worst_step_once():
+def test_early_gradient_lower_reports_worst_step_once(monkeypatch):
     record, ctx = run_experiment(EARLY_BINARY)
     rep = _gradient_lower(record, ctx)
     assert rep["passed"] and not rep["inconclusive"]
     assert rep["context"]["failing_steps"] == []
     # Shrinking the measured gradient below the bound at t = 2 (by 4) and
     # t = 5 (by 2) fails the one report, which names the worst failing step.
-    for t, factor in ((2, 4.0), (5, 2.0)):
-        r = record.records[t]
-        record.records[t] = dataclasses.replace(r, grad_norm=r.grad_norm / factor)
+    _hand_out(monkeypatch, {t: lambda r, factor=factor: {"grad_norm": r.grad_norm / factor}
+                            for t, factor in ((2, 4.0), (5, 2.0))})
+    record, ctx = run_experiment(EARLY_BINARY)
     rep = _gradient_lower(record, ctx)
     assert not rep["passed"] and not rep["inconclusive"]
     assert rep["context"] == {"t": 2, "failing_steps": [2, 5]}
@@ -227,14 +247,15 @@ def test_early_gradient_lower_is_inconclusive_when_the_bound_is_vacuous():
     assert rep["theoretical"] <= 0.0
 
 
-def test_early_descent_binary_fails_on_its_own():
+def test_early_descent_binary_fails_on_its_own(monkeypatch):
     """Negative control: a loss at t* planted above L(0) - bound fails
     early-descent-binary; every other report keeps its verdict."""
     record, ctx = run_experiment(EARLY_BINARY)
     before = {c["cert_id"]: verdict(c) for c in evaluate_certificates(record, ctx)}
     assert before["early-descent-binary"] == "PASS"
-    ts = ctx["tstar"]
-    record.records[ts] = dataclasses.replace(record.records[ts], loss=record.records[0].loss)
+    ts, L0 = ctx["tstar"], record.records.first.loss
+    _hand_out(monkeypatch, {ts: lambda r: {"loss": L0}})
+    record, ctx = run_experiment(EARLY_BINARY)
     after = {c["cert_id"]: c for c in evaluate_certificates(record, ctx)}
     rep = after.pop("early-descent-binary")
     assert verdict(rep) == "FAIL" and rep["measured"] == 0.0 < rep["theoretical"]
@@ -346,7 +367,7 @@ def test_multi_gram_entries_at_least_one_fails_on_a_planted_minimum(onehot_spec)
     """Negative control: a minimum entry below 1 at one step of the Gram
     observer fails multi-gram-entries-at-least-one, which reports the least."""
     record, ctx = run_experiment(_small_config("early-multiclass", onehot_spec))
-    (gram,), report = cli._certify_early_multiclass(ctx)
+    (gram, _), report = cli._certify_early_multiclass(ctx)
 
     def multi_gram():
         (rep,) = [c for c in report(record) if c["cert_id"] == "multi-gram-entries-at-least-one"]
@@ -464,24 +485,23 @@ def test_partition_dynamics_global_fails_through_verify(tmp_path):
         "detail": "cell outside TL/FD at step >= 1"}
 
 
-def test_correct_classification_fails_on_a_nonpositive_margin():
+def test_correct_classification_fails_on_a_nonpositive_margin(monkeypatch):
     """Negative control: a nonpositive min_margin planted at t >= 1 fails
     correct-classification, which reports the least margin over t >= 1 and
     its step, and names the first nonpositive one."""
-    record, ctx = run_experiment(GLOBAL_POLY)
-
-    def report():
+    def report(changes=None):
+        handed = _hand_out(monkeypatch, changes)
+        record, ctx = run_experiment(GLOBAL_POLY)
         (rep,) = [c for c in evaluate_certificates(record, ctx)
                   if c["cert_id"] == "correct-classification"]
-        return rep
+        return rep, handed
 
-    least = min(record.records[1:], key=lambda r: r.min_margin)
-    rep = report()
+    rep, handed = report()
+    least = min(handed[1:], key=lambda r: r.min_margin)
     assert verdict(rep) == "PASS" and rep["measured"] == rep["slack"] == least.min_margin > 0.0
     assert rep["context"] == {"t": least.t, "first_violation": None}
-    for t, margin in ((0, -5.0), (30, 0.0), (7, -0.25), (12, -1.0)):   # t = 0 is not checked
-        record.records[t] = dataclasses.replace(record.records[t], min_margin=margin)
-    rep = report()
+    rep, _ = report({t: lambda r, margin=margin: {"min_margin": margin}   # t = 0 is not checked
+                     for t, margin in ((0, -5.0), (30, 0.0), (7, -0.25), (12, -1.0))})
     assert verdict(rep) == "FAIL" and rep["measured"] == rep["slack"] == -1.0
     assert rep["context"]["t"] == 12
     assert tuple(rep["context"]["first_violation"]) == (7, -0.25)
@@ -489,19 +509,21 @@ def test_correct_classification_fails_on_a_nonpositive_margin():
 
 @pytest.mark.parametrize("kind,cert_id", [("global-poly", "rate-poly_stage1"),
                                            ("global-exp", "rate-exponential")])
-def test_rate_envelope_fails_on_a_loss_above_it(kind, cert_id):
+def test_rate_envelope_fails_on_a_loss_above_it(monkeypatch, kind, cert_id):
     """Negative control: losses planted above the envelope at t = 20 (twice
     L(1)) and t = 40 (1.5 L(1)) fail the kind's rate report, which names the
     worse one; every other report keeps its verdict.  At m = 512 the certified
     rate is positive, so the report is not made inconclusive by a vacuous V."""
     schedule = GLOBAL_POLY["schedule"] if kind == "global-poly" else LOSS_INVERSE
-    record, ctx = run_experiment(dict(GLOBAL_POLY, kind=kind, schedule=schedule,
-                                      model={"m": 512, "kappa": "auto"}))
+    config = dict(GLOBAL_POLY, kind=kind, schedule=schedule, model={"m": 512, "kappa": "auto"})
+    handed = _hand_out(monkeypatch)
+    record, ctx = run_experiment(config)
     before = {c["cert_id"]: verdict(c) for c in evaluate_certificates(record, ctx)}
     assert before[cert_id] == "PASS"
-    L1 = record.records[1].loss
-    for t, factor in ((20, 2.0), (40, 1.5)):
-        record.records[t] = dataclasses.replace(record.records[t], loss=factor * L1)
+    L1 = handed[1].loss
+    _hand_out(monkeypatch, {t: lambda r, factor=factor: {"loss": factor * L1}
+                            for t, factor in ((20, 2.0), (40, 1.5))})
+    record, ctx = run_experiment(config)
     after = {c["cert_id"]: c for c in evaluate_certificates(record, ctx)}
     rep = after.pop(cert_id)
     rate = rep["theoretical"]
@@ -540,27 +562,39 @@ def _small_config(name, onehot):
                 train={"steps": 40, "batch": {"B": 8, "seed": 1}})
 
 
+def _reduced(record):
+    """What the run record's reducers hold but for the CSV digest."""
+    log = record.records
+    return (log.first, log.last, len(log), record.measured_T, record.first_violation,
+            record.min_batch_alignment, record.status)
+
+
 @pytest.mark.parametrize("name", ["early-binary", "early-multiclass", "global-poly"])
-def test_record_every_thins_only_the_step_records(onehot_spec, name):
+def test_record_every_thins_only_the_step_records(tmp_path, monkeypatch, onehot_spec, name):
     config = _small_config(name, onehot_spec)
     runs = {}
     for k in (1, 5):
         cfg = json.loads(json.dumps(config))
         cfg["train"]["record_every"] = k
-        record, ctx = run_experiment(cfg)
-        runs[k] = record, evaluate_certificates(record, ctx), ctx["record_every"]
-    (every, reports, _), (thinned, thinned_reports, k) = runs[1], runs[5]
+        handed = _hand_out(monkeypatch)
+        record, ctx = run_experiment(cfg, outdir=tmp_path / str(k))
+        runs[k] = (record, evaluate_certificates(record, ctx), handed,
+                   (tmp_path / str(k) / "steps.csv").read_text())
+    (every, reports, handed, full_csv), (thinned, thinned_reports, thinned_handed, csv) = \
+        runs[1], runs[5]
     # The certificates see every step: same ids, verdicts, worst steps and slacks.
     assert thinned_reports == reports
     assert len(reports) >= 3
-    assert thinned.records == every.records
-    assert thinned.measured_T == every.measured_T
+    # run hands out the same records, and the reducers hold the same values.
+    assert thinned_handed == handed
+    assert _reduced(thinned) == _reduced(every)
     # Only steps.csv thins: every fifth row of the full one, and the last.
-    last = every.records[-1].t
-    rows = steps_csv(every).split("\n")[1:-1]
-    assert k == 5
-    assert steps_csv(thinned, k).split("\n")[1:-1] == \
-        [row for t, row in enumerate(rows) if t % 5 == 0 or t == last]
+    assert full_csv == oracles.steps_csv(handed)
+    assert every.records.digest() == hashlib.sha256(full_csv.encode()).hexdigest()
+    assert thinned.records.digest() == hashlib.sha256(csv.encode()).hexdigest()
+    last = every.records.last.t
+    rows = full_csv.split("\n")[1:-1]
+    assert csv.split("\n")[1:-1] == [row for t, row in enumerate(rows) if t % 5 == 0 or t == last]
 
 
 def test_hitting_time_sentinel_is_the_last_step_reached():
@@ -571,10 +605,14 @@ def test_hitting_time_sentinel_is_the_last_step_reached():
     assert rep["measured"] == 46.0 and rep["slack"] == 46.0 - 44.0
 
 
+# A run keeps no per-step object: of 4500 more steps, verify keeps only the
+# rate fit's two float64 columns (72 kB), train nothing.
+PEAK_GROWTH_BOUND = 0.25e6   # bytes
+
+
 def _peak_growth(tmp_path, command, **train):
     """How much the tracemalloc peak of ``command`` on GLOBAL_POLY grows from
-    500 to 5000 steps, and the bound it must stay under: a tenth of the 4500
-    networks that a kept trajectory would add."""
+    500 to 5000 steps."""
     def peak(steps):
         cfg = write_config(tmp_path, f"c{steps}.json",
                            dict(GLOBAL_POLY, train=dict(train, steps=steps)))
@@ -588,27 +626,27 @@ def _peak_growth(tmp_path, command, **train):
     growth = peak(5000) - peak(500)
     summary = json.loads((tmp_path / "5000" / "summary.json").read_text())
     assert summary["status"] == "completed" and summary["steps"] == 5000
-    m, d = GLOBAL_POLY["model"]["m"], GLOBAL_POLY["dataset"]["d"]
-    one_net = 8 * m * (d + 1)                   # a (m,) and B (m, d), float64
-    return growth, 0.1 * 4500 * one_net
+    return growth
 
 
 def test_verify_memory_does_not_grow_with_the_horizon(tmp_path):
-    growth, bound = _peak_growth(tmp_path, "verify")
-    assert growth < bound
+    assert _peak_growth(tmp_path, "verify") < PEAK_GROWTH_BOUND
 
 
 def test_train_memory_at_a_thinned_record_does_not_grow_with_the_horizon(tmp_path):
-    # train keeps every step's record and thins only the rows of steps.csv.
-    growth, bound = _peak_growth(tmp_path, "train", record_every=100)
-    assert growth < bound
+    # The rows of steps.csv go to the file as the steps happen.
+    assert _peak_growth(tmp_path, "train", record_every=100) < PEAK_GROWTH_BOUND
     assert len((tmp_path / "5000" / "steps.csv").read_text().splitlines()) == 1 + 51
 
 
-def test_global_kinds_default_to_the_exp_loss():
+def test_global_kinds_default_to_the_exp_loss(monkeypatch):
     implicit = {k: v for k, v in GLOBAL_POLY.items() if k != "loss"}
-    assert run_experiment(implicit, certify=False)[0].records == \
-        run_experiment(GLOBAL_POLY, certify=False)[0].records
+    runs = []
+    for config in (implicit, GLOBAL_POLY):
+        handed = _hand_out(monkeypatch)
+        record = run_experiment(config, certify=False)[0]
+        runs.append((_reduced(record), record.records.digest(), handed))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("config,message", [
@@ -756,7 +794,7 @@ def test_hitting_time_fails_on_a_violation_at_t0_or_t1():
     # kappa = 100 gives max |f| > 1 at t = 0: T = -1, the value the sentinel
     # also takes, so the report must read the violation, not the sign of T.
     record, ctx = run_experiment(dict(EARLY_BINARY, model={"m": 512, "kappa": 100}))
-    assert record.records[0].max_abs_pred > 1.0 and record.first_violation == 0
+    assert record.records.first.max_abs_pred > 1.0 and record.first_violation == 0
     (rep,) = [c for c in evaluate_certificates(record, ctx)
               if c["cert_id"] == "hitting-time-at-least-tstar"]
     assert verdict(rep) == "FAIL" and rep["measured"] == -1.0 and rep["slack"] == -45.0
@@ -802,7 +840,7 @@ def test_a_non_finite_gradient_aborts_the_run_at_its_step(tmp_path, monkeypatch,
                    train={"steps": 5, "batch": batch}))
     record, _ = run_experiment(config, certify=False)
     assert record.status == "aborted:non-finite-gradient-at-t=2"
-    assert record.records[-1].t == 2
+    assert record.records.last.t == 2
     calls.clear()
     cfg, out = write_config(tmp_path, "c.json", config), tmp_path / "run"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
@@ -863,7 +901,7 @@ def test_every_run_emits_its_kinds_cert_ids_once_in_order(monkeypatch, onehot_sp
     record, ctx = run_experiment(config)
     reports = evaluate_certificates(record, ctx)
     assert [c["cert_id"] for c in reports] == list(cli._KINDS[kind].cert_ids)
-    assert (record.records == []) == (run == "abort-at-0")
+    assert (len(record.records) == 0) == (run == "abort-at-0")
     for c in reports:
         if run == "full":
             assert "reason" not in c["context"], c

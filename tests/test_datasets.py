@@ -101,6 +101,19 @@ def test_unit_ball_constraint_enforced():
         binary_ds([[2.0, 0.0]], [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("label_kind", ["binary", "onehot"])
+def test_non_finite_inputs_are_rejected(bad, label_kind):
+    # A NaN norm compares False with the unit-ball bound either way round.
+    labels = [1.0, -1.0] if label_kind == "binary" else [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="finite"):
+        LabeledDataset(inputs=[[bad, 0.0], [0.0, 1.0]], labels=labels,
+                       label_kind=label_kind, source="x")
+    with pytest.raises(ValueError, match="finite"):
+        LabeledDataset(inputs=[[0.5, 0.0], [0.0, bad]], labels=labels,
+                       label_kind=label_kind, source="x")
+
+
 # ---------------------------------------------------------------------------
 # Data-dependent constants
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from relulab.partition import (
     TL,
     EarlyDynamics,
     GlobalDynamics,
-    check_correct_classification,
+    CorrectClassification,
     check_dynamics_early,
     check_dynamics_global,
     compute_partition,
@@ -194,10 +194,12 @@ def test_global_dynamics_refuses_a_window_after_step_1(start):
 def test_global_dynamics_clean_on_adaptive_run():
     ds = gen_orthant_separable(n=12, d=25, seed=5)
     net0 = init_binary(1024, 25, InitSpec(kappa=1e-5, seed=5))
+    margins = CorrectClassification()
     rec, nets = run_keeping_nets(net0, ds, loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
-                                 TrainConfig(steps=200, batching=Full(), trained_layers="input_only"))
+                                 TrainConfig(steps=200, batching=Full(), trained_layers="input_only"),
+                                 observers=[margins])
     assert check_dynamics_global(nets, ds) == []
-    assert check_correct_classification(rec) is None
+    assert margins.first_violation is None and margins.least[1] > 0.0
 
 
 def test_counts_csv(small_binary_ds, small_binary_net):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from relulab.datasets import LabeledDataset, gen_orthant_separable
 from relulab.losses import loss_family
-from relulab import models, rng
+from relulab import models, oracles, rng, training
 from relulab.models import (
     BinaryNet,
     InitSpec,
@@ -22,21 +23,19 @@ from relulab.training import (
     NOT_YET_HIT,
     Constant,
     Full,
+    HittingTime,
     LossInverse,
-    RunRecord,
     StepRecord,
     Stochastic,
     TrainConfig,
     TwoStagePoly,
     exp_hitting_time_Te,
-    hitting_time,
     run,
-    steps_csv,
     tstar,
     varphi,
 )
 from relulab.training import _extremes
-from tests.conftest import make_onehot_dataset
+from tests.conftest import make_onehot_dataset, run_recorded
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +132,12 @@ def test_schedule_parameter_guards():
 def test_loss_inverse_rate_identity():
     ds = gen_orthant_separable(n=8, d=6, seed=0)
     net0 = init_binary(64, 6, InitSpec(kappa=1e-4, seed=0))
-    rec = run(net0, ds, loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
-              TrainConfig(steps=50, batching=Full()))
-    for r in rec.records:
+    _, records, _ = run_recorded(net0, ds, loss_family("exp"), LossInverse(eta0=0.25, c=0.5),
+                                 TrainConfig(steps=50, batching=Full()))
+    for r in records:
         if r.t >= 1:
             assert r.eta * r.loss == pytest.approx(0.5, rel=1e-15)
-    assert rec.records[0].eta == 0.25
+    assert records[0].eta == 0.25
 
 
 def test_two_stage_poly_switches_at_T0():
@@ -158,38 +157,42 @@ def test_run_is_deterministic_and_digested():
     ds = gen_orthant_separable(n=10, d=8, seed=1)
     net0 = init_binary(128, 8, InitSpec(kappa=1e-5, seed=1))
     cfg = TrainConfig(steps=20, batching=Full())
-    r1 = run(net0, ds, loss_family("quadratic"), Constant(eta=0.01), cfg)
-    r2 = run(net0, ds, loss_family("quadratic"), Constant(eta=0.01), cfg)
-    assert steps_csv(r1) == steps_csv(r2)
+    r1, _, csv1 = run_recorded(net0, ds, loss_family("quadratic"), Constant(eta=0.01), cfg)
+    r2, _, csv2 = run_recorded(net0, ds, loss_family("quadratic"), Constant(eta=0.01), cfg)
+    assert csv1 == csv2 and r1.records.digest() == r2.records.digest()
+    assert r1.records.digest() == hashlib.sha256(csv1.encode()).hexdigest()
     assert r1.status == "completed"
 
 
 def test_stochastic_run_records_alignments():
     ds = make_onehot_dataset(n=30, d=10, num_classes=3, seed=2)
     net0 = init_multi(64, 10, 3, InitSpec(kappa=1e-4, seed=2))
-    rec = run(net0, ds, loss_family("logistic"), Constant(eta=0.01),
-              TrainConfig(steps=10, batching=Stochastic(B=8, seed=3)))
-    assert len(rec.batch_alignments) == 10
-    r1 = run(net0, ds, loss_family("logistic"), Constant(eta=0.01),
-             TrainConfig(steps=10, batching=Stochastic(B=8, seed=3)))
-    assert steps_csv(r1) == steps_csv(rec)
+    rec, _, csv = run_recorded(net0, ds, loss_family("logistic"), Constant(eta=0.01),
+                               TrainConfig(steps=10, batching=Stochastic(B=8, seed=3)))
+    assert math.isfinite(rec.min_batch_alignment)
+    r1, _, csv1 = run_recorded(net0, ds, loss_family("logistic"), Constant(eta=0.01),
+                               TrainConfig(steps=10, batching=Stochastic(B=8, seed=3)))
+    assert csv1 == csv and r1.min_batch_alignment == rec.min_batch_alignment
+    full = run(net0, ds, loss_family("logistic"), Constant(eta=0.01),
+               TrainConfig(steps=10, batching=Full()))
+    assert full.min_batch_alignment is None
 
 
 def test_losses_finite_and_nonnegative_at_every_record():
     ds = gen_orthant_separable(n=10, d=8, seed=4)
     net0 = init_binary(64, 8, InitSpec(kappa=1e-4, seed=4))
-    rec = run(net0, ds, loss_family("logistic"), Constant(eta=0.01),
-              TrainConfig(steps=25, batching=Full()))
-    for r in rec.records:
+    _, records, _ = run_recorded(net0, ds, loss_family("logistic"), Constant(eta=0.01),
+                                 TrainConfig(steps=25, batching=Full()))
+    for r in records:
         assert math.isfinite(r.loss) and r.loss >= 0.0
 
 
 def test_output_sign_preservation_along_compliant_run():
     ds = gen_orthant_separable(n=12, d=20, seed=5)
     net0 = init_binary(1024, 20, InitSpec(kappa=5e-6, seed=5))
-    rec = run(net0, ds, loss_family("quadratic"), Constant(eta=0.01),
-              TrainConfig(steps=45, batching=Full()))
-    assert all(r.a_sign_ok for r in rec.records)
+    rec, records, _ = run_recorded(net0, ds, loss_family("quadratic"), Constant(eta=0.01),
+                                   TrainConfig(steps=45, batching=Full()))
+    assert all(r.a_sign_ok for r in records)
     assert rec.measured_T == NOT_YET_HIT or rec.measured_T >= tstar(0.01, "binary")
 
 
@@ -199,8 +202,9 @@ def test_output_sign_preservation_along_compliant_run():
 
 def _reference_run(net0, ds, loss, schedule, config):
     """The training loop spelled out with the four public model functions,
-    each making its own activation pass: (steps.csv text, batch alignments)."""
-    rec = RunRecord()
+    each making its own activation pass, and steps.csv rendered from the
+    whole record list: (steps.csv text, batch alignments)."""
+    records, alignments = [], []
     net = net0
     stochastic = isinstance(config.batching, Stochastic)
     gen = rng.make_generator(config.batching.seed, stream=1) if stochastic else None
@@ -211,7 +215,7 @@ def _reference_run(net0, ds, loss, schedule, config):
         parts = grad_loss_struct(net, ds, loss, trained_layers=config.trained_layers)
         a0, a = (net0.a, net.a) if isinstance(net, BinaryNet) else (net0.A, net.A)
         eta = schedule.rate(t, L)
-        rec.records.append(StepRecord(
+        records.append(StepRecord(
             t=t, loss=L, eta=eta,
             grad_norm=float(math.sqrt(sum(float(np.sum(p * p)) for p in parts))),
             min_margin=float(np.min(z)), max_margin=float(np.max(z)),
@@ -226,10 +230,10 @@ def _reference_run(net0, ds, loss, schedule, config):
                                       trained_layers=config.trained_layers)
             full = np.concatenate([p.ravel() for p in parts])
             batch = np.concatenate([p.ravel() for p in bparts])
-            rec.batch_alignments.append(float(full @ batch))
+            alignments.append(float(full @ batch))
             parts = bparts
         net = apply_gradient(net, parts, eta)
-    return steps_csv(rec), rec.batch_alignments
+    return oracles.steps_csv(records), alignments
 
 
 _SINGLE_PASS_CASES = {
@@ -254,10 +258,10 @@ _SINGLE_PASS_CASES = {
 @pytest.mark.parametrize("case", sorted(_SINGLE_PASS_CASES))
 def test_single_pass_run_matches_four_function_reference(case):
     ds, net0, loss, schedule, cfg = _SINGLE_PASS_CASES[case]()
-    rec = run(net0, ds, loss, schedule, cfg)
+    rec, _, streamed = run_recorded(net0, ds, loss, schedule, cfg)
     csv, alignments = _reference_run(net0, ds, loss, schedule, cfg)
-    assert steps_csv(rec) == csv               # repr() of every float: bit for bit
-    assert rec.batch_alignments == alignments
+    assert streamed == csv               # repr() of every float: bit for bit
+    assert rec.min_batch_alignment == (min(alignments) if alignments else None)
     assert len(rec.records) == cfg.steps + 1
 
 
@@ -286,10 +290,10 @@ def test_an_overflowed_gradient_norm_of_a_finite_gradient_does_not_abort():
     ds = LabeledDataset(inputs=np.array([[1e-20], [-1e-20]]), labels=np.array([1.0, -1.0]),
                         label_kind="binary", source="test-overflowed-gnorm")
     net0 = BinaryNet(a=np.array([1e151]), B=np.array([[1e22]]))
-    rec = run(net0, ds, loss_family("quadratic"), Constant(eta=1e-300),
-              TrainConfig(steps=2, batching=Full()))
-    assert rec.status == "completed" and [r.t for r in rec.records] == [0, 1, 2]
-    assert all(math.isfinite(r.loss) and r.grad_norm == math.inf for r in rec.records)
+    rec, records, _ = run_recorded(net0, ds, loss_family("quadratic"), Constant(eta=1e-300),
+                                   TrainConfig(steps=2, batching=Full()))
+    assert rec.status == "completed" and [r.t for r in records] == [0, 1, 2]
+    assert all(math.isfinite(r.loss) and r.grad_norm == math.inf for r in records)
 
 
 def _numpy_extremes(z, f):
@@ -338,13 +342,14 @@ def test_record_extremes_keep_numpys_bits_on_planted_zeros():
 # ---------------------------------------------------------------------------
 
 def _hitting_time(preds, signs):
-    """T by the rule ``run`` applies, over steps with the given prediction
-    sup-norms and output-sign flags."""
-    T, _ = hitting_time([StepRecord(
-        t=t, loss=0.1, eta=0.01, grad_norm=0.0, min_margin=0.0,
-        max_margin=p, param_norm=1.0, max_abs_pred=p, a_sign_ok=s)
-        for t, (p, s) in enumerate(zip(preds, signs))])
-    return T
+    """T by the reducer ``run`` applies, shown steps with the given
+    prediction sup-norms and output-sign flags."""
+    hit = HittingTime()
+    for t, (p, s) in enumerate(zip(preds, signs)):
+        hit.step(t, None, None, None, StepRecord(
+            t=t, loss=0.1, eta=0.01, grad_norm=0.0, min_margin=0.0,
+            max_margin=p, param_norm=1.0, max_abs_pred=p, a_sign_ok=s))
+    return hit.T
 
 
 def test_hitting_time_counts_back_two_from_first_violation():
@@ -366,12 +371,14 @@ def test_run_hitting_time_sees_every_step():
     # read from those rows would turn into T = 12.
     ds = gen_orthant_separable(n=8, d=6, seed=6)
     net0 = init_binary(64, 6, InitSpec(kappa=1e-3, seed=6))
-    rec = run(net0, ds, loss_family("quadratic"), Constant(eta=0.5),
-              TrainConfig(steps=30, batching=Full()))
-    assert rec.measured_T == 9
-    rows = steps_csv(rec, 7).strip().split("\n")[1:]
-    every = steps_csv(rec).strip().split("\n")[1:]
-    assert rows == [every[t] for t in (0, 7, 14, 21, 28, 30)]
+    args = (net0, ds, loss_family("quadratic"), Constant(eta=0.5),
+            TrainConfig(steps=30, batching=Full()))
+    full, _, every = run_recorded(*args)
+    thinned, _, rows = run_recorded(*args, every=7)
+    assert full.measured_T == thinned.measured_T == 9
+    assert full.first_violation == thinned.first_violation == 11
+    every = every.strip().split("\n")[1:]
+    assert rows.strip().split("\n")[1:] == [every[t] for t in (0, 7, 14, 21, 28, 30)]
 
 
 def test_immediate_violation_clamps_to_minus_one():
@@ -385,13 +392,57 @@ def test_immediate_violation_clamps_to_minus_one():
 def test_steps_csv_layout():
     ds = gen_orthant_separable(n=8, d=6, seed=6)
     net0 = init_binary(32, 6, InitSpec(kappa=1e-4, seed=6))
-    rec = run(net0, ds, loss_family("quadratic"), Constant(eta=0.01),
-              TrainConfig(steps=3, batching=Full()))
-    lines = steps_csv(rec).strip().split("\n")
+    _, records, csv = run_recorded(net0, ds, loss_family("quadratic"), Constant(eta=0.01),
+                                   TrainConfig(steps=3, batching=Full()))
+    lines = csv.strip().split("\n")
     assert lines[0] == ("t,loss,eta,grad_norm,min_margin,max_margin,"
                         "param_norm,max_abs_pred,a_sign_ok")
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "0" and first[-1] in {"0", "1"}
     # Full-precision floats: parsing back reproduces the recorded loss exactly.
-    assert float(first[1]) == rec.records[0].loss
+    assert float(first[1]) == records[0].loss
+
+
+@pytest.mark.parametrize("every", [1, 3, 7])
+@pytest.mark.parametrize("steps", [0, 1, 20, 21])
+def test_step_log_streams_the_whole_run_rendering(every, steps):
+    """The streamed steps.csv holds the bytes of the rendering from the whole
+    record list, thinning included, and the log's digest is their SHA-256;
+    the log keeps the first and the last record only."""
+    ds = gen_orthant_separable(n=8, d=6, seed=6)
+    net0 = init_binary(32, 6, InitSpec(kappa=1e-4, seed=6))
+    rec, records, csv = run_recorded(net0, ds, loss_family("quadratic"), Constant(eta=0.01),
+                                     TrainConfig(steps=steps, batching=Full()), every=every)
+    assert csv == oracles.steps_csv(records, every)
+    assert rec.records.digest() == hashlib.sha256(csv.encode()).hexdigest()
+    assert len(rec.records) == len(records) == steps + 1
+    assert (rec.records.first, rec.records.last) == (records[0], records[-1])
+
+
+def test_step_log_of_a_run_that_stops_early_ends_at_its_last_step(monkeypatch):
+    """A run that aborts at step 0 leaves the header only; one that aborts
+    at t = 5 ends with the row of its last step, 4, whatever the thinning."""
+    ds = gen_orthant_separable(n=8, d=6, seed=6)
+    net0 = init_binary(32, 6, InitSpec(kappa=1e-4, seed=6))
+    args = (net0, ds, loss_family("quadratic"), Constant(eta=0.01),
+            TrainConfig(steps=20, batching=Full()))
+    original, calls = models.evaluate, []
+
+    def poisoned(*a, **k):
+        calls.append(None)
+        out = original(*a, **k)
+        return (math.nan, *out[1:]) if len(calls) == abort_at + 1 else out
+
+    monkeypatch.setattr(training, "evaluate", poisoned)
+    for abort_at, every in ((0, 1), (5, 3), (5, 1)):
+        calls.clear()
+        rec, records, csv = run_recorded(*args, every=every)
+        assert rec.status == f"aborted:non-finite-loss-at-t={abort_at}"
+        assert csv == oracles.steps_csv(records, every)
+        assert len(rec.records) == abort_at
+        if abort_at == 0:
+            assert csv == "t,loss,eta,grad_norm,min_margin,max_margin,param_norm,max_abs_pred,a_sign_ok\n"
+            assert rec.records.first is rec.records.last is None
+        else:
+            assert csv.splitlines()[-1].startswith(f"{abort_at - 1},")
