@@ -13,7 +13,9 @@ the tracemalloc peak, the process's ``ru_maxrss``, the size of steps.csv,
 the loss at the first and the last step, and each certificate's verdict.
 Whether L keeps falling in stage 1, the abstract's "global convergence of
 GD", shows only over 10^5 steps or more; a run's memory must not grow with
-them.  Not part of the test suite: 10^5 steps take about a minute.
+them.  It then prints the tracemalloc peak of ``prm.run_prm_gd`` at d = 4,
+m = 3, M = 4 for 2000 and 20 000 steps, which must not grow either.  Not
+part of the test suite: 10^5 steps take about a minute.
 Exit code: that of ``relulab verify``.
 """
 
@@ -34,6 +36,18 @@ from run_suite import GLOBAL_POLY  # noqa: E402
 
 from relulab.certificates import verdict  # noqa: E402
 from relulab.cli import main as cli_main  # noqa: E402
+from relulab.prm import TeacherStudentConfig, run_prm_gd  # noqa: E402
+
+
+def prm_peak(steps: int) -> float:
+    """tracemalloc peak of a prm run at d = 4, m = 3, M = 4, in MB."""
+    config = TeacherStudentConfig(d=4, m=3, M=4, kappa=0.1, eta=0.001, seed=0, steps=steps)
+    tracemalloc.start()
+    try:
+        run_prm_gd(config)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> int:
@@ -67,6 +81,8 @@ def main() -> int:
     for cert in json.loads((run_dir / "certificates.json").read_text()):
         print(f"  [{verdict(cert)}] {cert['cert_id']}: bound={cert['theoretical']:.6g} "
               f"measured={cert['measured']:.6g} slack={cert['slack']:.3g}")
+    print("prm run_prm_gd, d = 4, m = 3, M = 4: tracemalloc peak "
+          + ", ".join(f"{prm_peak(steps):.3f} MB at {steps} steps" for steps in (2000, 20_000)))
     return code
 
 

@@ -10,10 +10,11 @@ The inputs are written once, from the change tree: the regimes of
 IDX corpus), the four workload configs of ``perfbench/workloads.py`` (read,
 never changed), a ``train`` run at its default horizon, at ``train.steps:
 10`` and at ``train.record_every: 5``, ``prm`` in extension mode (M > d, so
-some teachers are random), at a fixed numeric ``eta``, at d = 40, m = 33,
-M = 40 for 300 steps (a non-square student-teacher kernel matrix at the
-benchmark's scale) and at kappa = 0.9, where the certified horizon is empty,
-with and without ``prm.steps``, ``gen-data`` on a binary dataset with and without the
+some teachers are random) at the suite's scale and at d = 40, m = 40, M = 60
+for 300 steps, at a fixed numeric ``eta``, at d = 40, m = 33, M = 40 for 300
+steps (a non-square student-teacher kernel matrix at the benchmark's scale),
+for 20 000 steps (its steps.csv is streamed), and at kappa = 0.9, where the
+certified horizon is empty, with and without ``prm.steps``, ``gen-data`` on a binary dataset with and without the
 antipodal pair and on the IDX corpus, a two-cell ``sweep``, a small
 early-binary ``verify`` at eta = 1e-4 with its default horizon (T_e =
 2204), three ``verify`` runs whose partition checks fail (the early-binary
@@ -21,8 +22,9 @@ workload at m = 512, kappa = 100; the global-poly workload and the suite's
 global-exp regime at kappa = 1 for 300 steps), a ``verify`` of the
 early-binary and global-poly workloads at ``train.record_every: 5``, three
 runs of the streamed steps.csv (a global-poly ``verify`` at ``train.steps:
-5000`` and ``record_every: 7``, one that aborts at t = 30, and a ``train``
-of the multiclass-sgd workload at ``record_every: 4``), four
+5000`` and ``record_every: 7``, an early-binary ``train`` that aborts at
+t = 10, and a ``train`` of the multiclass-sgd workload at ``record_every:
+4``), four
 ``verify`` runs whose certificates are partly unmeasured (the suite's
 early-binary regime at ``train.steps: 5`` and ``train.steps: 0``, the
 multiclass-sgd workload at ``train.steps: 0`` and at full batch), and
@@ -104,6 +106,10 @@ def write_inputs(change: Path, inputs: Path) -> list:
     population = workloads.config("prm-population", 0)[1]
     configs["prm-odd-shapes"] = ("prm", {"kind": "prm", "prm": dict(population["prm"], m=33,
                                                                    steps=300)})
+    configs["prm-extension-mode-40-60"] = ("prm", {"kind": "prm", "prm": dict(
+        population["prm"], M=60, steps=300)})
+    configs["prm-20000-steps"] = ("prm", {"kind": "prm", "prm": dict(suite.PRM["prm"],
+                                                                    steps=20_000)})
     # Runs whose partition checks fail, so the violations are compared too.
     early, poly = (workloads.config(name, 0)[1] for name in ("early-binary", "global-poly"))
     configs["partition-fails-early-binary"] = ("verify", dict(early, model={"m": 512,
@@ -116,13 +122,13 @@ def write_inputs(change: Path, inputs: Path) -> list:
         configs[f"record-every-5-{name}"] = ("verify", dict(
             cfg, train=dict(cfg["train"], record_every=5)))
     # steps.csv is streamed: a long run whose last step (5000) is no multiple
-    # of record_every, a run that aborts partway (stage 2 at c' = -0.5 ascends
-    # from T0 = 20 until the loss overflows at t = 30; the row of its last
-    # step, 29, is written when it stops), and a thinned train run.
+    # of record_every, a run that aborts partway (at constant eta = 5 the loss
+    # overflows at t = 10; the row of its last step, 9, is written when it
+    # stops), and a thinned train run.
     configs["streamed-global-poly-5000-every-7"] = ("verify", dict(
         poly, train={"steps": 5000, "record_every": 7}))
-    configs["streamed-global-poly-aborts"] = ("verify", dict(
-        poly, schedule=dict(poly["schedule"], T0=20, cprime=-0.5),
+    configs["streamed-early-binary-aborts"] = ("train", dict(
+        early, schedule={"type": "constant", "eta": 5.0},
         train={"steps": 300, "record_every": 7}))
     multi = configs["perfbench-multiclass-sgd"][1]
     configs["streamed-train-multiclass-sgd-every-4"] = ("train", dict(

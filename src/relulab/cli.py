@@ -483,7 +483,9 @@ def evaluate_certificates(record, ctx) -> list:
 # PRM execution
 # ---------------------------------------------------------------------------
 
-def run_prm_experiment(config: dict):
+def run_prm_experiment(config: dict, outdir: Optional[Path] = None):
+    """Validate a prm config, then run it: (config, record, report).  With
+    ``outdir``, the run's steps.csv is written there as the steps happen."""
     _strict(config, {"kind", "prm", "seed"}, "config")
     spec = _strict(_require(config, "prm", "config"),
                    {"d", "m", "M", "kappa", "eta", "steps", "seed"}, "prm")
@@ -501,7 +503,12 @@ def run_prm_experiment(config: dict):
                           f"prm.kappa = {cfg.kappa!r} >= 1/pi; set prm.steps")
     steps = spec["steps"] if "steps" in spec else math.ceil(horizon) + 2
     cfg = dataclasses.replace(cfg, steps=_cast(steps, "prm.steps", int))
-    record = prm_mod.run_prm_gd(cfg)
+    if outdir is None:
+        record = prm_mod.run_prm_gd(cfg)
+    else:
+        outdir.mkdir(parents=True, exist_ok=True)
+        with open(outdir / "steps.csv", "w") as sink:
+            record = prm_mod.run_prm_gd(cfg, sink)
     cert = prm_mod.prm_descent_certificate(cfg, record)
     return cfg, record, cert
 
@@ -690,22 +697,20 @@ def cmd_sweep(spec: dict, outdir: Path, jobs: int) -> int:
 def cmd_prm(config: dict, outdir: Path, seed: Optional[int]) -> int:
     if seed is not None:
         config = dict(config, prm=dict(_object(config.get("prm", {}), "prm"), seed=seed))
-    cfg, record, cert = run_prm_experiment(config)
+    cfg, record, cert = run_prm_experiment(config, outdir)
     summary = {
         "kind": "prm",
         "d": cfg.d, "m": cfg.m, "M": cfg.M, "kappa": cfg.kappa,
         "eta": cfg.eta, "steps": cfg.steps, "seed": cfg.seed,
         "eta_compliant": record.eta_compliant,
         "extension_mode": cfg.extension_mode,
-        "initial_loss": record.losses[0], "final_loss": record.losses[-1],
+        "initial_loss": record.losses.first.loss, "final_loss": record.losses.last.loss,
         "loss_at_origin": prm_mod.loss_at_origin(cfg),
         "measured_T": record.measured_T,
         "norm_monotone": record.norm_monotone,
     }
     cert_dicts = [cert.as_dict()]
-    outdir.mkdir(parents=True, exist_ok=True)
-    steps_digest = _write(outdir / "steps.csv", prm_mod.prm_csv(record))
-    _write_run_dir(outdir, config, steps_digest, summary, cert_dicts)
+    _write_run_dir(outdir, config, record.losses.digest(), summary, cert_dicts)
     _print_certificates(cert_dicts)
     return 0 if certs.holds(cert_dicts[0]) else 1
 

@@ -23,7 +23,7 @@ from .losses import LossFamily
 from .models import (BinaryNet, MultiNet, Net, _activations, _flatten_struct, _hessian_matvec,
                      grad_loss_struct, loss_value)
 from .certificates import CertificateReport
-from .prm import TeacherStudentConfig, teacher_matrix
+from .prm import PrmStep, TeacherStudentConfig, init_prm, teacher_matrix
 from .training import StepRecord
 
 __all__ = [
@@ -47,6 +47,10 @@ __all__ = [
     "arccos_kernel",
     "kernel_grad_w",
     "mc_population_loss",
+    "population_loss_whole",
+    "population_grad_whole",
+    "prm_rows",
+    "prm_csv",
 ]
 
 
@@ -406,3 +410,68 @@ def mc_population_loss(W: np.ndarray, config: TeacherStudentConfig,
     mean = float(np.mean(pair_means))
     sem = float(np.std(pair_means, ddof=1) / math.sqrt(pair_means.size))
     return mean, sem
+
+
+def _kernel_matrix_whole(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """k(a_i; b_j) for all row pairs, with the norms taken here."""
+    na, nb = np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1)
+    nn = np.outer(na, nb)
+    cos = np.clip((A @ B.T) / nn, -1.0, 1.0)
+    theta = np.arccos(cos)
+    return nn * (np.sin(theta) + (np.pi - theta) * cos) / (2.0 * np.pi)
+
+
+def population_loss_whole(W: np.ndarray, config: TeacherStudentConfig) -> float:
+    """The population risk from the whole m x m, m x M and M x M kernel
+    matrices, each summed over all its entries by ``math.fsum``, on a fresh
+    teacher: the reference for ``prm.population_loss``, which sums the
+    diagonal and the doubled strict upper triangle of K_ww."""
+    V = teacher_matrix(config)
+    return (0.5 * math.fsum(_kernel_matrix_whole(W, W).ravel().tolist())
+            - math.fsum(_kernel_matrix_whole(W, V).ravel().tolist())
+            + 0.5 * math.fsum(_kernel_matrix_whole(V, V).ravel().tolist()))
+
+
+def population_grad_whole(W: np.ndarray, config: TeacherStudentConfig) -> np.ndarray:
+    """The population gradient from whole matrices, with W's row norms taken
+    here and a fresh teacher: the reference for ``prm.population_grad``."""
+    V = teacher_matrix(config)
+    nw, nv = np.linalg.norm(W, axis=1), np.linalg.norm(V, axis=1)
+    Wbar, Vbar = W / nw[:, None], V / nv[:, None]
+    th_ww = np.arccos(np.clip(Wbar @ Wbar.T, -1.0, 1.0))
+    th_wv = np.arccos(np.clip(Wbar @ Vbar.T, -1.0, 1.0))
+    sin_ww = np.sin(th_ww)
+    np.fill_diagonal(sin_ww, 0.0)
+    pi_minus = (np.pi - th_ww) / (2.0 * np.pi)
+    np.fill_diagonal(pi_minus, 0.0)
+    G = ((sin_ww @ nw) / (2.0 * np.pi))[:, None] * Wbar + (pi_minus * nw[None, :]) @ Wbar
+    G += 0.5 * W
+    G -= (((np.sin(th_wv) @ nv) / (2.0 * np.pi))[:, None] * Wbar
+          + (((np.pi - th_wv) / (2.0 * np.pi)) * nv[None, :]) @ Vbar)
+    return G
+
+
+def prm_rows(config: TeacherStudentConfig) -> List[PrmStep]:
+    """Every step's row of a prm run, kept in a list: the whole-matrix loss
+    and gradient, with the row norms taken apart for the statistics.  The
+    reference for ``prm.run_prm_gd``, which streams the rows."""
+    W = init_prm(config)
+    rows = []
+    for t in range(config.steps + 1):
+        L = population_loss_whole(W, config)
+        G = population_grad_whole(W, config)
+        norms = np.linalg.norm(W, axis=1)
+        rows.append(PrmStep(t, L, float(norms.sum()), float(norms.min()), float(norms.max()),
+                            float(np.linalg.norm(G))))
+        W = W - config.eta * G
+    return rows
+
+
+def prm_csv(rows: Sequence[PrmStep]) -> str:
+    """A prm run's steps.csv rendered at once from its whole row list;
+    ``prm.run_prm_gd`` streams the same bytes one step at a time."""
+    lines = ["t,loss,sum_norms,min_norm,max_norm,grad_norm\n"]
+    for r in rows:
+        lines.append(f"{r.t},{r.loss!r},{r.sum_norms!r},{r.min_norm!r},{r.max_norm!r},"
+                     f"{r.grad_norm!r}\n")
+    return "".join(lines)

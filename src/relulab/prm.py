@@ -13,26 +13,29 @@ bits as ``math.fsum``) and computed by ExtractVector in
 summation part I", SIAM J. Sci. Comput. 31(1), 2008).  The module provides
 the exact loss and gradient, plain gradient descent under the compliant
 step-size cap, hitting-time measurement and the final two-term descent
-certificate.  The scalar kernel and a Monte-Carlo estimate of the risk,
-which the tests compare the closed forms against, live in ``oracles``.
+certificate.  A run streams its steps.csv through ``training.StepLog`` and
+keeps no per-step state.  The scalar kernel, a Monte-Carlo estimate of the
+risk, the whole-matrix loss and gradient and a run that keeps every row,
+which the tests compare the production forms against, live in ``oracles``.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import math
-from dataclasses import dataclass, field
-from typing import List, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, TextIO, Tuple
 
 import numpy as np
 
 from . import rng
 from .certificates import CertificateReport, at_least
 from .datasets import exact_sum
+from .training import StepLog
 
 __all__ = [
     "TeacherStudentConfig",
+    "PrmStep",
     "PrmRunRecord",
     "teacher_matrix",
     "population_loss",
@@ -44,7 +47,6 @@ __all__ = [
     "run_prm_gd",
     "descent_bound_two_term",
     "prm_descent_certificate",
-    "prm_csv",
 ]
 
 
@@ -74,13 +76,27 @@ class TeacherStudentConfig:
         return self.M > self.d
 
 
+class PrmStep(NamedTuple):
+    """One step of a prm run, a row of its steps.csv."""
+    t: int
+    loss: float
+    sum_norms: float
+    min_norm: float
+    max_norm: float
+    grad_norm: float
+
+
+_CSV_HEADER = "t,loss,sum_norms,min_norm,max_norm,grad_norm\n"
+
+
+def _csv_row(r: PrmStep) -> str:
+    return f"{r.t},{r.loss!r},{r.sum_norms!r},{r.min_norm!r},{r.max_norm!r},{r.grad_norm!r}\n"
+
+
 @dataclass
 class PrmRunRecord:
-    losses: List[float] = field(default_factory=list)
-    sum_norms: List[float] = field(default_factory=list)
-    min_norms: List[float] = field(default_factory=list)
-    max_norms: List[float] = field(default_factory=list)
-    grad_norms: List[float] = field(default_factory=list)
+    losses: StepLog                  # one row per step; perfbench/tracing.py reads its length
+    horizon_loss: float = math.nan   # the loss at t = ceil(T*+1), which the certificate reads
     measured_T: int = -1
     eta_compliant: bool = True
     norm_monotone: bool = True      # |w_k(t)| < |w_k(t+1)| < 2 |w_k(t)| for every t <= T
@@ -91,18 +107,34 @@ class PrmRunRecord:
 # ---------------------------------------------------------------------------
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(A, axis=1)
-    if np.any(n == 0.0):
+    """The nonzero row norms of A, with the bits of ``np.linalg.norm(A, axis=1)``."""
+    n = np.sqrt(np.add.reduce(A * A, axis=1))
+    if not n.all():
         raise ValueError("arc-cosine kernel undefined for zero rows")
     return n
 
 
-def _kernel_matrix(A: np.ndarray, B: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """k(a_i; b_j) for all row pairs, given the nonzero row norms na, nb."""
-    nn = np.outer(na, nb)
-    cos = np.clip((A @ B.T) / nn, -1.0, 1.0)
+def _kernel(G: np.ndarray, nn: np.ndarray) -> np.ndarray:
+    """k of the pairs whose inner products are G and whose norm products are nn."""
+    cos = np.clip(G / nn, -1.0, 1.0)
     theta = np.arccos(cos)
     return nn * (np.sin(theta) + (np.pi - theta) * cos) / (2.0 * np.pi)
+
+
+def _kernel_matrix(A: np.ndarray, B: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """k(a_i; b_j) for all row pairs, given the nonzero row norms na, nb."""
+    return _kernel(A @ B.T, np.outer(na, nb))
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of an m x m matrix's diagonal, then of its
+    strict upper triangle."""
+    i, j = np.triu_indices(m, 1)
+    rows, cols = np.concatenate((np.arange(m), i)), np.concatenate((np.arange(m), j))
+    for a in (rows, cols):
+        a.setflags(write=False)     # every caller shares them
+    return rows, cols
 
 
 def teacher_matrix(config: TeacherStudentConfig) -> np.ndarray:
@@ -150,13 +182,25 @@ def _teacher(config: TeacherStudentConfig) -> _Teacher:
     return _teacher_terms(_TeacherKey(config.d, config.M, config.seed))
 
 
-def population_loss(W: np.ndarray, config: TeacherStudentConfig) -> float:
-    """Exact population risk of student rows W against the configured teacher."""
+def population_loss(W: np.ndarray, config: TeacherStudentConfig,
+                    nw: Optional[np.ndarray] = None) -> float:
+    """Exact population risk of student rows W against the configured teacher.
+
+    ``nw`` holds W's row norms, ``np.linalg.norm(W, axis=1)``, when the
+    caller has them.  K_ww is exactly symmetric (numpy forms W Wᵀ as a
+    symmetric rank-k update, and the norm products commute), and doubling a
+    float is exact, so the correctly rounded sum of its diagonal and its
+    doubled strict upper triangle is that of all m² entries: the kernel is
+    evaluated on m(m+1)/2 pairs.
+    """
     teacher = _teacher(config)
-    nw = _row_norms(W)
-    Kww = _kernel_matrix(W, W, nw, nw)
+    if nw is None:
+        nw = _row_norms(W)
+    rows, cols = _pairs(len(nw))
+    kww = _kernel((W @ W.T)[rows, cols], nw[rows] * nw[cols])
+    kww[len(nw):] *= 2.0
     Kwv = _kernel_matrix(W, teacher.V, nw, teacher.nv)
-    return 0.5 * exact_sum(Kww) - exact_sum(Kwv) + teacher.half_kvv
+    return 0.5 * exact_sum(kww) - exact_sum(Kwv) + teacher.half_kvv
 
 
 def loss_at_origin(config: TeacherStudentConfig) -> float:
@@ -164,17 +208,19 @@ def loss_at_origin(config: TeacherStudentConfig) -> float:
     return _teacher(config).half_kvv
 
 
-def population_grad(W: np.ndarray, config: TeacherStudentConfig) -> np.ndarray:
+def population_grad(W: np.ndarray, config: TeacherStudentConfig,
+                    nw: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact gradient; row k is
     w_k/2 + sum_{j != k} dk(w_k; w_j)/dw - sum_j dk(w_k; v_j)/dw.
 
     The student-student double sum counts each unordered pair twice, which
     turns the 1/2 prefactor into a full cross-gradient per distinct pair,
-    while the self pair contributes w_k/2.
+    while the self pair contributes w_k/2.  ``nw`` is as in ``population_loss``.
     """
     teacher = _teacher(config)
     nv, Vbar = teacher.nv, teacher.Vbar
-    nw = _row_norms(W)
+    if nw is None:
+        nw = _row_norms(W)
     Wbar = W / nw[:, None]
 
     cos_ww = np.clip((Wbar @ Wbar.T), -1.0, 1.0)
@@ -234,29 +280,36 @@ def prm_tstar_plus_one(config: TeacherStudentConfig) -> float:
         (math.pi + 1.0) * eta * m * M * (1.0 + (d / (math.pi * M)) * root))
 
 
-def run_prm_gd(config: TeacherStudentConfig) -> PrmRunRecord:
+def run_prm_gd(config: TeacherStudentConfig, sink: Optional[TextIO] = None) -> PrmRunRecord:
     """Plain gradient descent on the closed-form population risk.
 
-    Records loss, per-neuron norm statistics, and gradient norm at every
-    step; measures the hitting time (largest t with total student norm at
-    t+1 below (d/(pi M)) sqrt((d-1)/d)) and per-step norm growth bounds.
-    Growth is checked step by step, so no student is kept: the run notes
-    the first step t whose successor breaks it.
+    Each step's loss, per-neuron norm statistics and gradient norm go, as a
+    row of steps.csv, to the record's ``StepLog`` (and to ``sink``, an open
+    text file, when given); the student's row norms are taken once per step
+    and shared by the loss, the gradient and the row.  The run keeps
+    bounded state only: the loss at t = ceil(T*+1), the hitting time
+    (largest t with total student norm at t+1 below (d/(pi M))
+    sqrt((d-1)/d)) as a running value, and the first step t whose successor
+    breaks the per-step norm growth bounds.
     """
-    rec = PrmRunRecord(eta_compliant=config.eta <= max_compliant_eta(config) * (1.0 + 1e-12))
+    rec = PrmRunRecord(StepLog(sink=sink, header=_CSV_HEADER, row=_csv_row),
+                       eta_compliant=config.eta <= max_compliant_eta(config) * (1.0 + 1e-12))
     W = init_prm(config)
     threshold = (config.d / (math.pi * config.M)) * math.sqrt((config.d - 1) / config.d)
+    t_eval = math.ceil(prm_tstar_plus_one(config))
     prev = None
     first_bad_growth = None      # first t with |w_k(t)| < |w_k(t+1)| < 2 |w_k(t)| broken
     for t in range(config.steps + 1):
-        L = population_loss(W, config)
-        G = population_grad(W, config)
-        norms = np.linalg.norm(W, axis=1)
-        rec.losses.append(L)
-        rec.sum_norms.append(float(norms.sum()))
-        rec.min_norms.append(float(norms.min()))
-        rec.max_norms.append(float(norms.max()))
-        rec.grad_norms.append(float(np.linalg.norm(G)))
+        norms = _row_norms(W)
+        L = population_loss(W, config, norms)
+        G = population_grad(W, config, norms)
+        total = float(norms.sum())
+        rec.losses.append(PrmStep(t, L, total, float(norms.min()), float(norms.max()),
+                                  float(np.linalg.norm(G))))
+        if t == t_eval:
+            rec.horizon_loss = L
+        if t > 0 and total < threshold:
+            rec.measured_T = t - 1      # the successor of t - 1 keeps the total norm below
         if first_bad_growth is None and prev is not None and not (
                 np.all(prev < norms) and np.all(norms < 2.0 * prev)):
             first_bad_growth = t - 1
@@ -264,11 +317,7 @@ def run_prm_gd(config: TeacherStudentConfig) -> PrmRunRecord:
         if t == config.steps:
             break
         W = W - config.eta * G
-    # Hitting time: largest recorded t whose successor keeps the total norm below threshold.
-    rec.measured_T = -1
-    for t in range(len(rec.sum_norms) - 1):
-        if rec.sum_norms[t + 1] < threshold:
-            rec.measured_T = t
+    rec.losses.close()
     # Norm growth must hold along the certified horizon t <= T.
     rec.norm_monotone = first_bad_growth is None or first_bad_growth > rec.measured_T
     return rec
@@ -308,15 +357,6 @@ def prm_descent_certificate(config: TeacherStudentConfig,
         return CertificateReport("prm-two-term-descent", bound, math.nan, False, math.nan,
                                  inconclusive=True, context={"detail": detail})
     L0 = loss_at_origin(config)
-    return at_least("prm-two-term-descent", bound, L0 - record.losses[t_eval],
+    return at_least("prm-two-term-descent", bound, L0 - record.horizon_loss,
                     detail=f"evaluated at step {t_eval}; loss at the zero student {L0!r}")
 
-
-def prm_csv(record: PrmRunRecord) -> str:
-    """Render the run trace in the canonical CSV layout."""
-    buf = io.StringIO()
-    buf.write("t,loss,sum_norms,min_norm,max_norm,grad_norm\n")
-    for t in range(len(record.losses)):
-        buf.write(f"{t},{record.losses[t]!r},{record.sum_norms[t]!r},"
-                  f"{record.min_norms[t]!r},{record.max_norms[t]!r},{record.grad_norms[t]!r}\n")
-    return buf.getvalue()

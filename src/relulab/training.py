@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, TextIO, Tuple, Union
+from typing import Any, Callable, List, Optional, Protocol, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -124,6 +124,10 @@ class TwoStagePoly:
             raise ValueError(f"TwoStagePoly requires c in (0, {cap:.6g}]")
         if self.r < 1:
             raise ValueError("TwoStagePoly requires r >= 1")
+        if not self.cprime > 0:
+            raise ValueError("TwoStagePoly requires cprime > 0")
+        if self.T0 < 1:
+            raise ValueError("TwoStagePoly requires T0 >= 1")
         if not (0 < self.eta0 <= _MAX_ETA0):
             raise ValueError("TwoStagePoly requires eta0 in (0, 1/(2*sqrt(2))]")
 
@@ -198,42 +202,45 @@ def _row(r: StepRecord) -> str:
 
 
 class StepLog:
-    """A run's step records as a stream, in the canonical steps.csv layout.
+    """A run's step records as a stream of CSV rows: ``header``, then
+    ``row(r)`` of the records kept.  The default layout is the training
+    steps.csv; ``prm`` streams its own layout through the same class.
 
     ``append`` takes each record once, in step order, and writes its row
-    when t % every == 0; ``close`` writes the row of the last record when it
+    when r.t % every == 0; ``close`` writes the row of the last record when it
     has none, so the last step reached is always a row.  Every row goes to
     ``sink`` (an open text file, or nowhere) and into a running SHA-256 of
     the CSV.  Of the records the log keeps the first and the last; ``len``
     is the number appended.
     """
 
-    def __init__(self, every: int = 1, sink: Optional[TextIO] = None):
-        self.every, self.sink = every, sink
-        self.first: Optional[StepRecord] = None
-        self.last: Optional[StepRecord] = None
+    def __init__(self, every: int = 1, sink: Optional[TextIO] = None,
+                 header: str = _HEADER, row: Callable[[Any], str] = _row):
+        self.every, self.sink, self.row = every, sink, row
+        self.first: Any = None
+        self.last: Any = None
         self._count = 0
         self._pending = False      # the last record has no row yet
         self._sha = hashlib.sha256()
-        self._emit(_HEADER)
+        self._emit(header)
 
     def _emit(self, text: str) -> None:
         self._sha.update(text.encode())
         if self.sink is not None:
             self.sink.write(text)
 
-    def append(self, r: StepRecord) -> None:
+    def append(self, r) -> None:
         if self.first is None:
             self.first = r
         self.last = r
         self._count += 1
         self._pending = r.t % self.every != 0
         if not self._pending:
-            self._emit(_row(r))
+            self._emit(self.row(r))
 
     def close(self) -> None:
         if self._pending:
-            self._emit(_row(self.last))
+            self._emit(self.row(self.last))
             self._pending = False
 
     def digest(self) -> str:

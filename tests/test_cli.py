@@ -669,6 +669,10 @@ def test_global_kinds_default_to_the_exp_loss(monkeypatch):
      "certify-only is certified for full-batch training only and takes no train.batch"),
     (dict(TINY, schedule={"type": "constant", "eta": 0.05}, train={}),
      "schedule.eta: eta must lie in (0, 0.01] to define t*, not 0.05"),
+    (dict(GLOBAL_POLY, schedule=dict(GLOBAL_POLY["schedule"], T0=20, cprime=-0.5)),
+     "TwoStagePoly requires cprime > 0"),
+    (dict(GLOBAL_POLY, schedule=dict(GLOBAL_POLY["schedule"], T0=0)),
+     "TwoStagePoly requires T0 >= 1"),
 ])
 def test_config_errors_come_before_dataset_and_init(tmp_path, capsys, monkeypatch,
                                                     config, message):

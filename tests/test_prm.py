@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relulab import prm, rng
+from relulab import oracles, prm, rng
 from relulab.oracles import arccos_kernel, kernel_grad_w, mc_population_loss
 from relulab.prm import (
     TeacherStudentConfig,
@@ -15,7 +18,6 @@ from relulab.prm import (
     max_compliant_eta,
     population_grad,
     population_loss,
-    prm_csv,
     prm_descent_certificate,
     prm_tstar_plus_one,
     run_prm_gd,
@@ -181,6 +183,39 @@ def test_population_loss_is_bit_identical_to_the_fsum_oracle(m, M, low, high):
     assert population_loss(W, c) == loss
 
 
+def _students():
+    """(config, W): random students, M > d, m = 1, other memory layouts, and
+    nearly parallel or antiparallel rows whose cosines clip at +-1."""
+    gen = np.random.default_rng(5)
+    out = []
+    for d, m, M in ((10, 10, 10), (4, 3, 4), (10, 7, 13), (25, 60, 20), (40, 40, 40), (6, 1, 6),
+                    (5, 1, 9)):
+        for scale in (0.05, 1e-3):
+            out.append((cfg(d=d, m=m, M=M), scale * gen.standard_normal((m, d))))
+    W = 0.1 * gen.standard_normal((9, 12))
+    out += [(cfg(d=12, m=9, M=12), np.asfortranarray(W)), (cfg(d=6, m=9, M=6), W[:, ::2])]
+    for d, m in ((3, 4), (8, 12), (40, 33)):
+        base = gen.standard_normal(d)
+        signs = np.where(np.arange(m) % 3 == 2, -1.0, 1.0)
+        W = signs[:, None] * (1.0 + 1e-16 * np.arange(m))[:, None] * base
+        W[1::4] += 1e-17 * gen.standard_normal((len(W[1::4]), d))
+        out.append((cfg(d=d, m=m, M=d + 2), 0.01 * W))
+    return out
+
+
+def test_the_one_pass_step_is_bit_identical_to_the_whole_matrix_forms():
+    clipped = 0
+    for c, W in _students():
+        nw = np.linalg.norm(W, axis=1)
+        assert np.array_equal(nw, np.sqrt(np.add.reduce(W * W, axis=1)))
+        loss, G = oracles.population_loss_whole(W, c), oracles.population_grad_whole(W, c)
+        assert population_loss(W, c) == population_loss(W, c, nw) == loss
+        assert np.array_equal(population_grad(W, c), G)
+        assert np.array_equal(population_grad(W, c, nw), G)
+        clipped += int(np.sum(np.abs((W @ W.T) / np.outer(nw, nw)) > 1.0))
+    assert clipped > 0      # some cosines do clip
+
+
 # ---------------------------------------------------------------------------
 # Schedule constants and run
 # ---------------------------------------------------------------------------
@@ -202,13 +237,21 @@ def test_init_radius_and_determinism():
     assert np.allclose(np.linalg.norm(W1, axis=1), r, atol=1e-15)
 
 
+def _streamed(c):
+    """``run_prm_gd(c)`` with steps.csv streamed into a string: (record, text)."""
+    sink = io.StringIO()
+    return run_prm_gd(c, sink), sink.getvalue()
+
+
 def test_run_norm_growth_and_certificate():
     eta = max_compliant_eta(cfg(eta=1.0))
     c = cfg(eta=eta, steps=10)
-    rec = run_prm_gd(c)
+    rec, csv = _streamed(c)
     assert rec.eta_compliant
     assert rec.norm_monotone
-    assert all(l2 <= l1 + 1e-15 for l1, l2 in zip(rec.losses, rec.losses[1:]))
+    losses = [float(row.split(",")[1]) for row in csv.splitlines()[1:]]
+    assert len(losses) == len(rec.losses) == 11
+    assert all(l2 <= l1 + 1e-15 for l1, l2 in zip(losses, losses[1:]))
     cert = prm_descent_certificate(c, rec)
     assert not cert.inconclusive
     assert cert.passed
@@ -235,9 +278,8 @@ def test_certificate_fails_on_a_planted_loss():
     c = cfg(eta=max_compliant_eta(cfg(eta=1.0)), steps=10)
     rec = run_prm_gd(c)
     t_eval = math.ceil(prm_tstar_plus_one(c))
-    losses = list(rec.losses)
-    losses[t_eval] = loss_at_origin(c)
-    cert = prm_descent_certificate(c, dataclasses.replace(rec, losses=losses))
+    assert prm_descent_certificate(c, rec).passed
+    cert = prm_descent_certificate(c, dataclasses.replace(rec, horizon_loss=loss_at_origin(c)))
     assert not cert.passed and not cert.inconclusive
     assert cert.measured == 0.0 and cert.slack == -cert.theoretical < 0.0
     assert cert.context["detail"].startswith(f"evaluated at step {t_eval};")
@@ -245,7 +287,7 @@ def test_certificate_fails_on_a_planted_loss():
 
 def test_prm_csv_layout():
     c = cfg(eta=0.001, steps=2)
-    text = prm_csv(run_prm_gd(c))
+    _, text = _streamed(c)
     lines = text.strip().split("\n")
     assert lines[0] == "t,loss,sum_norms,min_norm,max_norm,grad_norm"
     assert len(lines) == 4
@@ -295,8 +337,8 @@ def _shrink_row_zero_at(grad, t):
     the growth condition."""
     calls = []
 
-    def planted(W, config):
-        G = grad(W, config)
+    def planted(W, config, *norms):
+        G = grad(W, config, *norms)
         calls.append(t)
         if len(calls) == t + 1:
             G[0] = 0.1 * W[0] / config.eta
@@ -320,3 +362,61 @@ def test_streamed_norm_growth_with_a_planted_shrink(monkeypatch, t, monotone):
         assert rec.measured_T < t       # the shrink lies beyond the certified horizon
     else:
         assert t <= rec.measured_T
+
+
+# ---------------------------------------------------------------------------
+# The streamed run against the whole-list reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("c,shrink_at", [
+    (cfg(eta=0.001, steps=0), None),
+    (_compliant(10, 10, 10, 0.1, 0, steps=2), None),       # horizon too short: INCONCLUSIVE
+    (_compliant(10, 10, 10, 0.1, 0, steps=10), None),
+    (_compliant(5, 4, 8, 0.1, 1, steps=30), None),         # extension mode, M > d
+    (_compliant(6, 1, 6, 0.1, 2, steps=30), None),         # m = 1
+    (_compliant(8, 5, 8, 0.1, 0, steps=40), 2),            # the growth check fails
+], ids=["steps-0", "short-horizon", "certified", "extension-mode", "m-1", "growth-fails"])
+def test_streamed_csv_is_the_whole_list_rendering(monkeypatch, c, shrink_at):
+    grad, grad_whole = prm.population_grad, oracles.population_grad_whole
+
+    def plant():
+        # A fresh shrink before each run: it counts the gradient calls.
+        if shrink_at is not None:
+            monkeypatch.setattr(prm, "population_grad", _shrink_row_zero_at(grad, shrink_at))
+            monkeypatch.setattr(oracles, "population_grad_whole",
+                                _shrink_row_zero_at(grad_whole, shrink_at))
+
+    plant()
+    rec, csv = _streamed(c)
+    plant()
+    rows = oracles.prm_rows(c)
+    plant()
+    assert (rec.measured_T, rec.norm_monotone) == _reference_T_and_growth(c)
+    assert csv == oracles.prm_csv(rows)
+    assert rec.losses.digest() == hashlib.sha256(csv.encode()).hexdigest()
+    assert len(rec.losses) == len(rows) == c.steps + 1
+    assert (rec.losses.first, rec.losses.last) == (rows[0], rows[-1])
+    t_eval = math.ceil(prm_tstar_plus_one(c))
+    if t_eval < len(rows):
+        assert rec.horizon_loss == rows[t_eval].loss
+    else:
+        assert math.isnan(rec.horizon_loss)
+        assert prm_descent_certificate(c, rec).inconclusive
+    assert rec.norm_monotone is (shrink_at is None)
+
+
+def _run_peak(steps):
+    """tracemalloc peak of ``run_prm_gd`` at d = 4, m = 3, M = 4, in bytes."""
+    c = cfg(d=4, m=3, M=4, eta=0.001, steps=steps)
+    tracemalloc.start()
+    try:
+        assert len(run_prm_gd(c).losses) == steps + 1
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prm_memory_does_not_grow_with_the_horizon():
+    # 18 000 more steps keep no per-step object: the rows go to the log's
+    # sink and digest as they are made.
+    assert _run_peak(20_000) - _run_peak(2000) < 0.25e6

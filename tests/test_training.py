@@ -129,6 +129,17 @@ def test_schedule_parameter_guards():
         TwoStagePoly(eta0=0.25, c=0.5, T0=10, cprime=0.5, r=1.0)  # c above cap
 
 
+@pytest.mark.parametrize("T0,cprime,message", [
+    (10, -0.5, "cprime > 0"), (10, 0.0, "cprime > 0"), (10, math.nan, "cprime > 0"),
+    (0, 0.5, "T0 >= 1"), (-3, 0.5, "T0 >= 1"),
+])
+def test_two_stage_poly_requires_a_positive_stage_two_rate_and_T0(T0, cprime, message):
+    # At c' <= 0 stage 2 ascends; T0 < 1 would start stage 2 at step 0.
+    with pytest.raises(ValueError, match=message):
+        TwoStagePoly(eta0=0.25, c=0.05, T0=T0, cprime=cprime, r=1.0)
+    TwoStagePoly(eta0=0.25, c=0.05, T0=1, cprime=1e-300, r=1.0)
+
+
 def test_loss_inverse_rate_identity():
     ds = gen_orthant_separable(n=8, d=6, seed=0)
     net0 = init_binary(64, 6, InitSpec(kappa=1e-4, seed=0))
