@@ -13,9 +13,12 @@ the tracemalloc peak, the process's ``ru_maxrss``, the size of steps.csv,
 the loss at the first and the last step, and each certificate's verdict.
 Whether L keeps falling in stage 1, the abstract's "global convergence of
 GD", shows only over 10^5 steps or more; a run's memory must not grow with
-them.  It then prints the tracemalloc peak of ``prm.run_prm_gd`` at d = 4,
-m = 3, M = 4 for 2000 and 20 000 steps, which must not grow either.  Not
-part of the test suite: 10^5 steps take about a minute.
+them.  It then prints the memory gate: the tracemalloc peak of ``verify``
+on the tests' global-poly config (``GLOBAL_POLY`` of ``tests/test_cli.py``:
+n = 10, d = 12, m = 256) at 5000 and at 50 000 steps, whose growth must stay
+under 1 MB; and the tracemalloc peak of ``prm.run_prm_gd`` at d = 4, m = 3,
+M = 4 for 2000 and 20 000 steps, which must not grow either.  Not part of
+the test suite: 10^5 steps take about a minute, the gate about 15 s more.
 Exit code: that of ``relulab verify``.
 """
 
@@ -32,6 +35,7 @@ import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(1, str(Path(__file__).resolve().parents[1]))
 from run_suite import GLOBAL_POLY  # noqa: E402
 
 from relulab.certificates import verdict  # noqa: E402
@@ -50,6 +54,23 @@ def prm_peak(steps: int) -> float:
         tracemalloc.stop()
 
 
+def verify_peak(config: dict, steps: int, out: Path, name: str):
+    """``relulab verify`` of ``config`` at ``train.steps`` = ``steps``, in this
+    process under tracemalloc, into ``out / name``: (exit code, tracemalloc
+    peak in bytes, wall seconds, run directory)."""
+    config_path = out / f"{name}.json"
+    config_path.write_text(json.dumps(dict(config, train={"steps": steps}), indent=2))
+    run_dir = out / name
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["verify", "--config", str(config_path), "--out", str(run_dir)])
+        return code, tracemalloc.get_traced_memory()[1], time.perf_counter() - start, run_dir
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True, help="output directory")
@@ -57,18 +78,7 @@ def main() -> int:
     args = parser.parse_args()
 
     args.out.mkdir(parents=True, exist_ok=True)
-    config = dict(GLOBAL_POLY, train={"steps": args.steps})
-    config_path = args.out / "global-poly.json"
-    config_path.write_text(json.dumps(config, indent=2))
-    run_dir = args.out / "global-poly"
-
-    tracemalloc.start()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli_main(["verify", "--config", str(config_path), "--out", str(run_dir)])
-    wall = time.perf_counter() - start
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    code, peak, wall, run_dir = verify_peak(GLOBAL_POLY, args.steps, args.out, "global-poly")
 
     summary = json.loads((run_dir / "summary.json").read_text())
     print(f"global-poly verify, {args.steps} steps: exit {code}, status {summary['status']}")
@@ -81,6 +91,16 @@ def main() -> int:
     for cert in json.loads((run_dir / "certificates.json").read_text()):
         print(f"  [{verdict(cert)}] {cert['cert_id']}: bound={cert['theoretical']:.6g} "
               f"measured={cert['measured']:.6g} slack={cert['slack']:.3g}")
+    # Imported only now: the pytest and hypothesis that tests/test_cli.py
+    # imports would otherwise count in the ru_maxrss above.
+    from tests.test_cli import GLOBAL_POLY as TEST_GLOBAL_POLY
+    # The long run goes first, so that what a first run allocates once
+    # counts in the growth rather than against it.
+    long, short = (verify_peak(TEST_GLOBAL_POLY, steps, args.out, f"test-global-poly-{steps}")[1] / 1e6
+                   for steps in (50_000, 5000))
+    print(f"tests' global-poly verify: tracemalloc peak {short:.2f} MB at 5000 steps, "
+          f"{long:.2f} MB at 50000 steps; growth {long - short:.2f} MB "
+          f"({'under' if long - short < 1.0 else 'NOT under'} the 1 MB gate)")
     print("prm run_prm_gd, d = 4, m = 3, M = 4: tracemalloc peak "
           + ", ".join(f"{prm_peak(steps):.3f} MB at {steps} steps" for steps in (2000, 20_000)))
     return code

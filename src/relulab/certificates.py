@@ -21,7 +21,6 @@ envelope's scale, without the lead.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -413,8 +412,9 @@ class RateEnvelope:
     ``kind``: ``poly_stage1`` checks L(t) <= L(1)/t^{Vc/2};
     ``exponential`` checks L(t) <= (1 - Vc/2)^{t-1} L(1).  From t = 1 on,
     each step is one comparison against the envelope through L(1), and the
-    worst slack keeps its first step.  The (t, L) columns of those steps
-    are kept as float64 (16 B per step) for ``fit_convergence_rate``'s fit.
+    worst slack keeps its first step.  Each step with L > 0 also updates
+    Welford's count, means and co-moments sum dx², sum dx·dy of x = log t
+    (``poly_stage1``) or t (``exponential``) and y = log L: the fit's state.
     """
 
     def __init__(self, kind: str, V: float, c: float):
@@ -423,7 +423,7 @@ class RateEnvelope:
         self.kind, self.rate = kind, V * c / 2.0
         self.L1: Optional[float] = None
         self.worst_slack, self.worst_t = math.inf, None
-        self.ts, self.losses = array("d"), array("d")
+        self.count, self.mean_x, self.mean_y, self.sxx, self.sxy = 0, 0.0, 0.0, 0.0, 0.0
 
     def step(self, t, net, H, alive, record) -> None:
         if t < 1:
@@ -438,49 +438,24 @@ class RateEnvelope:
         slack = env - L
         if slack < self.worst_slack:
             self.worst_slack, self.worst_t = slack, t
-        self.ts.append(t)
-        self.losses.append(L)
-
-
-def _fitted_decay(ts: np.ndarray, Ls: np.ndarray, log_t: bool) -> float:
-    """``np.polyfit(x, np.log(Ls), 1)[0]`` with x = log(ts) or ts, bit for bit,
-    in less memory: the same design [x, 1] scaled by its column norms and the
-    same ``lstsq`` call, without polyfit's copies of x and y, of the squared
-    design and of the scaling's buffer, and with x dropped before log L is
-    formed.  The squared norm of x is summed in row order, as numpy sums
-    axis 0 of the design; each column is divided by its norm as it is
-    filled, which rounds as dividing the whole design does."""
-    x = np.log(ts) if log_t else ts
-    n = len(x)
-    sq = x * x
-    np.add.accumulate(sq, out=sq)
-    scale = np.sqrt(np.array([sq[-1], float(n)]))
-    del sq
-    lhs = np.empty((n, 2))
-    np.divide(x, scale[0], out=lhs[:, 0])
-    lhs[:, 1] = 1.0 / scale[1]
-    del x
-    coef = np.linalg.lstsq(lhs, np.log(Ls), n * np.finfo(np.float64).eps)[0]
-    return float(coef[0] / scale[0])
+        if L > 0.0:
+            x, y = (math.log(t) if self.kind == "poly_stage1" else t), math.log(L)
+            self.count += 1
+            dx = x - self.mean_x
+            self.mean_x += dx / self.count
+            self.mean_y += (y - self.mean_y) / self.count
+            self.sxx += dx * (x - self.mean_x)
+            self.sxy += dx * (y - self.mean_y)
 
 
 def fit_convergence_rate(envelope: RateEnvelope) -> CertificateReport:
-    """The rate-<kind> report of the steps ``envelope`` saw: the worst slack
-    against the envelope, and the least-squares fitted decay of the steps
-    with L > 0 for diagnostics."""
+    """The rate-<kind> report: its worst slack, and the slope of log L on x (NaN below two points)."""
     if envelope.L1 is None:
         raise ValueError("record at t = 1 required")
-    ts, Ls = np.frombuffer(envelope.ts), np.frombuffer(envelope.losses)
-    positive = Ls > 0
-    if not positive.all():
-        ts, Ls = ts[positive], Ls[positive]
-    fit = _fitted_decay(ts, Ls, envelope.kind == "poly_stage1") if len(ts) > 1 else math.nan
-    return CertificateReport(
-        cert_id=f"rate-{envelope.kind}",
-        theoretical=envelope.rate, measured=fit,
-        passed=envelope.worst_slack >= 0.0, slack=envelope.worst_slack,
-        context={"worst_t": envelope.worst_t, "fitted_decay": fit},
-    )
+    fit = envelope.sxy / envelope.sxx if envelope.count > 1 else math.nan
+    slack = envelope.worst_slack
+    return CertificateReport(f"rate-{envelope.kind}", envelope.rate, fit, slack >= 0.0, slack,
+                             context={"worst_t": envelope.worst_t, "fitted_decay": fit})
 
 
 # ---------------------------------------------------------------------------

@@ -87,40 +87,51 @@ def _require(obj: dict, key: str, where: str, cast=None):
     return obj[key] if cast is None else _cast(obj[key], f"{where}.{key}", cast)
 
 
+# What each cast takes: float a JSON number, int a JSON integer, bool a JSON
+# boolean, Path a string.  Python's bool is an int, so ``_cast`` tests for it
+# first: no number key takes true or false.
+_JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), Path: (str,)}
+
+
 def _cast(value, where: str, cast=float):
-    """``cast(value)``; a JSON type the cast refuses (null, an array, an object;
-    a number for a path) is a ConfigError, a malformed string a ValueError."""
-    try:
-        return cast(value)
-    except TypeError:
-        raise ConfigError(f"{where}: cannot read {json.dumps(value)} as {cast.__name__}") from None
+    """``cast(value)`` of a value of the JSON type ``cast`` reads; any other
+    value (a string or a boolean for a number, a fraction for an integer,
+    null, an array, an object) is a ConfigError."""
+    if isinstance(value, bool) != (cast is bool) or not isinstance(value, _JSON_TYPES[cast]):
+        raise ConfigError(f"{where}: cannot read {json.dumps(value)} as {cast.__name__}")
+    return cast(value)
 
 
 # ---------------------------------------------------------------------------
 # Dataset / schedule / model construction
 # ---------------------------------------------------------------------------
 
-def build_dataset(spec: dict, default_seed: int = 0) -> LabeledDataset:
+def dataset_loader(spec: dict, default_seed: int = 0) -> Callable[[], LabeledDataset]:
+    """The dataset a config's ``dataset`` section names, as a call not yet
+    made; a malformed section is a ConfigError here, before anything is read."""
     where = "dataset"
     kind = _require(_object(spec, where), "type", where)
     if kind == "synthetic":
         _strict(spec, {"type", "n", "d", "seed", "antipodal"}, where)
-        return gen_orthant_separable(
+        return functools.partial(
+            gen_orthant_separable,
             n=_require(spec, "n", where, int), d=_require(spec, "d", where, int),
             seed=_cast(spec.get("seed", default_seed), "dataset.seed", int),
-            include_antipodal=bool(spec.get("antipodal", True)))
-    if kind == "mnist":
-        _strict(spec, {"type", "images", "labels", "count", "normalize"}, where)
-        return load_mnist(_require(spec, "images", where, Path),
-                          _require(spec, "labels", where, Path),
-                          count=_cast(spec.get("count", 1000), "dataset.count", int),
-                          normalize=bool(spec.get("normalize", True)))
-    if kind == "cifar10":
-        _strict(spec, {"type", "path", "count", "normalize"}, where)
-        return load_cifar10(_require(spec, "path", where, Path),
-                            count=_cast(spec.get("count", 1000), "dataset.count", int),
-                            normalize=bool(spec.get("normalize", True)))
-    raise ConfigError(f"{where}: unknown type {kind!r}")
+            include_antipodal=_cast(spec.get("antipodal", True), "dataset.antipodal", bool))
+    if kind not in ("mnist", "cifar10"):
+        raise ConfigError(f"{where}: unknown type {kind!r}")
+    paths = ("images", "labels") if kind == "mnist" else ("path",)
+    _strict(spec, {"type", *paths, "count", "normalize"}, where)
+    return functools.partial(
+        load_mnist if kind == "mnist" else load_cifar10,
+        *(_require(spec, key, where, Path) for key in paths),
+        count=_cast(spec.get("count", 1000), "dataset.count", int),
+        normalize=_cast(spec.get("normalize", True), "dataset.normalize", bool))
+
+
+def build_dataset(load: Callable[[], LabeledDataset]) -> LabeledDataset:
+    """Read the dataset of a ``dataset_loader``: the call ``perfbench/tracing.py`` times."""
+    return load()
 
 
 def build_schedule(spec: dict):
@@ -412,8 +423,9 @@ def run_experiment(config: dict, certify: bool = True, outdir: Optional[Path] = 
     batch_spec = train_spec.get("batch")
     if batch_spec is not None and spec.variant != "multi":
         raise ConfigError(f"{kind} is certified for full-batch training only and takes no train.batch")
-    batch_size = (None if batch_spec is None else
-                  _require(_strict(batch_spec, {"B", "seed"}, "train.batch"), "B", "train.batch", int))
+    batch_size, batch_seed = (None, None) if batch_spec is None else (
+        _require(_strict(batch_spec, {"B", "seed"}, "train.batch"), "B", "train.batch", int),
+        _cast(batch_spec.get("seed", seed + 1), "train.batch.seed", int))
     eta = schedule.eta if isinstance(schedule, Constant) else schedule.eta0
     ts = None   # t*: the early kinds' default horizon and their certificates' window
     if spec.trains and isinstance(schedule, Constant) and (certify or "steps" not in train_spec):
@@ -428,8 +440,9 @@ def run_experiment(config: dict, certify: bool = True, outdir: Optional[Path] = 
     record_every = _cast(train_spec.get("record_every", 1), "train.record_every", int)
     if record_every < 1:
         raise ConfigError("record_every must be >= 1")
+    load = dataset_loader(_require(config, "dataset", "config"), default_seed=seed)
 
-    ds = build_dataset(_require(config, "dataset", "config"), default_seed=seed)
+    ds = build_dataset(load)
     labels = "onehot" if spec.variant == "multi" else "binary"
     if ds.label_kind != labels:
         raise ConfigError(f"{kind} requires a dataset with {labels} labels")
@@ -439,8 +452,7 @@ def run_experiment(config: dict, certify: bool = True, outdir: Optional[Path] = 
     init = InitSpec(kappa=kappa, seed=seed)
     net0 = (init_multi(m, ds.d, ds.num_classes, init) if spec.variant == "multi"
             else init_binary(m, ds.d, init))
-    batching = Full() if batch_spec is None else Stochastic(
-        B=batch_size, seed=_cast(batch_spec.get("seed", seed + 1), "train.batch.seed", int))
+    batching = Full() if batch_spec is None else Stochastic(B=batch_size, seed=batch_seed)
     tconf = TrainConfig(steps=steps, batching=batching, trained_layers=trained_layers)
     ctx.update(net0=net0, kappa=kappa)
     observers, ctx["report"] = spec.certify(ctx) if certify else ((), None)
@@ -597,7 +609,7 @@ def _print_certificates(cert_dicts: list) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(config: dict, outdir: Path, seed: Optional[int]) -> int:
-    ds = build_dataset(config, default_seed=seed if seed is not None else 0)
+    ds = build_dataset(dataset_loader(config, default_seed=seed if seed is not None else 0))
     outdir.mkdir(parents=True, exist_ok=True)
     export_dataset_csv(ds, outdir / "dataset.csv", outdir / "dataset.json")
     print(f"wrote {outdir / 'dataset.csv'} ({ds.n} x {ds.d}, {ds.label_kind})")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relulab import cli, oracles, training
+from relulab import certificates as certs, cli, oracles, training
 from relulab.certificates import CertificateReport, verdict
 from relulab.cli import evaluate_certificates, main, run_experiment
 from relulab.datasets import write_idx_images, write_idx_labels
@@ -382,6 +382,72 @@ def test_multi_gram_entries_at_least_one_fails_on_a_planted_minimum(onehot_spec)
     assert rep["slack"] == -0.5
 
 
+def test_early_descent_multi_follows_the_loss_at_tstar(monkeypatch, onehot_spec):
+    """Negative control: L(t*) planted one below L(0) passes
+    early-descent-multi, L(t*) = L(0) fails it; every other report keeps
+    its verdict."""
+    config = _small_config("early-multiclass", onehot_spec)
+    handed = _hand_out(monkeypatch)
+    record, ctx = run_experiment(config)
+    ts, L0 = ctx["tstar"], handed[0].loss
+    verdicts = {}
+    for planted in (L0 - 1.0, L0):
+        _hand_out(monkeypatch, {ts: lambda r, planted=planted: {"loss": planted}})
+        record, ctx = run_experiment(config)
+        reports = {c["cert_id"]: c for c in evaluate_certificates(record, ctx)}
+        rep = reports["early-descent-multi"]
+        assert rep["measured"] == L0 - planted and rep["context"]["t_star"] == ts
+        verdicts[planted] = {k: verdict(c) for k, c in reports.items()}
+    assert verdicts[L0 - 1.0].pop("early-descent-multi") == "PASS"
+    assert verdicts[L0].pop("early-descent-multi") == "FAIL"
+    assert verdicts[L0 - 1.0] == verdicts[L0]
+
+
+def test_stochastic_gradient_alignment_fails_below_its_bound(onehot_spec):
+    """Negative control: the least batch alignment of a run, planted on either
+    side of 0.9801, decides stochastic-gradient-alignment."""
+    record, ctx = run_experiment(_small_config("early-multiclass", onehot_spec))
+
+    def alignment(least):
+        reports = evaluate_certificates(dataclasses.replace(record, min_batch_alignment=least), ctx)
+        (rep,) = [c for c in reports if c["cert_id"] == "stochastic-gradient-alignment"]
+        return rep
+
+    rep = alignment(0.99)
+    assert verdict(rep) == "PASS" and rep["measured"] == 0.99
+    rep = alignment(0.5)
+    assert verdict(rep) == "FAIL" and (rep["theoretical"], rep["measured"]) == (0.9801, 0.5)
+    assert rep["slack"] == 0.5 - 0.9801
+
+
+def test_gram_cross_class_zero_fails_on_a_planted_entry(monkeypatch):
+    """Negative control: one cross-class Gram entry planted at 1e-300 at t = 3
+    fails gram-cross-class-zero, which names its pair; every other report
+    keeps its verdict."""
+    record, ctx = run_experiment(EARLY_BINARY)
+    before = {c["cert_id"]: verdict(c) for c in evaluate_certificates(record, ctx)}
+    assert before["gram-cross-class-zero"] == "PASS"
+    y = ctx["ds"].labels
+    i, j = 0, int(np.flatnonzero(y != y[0])[0])
+    gram_matrix, calls = certs.gram_matrix, []
+
+    def planted(*args):
+        G = gram_matrix(*args)
+        calls.append(None)
+        if len(calls) == 3:     # the Gram matrix of t = 3
+            G[i, j] = G[j, i] = 1e-300
+        return G
+
+    monkeypatch.setattr(certs, "gram_matrix", planted)
+    record, ctx = run_experiment(EARLY_BINARY)
+    after = {c["cert_id"]: c for c in evaluate_certificates(record, ctx)}
+    rep = after.pop("gram-cross-class-zero")
+    assert verdict(rep) == "FAIL" and rep["measured"] == 1e-300 and rep["slack"] == -1e-300
+    assert rep["context"]["pair"] == [i, j]
+    assert {k: verdict(c) for k, c in after.items()} == {
+        k: v for k, v in before.items() if k != "gram-cross-class-zero"}
+
+
 TINY = dict(EARLY_BINARY, dataset={"type": "synthetic", "n": 6, "d": 8, "seed": 1},
             model={"m": 16, "kappa": "auto"}, train={"steps": 3})
 LOSS_INVERSE = {"type": "loss-inverse", "eta0": 0.25, "c": 0.5}
@@ -605,8 +671,9 @@ def test_hitting_time_sentinel_is_the_last_step_reached():
     assert rep["measured"] == 46.0 and rep["slack"] == 46.0 - 44.0
 
 
-# A run keeps no per-step object: of 4500 more steps, verify keeps only the
-# rate fit's two float64 columns (72 kB), train nothing.
+# A run keeps no per-step object, and the rate fit keeps running moments, not
+# columns: 4500 more steps grow the peak by about 17 kB for verify and 8 kB
+# for train (a passing run; a failing one keeps each partition violation).
 PEAK_GROWTH_BOUND = 0.25e6   # bytes
 
 
@@ -673,6 +740,21 @@ def test_global_kinds_default_to_the_exp_loss(monkeypatch):
      "TwoStagePoly requires cprime > 0"),
     (dict(GLOBAL_POLY, schedule=dict(GLOBAL_POLY["schedule"], T0=0)),
      "TwoStagePoly requires T0 >= 1"),
+    # Integer keys take JSON integers, number keys JSON numbers, and the
+    # dataset's switches JSON booleans: nothing is rounded or coerced.
+    (dict(TINY, dataset=dict(TINY["dataset"], n=6.9)), "dataset.n: cannot read 6.9 as int"),
+    (dict(TINY, model={"m": 16.7, "kappa": "auto"}), "model.m: cannot read 16.7 as int"),
+    (dict(TINY, train={"steps": 3.9}), "train.steps: cannot read 3.9 as int"),
+    (dict(TINY, train={"steps": 3.0}), "train.steps: cannot read 3.0 as int"),
+    (dict(TINY, seed=True), "config.seed: cannot read true as int"),
+    (dict(TINY, dataset=dict(TINY["dataset"], antipodal="false")),
+     'dataset.antipodal: cannot read "false" as bool'),
+    (dict(TINY, dataset=dict(TINY["dataset"], antipodal=0)), "dataset.antipodal: cannot read 0 as bool"),
+    (dict(TINY, dataset={"type": "mnist", "images": "i", "labels": "l", "normalize": 1}),
+     "dataset.normalize: cannot read 1 as bool"),
+    (dict(TINY, delta="0.05"), 'config.delta: cannot read "0.05" as float'),
+    (dict(TINY, model={"m": 16, "kappa": True}), "model.kappa: cannot read true as float"),
+    (dict(TINY, schedule={"type": "constant", "eta": False}), "schedule.eta: cannot read false as float"),
 ])
 def test_config_errors_come_before_dataset_and_init(tmp_path, capsys, monkeypatch,
                                                     config, message):
