@@ -16,9 +16,11 @@ GD", shows only over 10^5 steps or more; a run's memory must not grow with
 them.  It then prints the memory gate: the tracemalloc peak of ``verify``
 on the tests' global-poly config (``GLOBAL_POLY`` of ``tests/test_cli.py``:
 n = 10, d = 12, m = 256) at 5000 and at 50 000 steps, whose growth must stay
-under 1 MB; and the tracemalloc peak of ``prm.run_prm_gd`` at d = 4, m = 3,
-M = 4 for 2000 and 20 000 steps, which must not grow either.  Not part of
-the test suite: 10^5 steps take about a minute, the gate about 15 s more.
+under 1 MB, beside the same growth at kappa = 1, where the partition check
+fails at every step; and the tracemalloc peak of ``prm.run_prm_gd`` at
+d = 4, m = 3, M = 4 for 2000 and 20 000 steps, which must not grow either.
+Not part of the test suite: 10^5 steps take about a minute, the gates about
+a minute more.
 Exit code: that of ``relulab verify``.
 """
 
@@ -94,13 +96,17 @@ def main() -> int:
     # Imported only now: the pytest and hypothesis that tests/test_cli.py
     # imports would otherwise count in the ru_maxrss above.
     from tests.test_cli import GLOBAL_POLY as TEST_GLOBAL_POLY
-    # The long run goes first, so that what a first run allocates once
-    # counts in the growth rather than against it.
-    long, short = (verify_peak(TEST_GLOBAL_POLY, steps, args.out, f"test-global-poly-{steps}")[1] / 1e6
-                   for steps in (50_000, 5000))
-    print(f"tests' global-poly verify: tracemalloc peak {short:.2f} MB at 5000 steps, "
-          f"{long:.2f} MB at 50000 steps; growth {long - short:.2f} MB "
-          f"({'under' if long - short < 1.0 else 'NOT under'} the 1 MB gate)")
+    failing = dict(TEST_GLOBAL_POLY, model=dict(TEST_GLOBAL_POLY["model"], kappa=1))
+    for label, config in (("tests' global-poly verify", TEST_GLOBAL_POLY),
+                          ("the same at kappa = 1 (partition fails)", failing)):
+        name = f"test-global-poly-kappa-{config['model']['kappa']}"
+        # The long run goes first, so that what a first run allocates once
+        # counts in the growth rather than against it.
+        long, short = (verify_peak(config, steps, args.out, f"{name}-{steps}")[1] / 1e6
+                       for steps in (50_000, 5000))
+        print(f"{label}: tracemalloc peak {short:.2f} MB at 5000 steps, "
+              f"{long:.2f} MB at 50000 steps; growth {long - short:.2f} MB "
+              f"({'under' if long - short < 1.0 else 'NOT under'} the 1 MB gate)")
     print("prm run_prm_gd, d = 4, m = 3, M = 4: tracemalloc peak "
           + ", ".join(f"{prm_peak(steps):.3f} MB at {steps} steps" for steps in (2000, 20_000)))
     return code

@@ -17,9 +17,11 @@ for 20 000 steps (its steps.csv is streamed), and at kappa = 0.9, where the
 certified horizon is empty, with and without ``prm.steps``, ``gen-data`` on a binary dataset with and without the
 antipodal pair and on the IDX corpus, a two-cell ``sweep``, a small
 early-binary ``verify`` at eta = 1e-4 with its default horizon (T_e =
-2204), three ``verify`` runs whose partition checks fail (the early-binary
+2204), four ``verify`` runs whose partition checks fail (the early-binary
 workload at m = 512, kappa = 100; the global-poly workload and the suite's
-global-exp regime at kappa = 1 for 300 steps), a ``verify`` of the
+global-exp regime at kappa = 1 for 300 steps, and the global-poly workload
+at kappa = 1 for 5000 steps, whose count and earliest violation come from a
+run that fails at every step), a ``verify`` of the
 early-binary and global-poly workloads at ``train.record_every: 5``, three
 runs of the streamed steps.csv (a global-poly ``verify`` at ``train.steps:
 5000`` and ``record_every: 7``, an early-binary ``train`` that aborts at
@@ -114,9 +116,10 @@ def write_inputs(change: Path, inputs: Path) -> list:
     early, poly = (workloads.config(name, 0)[1] for name in ("early-binary", "global-poly"))
     configs["partition-fails-early-binary"] = ("verify", dict(early, model={"m": 512,
                                                                            "kappa": 100}))
-    for name, cfg in (("global-poly", poly), ("global-exp", suite.GLOBAL_EXP)):
+    for name, cfg, steps in (("global-poly", poly, 300), ("global-exp", suite.GLOBAL_EXP, 300),
+                             ("global-poly-5000", poly, 5000)):
         configs[f"partition-fails-{name}"] = ("verify", dict(
-            cfg, model=dict(cfg["model"], kappa=1), train={"steps": 300}))
+            cfg, model=dict(cfg["model"], kappa=1), train={"steps": steps}))
     # Certificates read every step's record whatever the steps.csv thinning.
     for name, cfg in (("early-binary", early), ("global-poly", poly)):
         configs[f"record-every-5-{name}"] = ("verify", dict(

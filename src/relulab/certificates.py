@@ -315,7 +315,8 @@ def check_gram_lower_bound(G: np.ndarray, ds: LabeledDataset,
 
 class GramChecks:
     """The binary Gram checks at each step in ``steps``; keeps the worst
-    (least-slack, first on a tie) report of each check."""
+    (least-slack, first on a tie) report of each check, with its step as
+    ``context["t"]``."""
 
     def __init__(self, ds: LabeledDataset, consts: TheoryConstants, steps: range = EVERY_STEP):
         self.ds, self.consts, self.steps = ds, consts, steps
@@ -328,6 +329,7 @@ class GramChecks:
         G = gram_matrix(net, self.ds, H, alive)
         block = check_block_structure(G, self.ds)
         lower = check_gram_lower_bound(G, self.ds, self.consts)
+        block.context["t"] = lower.context["t"] = t
         if self.block is None or block.slack < self.block.slack:
             self.block = block
         if self.lower is None or lower.slack < self.lower.slack:

@@ -88,9 +88,10 @@ def _require(obj: dict, key: str, where: str, cast=None):
 
 
 # What each cast takes: float a JSON number, int a JSON integer, bool a JSON
-# boolean, Path a string.  Python's bool is an int, so ``_cast`` tests for it
-# first: no number key takes true or false.
-_JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), Path: (str,)}
+# boolean, Path and str a string, list an array.  Python's bool is an int, so
+# ``_cast`` tests for it first: no number key takes true or false.
+_JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), Path: (str,), str: (str,),
+               list: (list,)}
 
 
 def _cast(value, where: str, cast=float):
@@ -185,9 +186,12 @@ def _kappa_global(eta: float, ctx) -> float:
     return min(1e-3, eta * _mu0(ctx) / (3.0 * ctx["ds"].n))
 
 
-def _partition_report(cert_id: str, viols: list) -> dict:
-    return certs.at_most(cert_id, 0.0, float(len(viols)),
-                         first=viols[0].__dict__ if viols else None).as_dict()
+def _partition_report(cert_id: str, dynamics) -> dict:
+    """The violation count of a partition observer against 0; ``first`` is
+    its earliest violation."""
+    first = dynamics.first
+    return certs.at_most(cert_id, 0.0, float(dynamics.count),
+                         first=first.__dict__ if first else None).as_dict()
 
 
 def _hitting_time_report(record, ts: int) -> dict:
@@ -245,7 +249,7 @@ def _certify_early_binary(ctx):
                                       t=steps[k].t, failing_steps=failing).as_dict())
         out.extend(r.as_dict() for r in gram.reports())
         if dynamics.seen > 1:   # steps 0 and 1: the first-step rules
-            out.append(_partition_report("partition-dynamics-early", dynamics.violations()))
+            out.append(_partition_report("partition-dynamics-early", dynamics))
         return out
 
     return [gram, dynamics, window], report
@@ -265,8 +269,9 @@ def _certify_early_multiclass(ctx):
                                     inconclusive=budget is not None and budget >= 1.0,
                                     budget=budget)
         if gram.minima:
-            out.append(certs.at_least("multi-gram-entries-at-least-one", 1.0,
-                                      min(gram.minima)).as_dict())
+            least = min(gram.minima)
+            out.append(certs.at_least("multi-gram-entries-at-least-one", 1.0, least,
+                                      t=gram.steps[gram.minima.index(least)]).as_dict())
         if record.min_batch_alignment is not None:
             out.append(certs.at_least("stochastic-gradient-alignment",
                                       certs.STOCHASTIC_ALIGNMENT_BOUND,
@@ -301,9 +306,8 @@ def _certify_global(ctx, envelope: str):
             out.append(certs.CertificateReport(
                 "correct-classification", 0.0, least, cc is None, least,
                 context={"t": t, "first_violation": cc}).as_dict())
-        viols = dynamics.violations()
-        if reached or viols:
-            out.append(_partition_report("partition-dynamics-global", viols))
+        if reached or dynamics.count:
+            out.append(_partition_report("partition-dynamics-global", dynamics))
         return out
 
     return [dynamics, rate, margins], report
@@ -331,7 +335,7 @@ class Kind:
     variant: str                  # "binary" | "multi": the network and the label kind
     loss: str                     # default loss key
     loss_kinds: Tuple[str, ...]   # LossFamily.kind values the certificates are derived for
-    trained_layers: str           # default train.trained_layers
+    trained_layers: str           # "all" | "input_only": the layers training updates
     schedules: Tuple[str, ...]    # schedule types the certificates can read
     kappa_cap: Callable[[float, dict], float]   # (eta, run context) -> kappa for "auto"
     certify: Callable[[dict], tuple]   # ctx -> (observers, report(record) -> report dicts)
@@ -390,13 +394,9 @@ def run_experiment(config: dict, certify: bool = True, outdir: Optional[Path] = 
         raise ConfigError("use run_prm_experiment for prm configs" if kind == "prm" else
                           f"config: unknown kind {kind!r}; known: {', '.join(_KINDS)}, prm")
     _strict(config, _TOP_KEYS, "config")
-    train_spec = _strict(config.get("train", {}), {"steps", "batch", "trained_layers", "record_every"},
-                         "train")
+    train_spec = _strict(config.get("train", {}), {"steps", "batch", "record_every"}, "train")
     if not spec.trains and "steps" in train_spec:
         raise ConfigError(f"{kind} certifies the dataset and takes no train.steps")
-    trained_layers = train_spec.get("trained_layers", spec.trained_layers)
-    if spec.variant == "multi" and trained_layers == "input_only":
-        raise ConfigError(f"{kind}: input-only training is defined for the binary network only")
     loss_key = config.get("loss", spec.loss)
     if loss_key not in LOSS_KEYS:
         raise ConfigError(f"config: unknown loss {loss_key!r}; known: {', '.join(LOSS_KEYS)}")
@@ -453,7 +453,7 @@ def run_experiment(config: dict, certify: bool = True, outdir: Optional[Path] = 
     net0 = (init_multi(m, ds.d, ds.num_classes, init) if spec.variant == "multi"
             else init_binary(m, ds.d, init))
     batching = Full() if batch_spec is None else Stochastic(B=batch_size, seed=batch_seed)
-    tconf = TrainConfig(steps=steps, batching=batching, trained_layers=trained_layers)
+    tconf = TrainConfig(steps=steps, batching=batching, trained_layers=spec.trained_layers)
     ctx.update(net0=net0, kappa=kappa)
     observers, ctx["report"] = spec.certify(ctx) if certify else ((), None)
     if outdir is None:
@@ -635,11 +635,14 @@ def cmd_verify(config: dict, outdir: Path, seed: Optional[int]) -> int:
 
 
 def _set_path(obj: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     cur = obj
-    for p in parts[:-1]:
-        cur = cur.setdefault(p, {})
-    cur[parts[-1]] = value
+    for depth, key in enumerate(parents, 1):
+        cur = cur.setdefault(key, {})
+        if not isinstance(cur, dict):
+            raise ConfigError(f"sweep.axes: path {dotted!r} runs through "
+                              f"{'.'.join(parents[:depth])!r}, which is not an object")
+    cur[leaf] = value
 
 
 _SWEEP_COLUMNS = ["run_dir", "status", "initial_loss", "final_loss",
@@ -650,10 +653,7 @@ def _sweep_entry(args):
     """Run one sweep cell; returns (ok, row).  A cell whose config is invalid
     becomes a ``status=error:<msg>`` row with empty numeric fields, so the
     other cells' rows are kept."""
-    base, assignment, subdir = args
-    config = json.loads(json.dumps(base))
-    for path, value in assignment:
-        _set_path(config, path, value)
+    config, assignment, subdir = args
     row = dict.fromkeys(_SWEEP_COLUMNS, "")
     row["run_dir"] = str(subdir)
     row.update(assignment)
@@ -676,12 +676,20 @@ def cmd_sweep(spec: dict, outdir: Path, jobs: int) -> int:
         raise ConfigError(f"sweep.axes: expected a JSON array, not {json.dumps(axes)}")
     for ax in axes:
         _strict(ax, {"path", "values"}, "sweep.axes")
+        _require(ax, "path", "sweep.axes", str)
+        _require(ax, "values", "sweep.axes", list)
     combos = list(itertools.product(*[[(ax["path"], v) for v in ax["values"]] for ax in axes]))
     if len(combos) > 10_000:
         raise ConfigError(f"sweep cross-product {len(combos)} exceeds 10000")
+    # Every cell's config is formed before any cell runs: a path through a
+    # value that is not an object is a config error of the whole sweep.
+    tasks = []
+    for i, assignment in enumerate(combos):
+        config = json.loads(json.dumps(base))
+        for path, value in assignment:
+            _set_path(config, path, value)
+        tasks.append((config, assignment, str(outdir / f"run_{i:04d}")))
     outdir.mkdir(parents=True, exist_ok=True)
-    tasks = [(base, assignment, str(outdir / f"run_{i:04d}"))
-             for i, assignment in enumerate(combos)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:

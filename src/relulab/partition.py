@@ -16,9 +16,10 @@ verifies that positivity before relying on it.
 The dynamics checks are observers of a training run (``EarlyDynamics``,
 ``GlobalDynamics``): each step hands them the preactivation H of the
 training pass and its activity mask alive (H > 0); they add the mask agree
-(y_i a_k > 0) and keep two states' cells, not the trajectory.
-``check_dynamics_early`` / ``check_dynamics_global`` drive the same
-observers over a list of states.
+(y_i a_k > 0) and keep two states' cells, not the trajectory, and of the
+violations only their count and the earliest.  ``check_dynamics_early`` /
+``check_dynamics_global`` drive the same observers over a list of states
+and collect every violation.
 
 The sign rule (S5) is checked exactly at the segment endpoints: the
 preactivations are affine in the parameters, so a sign is constant and
@@ -173,17 +174,18 @@ def initial_partition_stats(net0: BinaryNet, ds: LabeledDataset, delta: float) -
 # ---------------------------------------------------------------------------
 
 class _Segments:
-    """Exact sign rule on the segments t -> t+1 from step 1 on: the first
-    failing segment's entry that leaves sign(H_1) first, or nothing."""
+    """Exact sign rule on the segments t -> t+1 from step 1 on: ``step``
+    returns the first failing segment's entry that leaves sign(H_1) first,
+    and sets ``done``; every other call returns None."""
 
     def __init__(self, rule: str):
         self.rule = rule
-        self.found: List[DynamicsViolation] = []
+        self.done = False
         self._ref = self._H0 = self._bad0 = None
 
-    def step(self, t: int, H: np.ndarray, alive: np.ndarray) -> None:
-        if t == 0 or self.found:
-            return
+    def step(self, t: int, H: np.ndarray, alive: np.ndarray) -> Optional[DynamicsViolation]:
+        if t == 0 or self.done:
+            return None
         if self._ref is None:
             # A copy: the pass's own mask, held for the whole run, leaves the
             # heap laid out so that each early-binary call takes about 100
@@ -191,18 +193,20 @@ class _Segments:
             self._ref = (alive.copy(), H < 0.0)
         bad = _off_sign(self._ref, H, alive)
         H0, bad0 = self._H0, self._bad0
-        if H0 is not None and (bad0.any() or bad.any()):
-            i, k = np.nonzero(bad0 | bad)
-            lam = np.zeros(i.size)
-            on = ~bad0[i, k]                   # still on the reference sign at H_{t-1}
-            h0, h1 = H0[i, k][on], H[i, k][on]
-            lam[on] = h0 / (h0 - h1)
-            j = int(np.argmin(lam))
-            self.found.append(DynamicsViolation(
-                self.rule, t - 1, int(i[j]), int(k[j]),
-                f"preactivation sign changed along segment t={t - 1}->{t} at lambda*={lam[j]:.6g}",
-                lam=float(lam[j])))
         self._H0, self._bad0 = H, bad
+        if H0 is None or not (bad0.any() or bad.any()):
+            return None
+        i, k = np.nonzero(bad0 | bad)
+        lam = np.zeros(i.size)
+        on = ~bad0[i, k]                   # still on the reference sign at H_{t-1}
+        h0, h1 = H0[i, k][on], H[i, k][on]
+        lam[on] = h0 / (h0 - h1)
+        j = int(np.argmin(lam))
+        self.done = True
+        return DynamicsViolation(
+            self.rule, t - 1, int(i[j]), int(k[j]),
+            f"preactivation sign changed along segment t={t - 1}->{t} at lambda*={lam[j]:.6g}",
+            lam=float(lam[j]))
 
     def hold(self, H: np.ndarray) -> None:
         """A step known to keep every sign of step 1, after a step that did:
@@ -217,21 +221,17 @@ def _off_sign(ref: Tuple[np.ndarray, np.ndarray], H: np.ndarray, alive: np.ndarr
     return ~((pos & alive) | (neg & (H < 0.0)))
 
 
-def _record(out: List[DynamicsViolation], rule: str, t: int, mask: np.ndarray, detail: str) -> None:
-    if mask.any():
-        where = np.argwhere(mask)[0]
-        i, k = (int(where[0]), int(where[1])) if mask.ndim == 2 else (-1, int(where[0]))
-        out.append(DynamicsViolation(rule=rule, step=t, sample=i, neuron=k, detail=detail))
-
-
 class _Dynamics:
     """Checks partition rules on the states in ``steps`` from each state's
     agree/alive masks (``_agree`` and the pass's own alive); ``_rules`` keeps
     the cells the next state reads, and ``prev > cell`` is prev & ~cell: the
-    pairs that left a cell.  Violations list as persist + cells + signs +
-    positive; ``seen`` counts the states checked, so a run too short for any
-    rule shows as such.  The rules read the states before a step, so a
-    window may start no later than ``latest_start``."""
+    pairs that left a cell.  A rule that fails at a state reports its first
+    entry.  No list of violations is kept: ``count`` counts them, ``first``
+    is the earliest (least ``step``, the first found on a tie) and ``new``
+    holds those found at the state just handed in.  ``seen`` counts the
+    states checked, so a run too short for any rule shows as such.  The
+    rules read the states before a step, so a window may start no later
+    than ``latest_start``."""
 
     latest_start = 0
 
@@ -241,24 +241,42 @@ class _Dynamics:
             raise ValueError(f"{type(self).__name__} window starts at step {first}: its rules "
                              f"need it to start no later than step {self.latest_start}")
         self.ds, self.steps = ds, steps
-        self.seen = 0
-        self.persist, self.cells, self.positive = [], [], []
+        self.seen = self.count = 0
+        self.first: Optional[DynamicsViolation] = None
+        self.new: List[DynamicsViolation] = []
         self.signs = _Segments(sign_rule)
         self._prev = self._net = None
 
     def step(self, t: int, net: Net, H: np.ndarray, alive: np.ndarray, record=None) -> None:
-        if t not in self.steps:
-            return
+        if self._enter(t):
+            self._full(t, net, H, alive)
+
+    def _enter(self, t: int) -> bool:
+        """Start state t: ``new`` is emptied (a list is made only when the
+        last state found something); True when t is in the window."""
+        if self.new:
+            self.new = []
+        return t in self.steps
+
+    def _full(self, t: int, net: Net, H: np.ndarray, alive: np.ndarray) -> None:
         self._prev = self._rules(t, net, H, _agree(net, self.ds), alive, self._prev)
-        self.signs.step(t, H, alive)
+        self._add(self.signs.step(t, H, alive))
         self._net = net
         self.seen += 1
 
-    def violations(self) -> List[DynamicsViolation]:
-        return self.persist + self.cells + self.signs.found + self.positive
+    def _check(self, rule: str, t: int, mask: np.ndarray, detail: str) -> None:
+        if mask.any():
+            where = np.argwhere(mask)[0]
+            i, k = (int(where[0]), int(where[1])) if mask.ndim == 2 else (-1, int(where[0]))
+            self._add(DynamicsViolation(rule=rule, step=t, sample=i, neuron=k, detail=detail))
 
-    def _found(self) -> int:
-        return len(self.persist) + len(self.cells) + len(self.signs.found) + len(self.positive)
+    def _add(self, found: Optional[DynamicsViolation]) -> None:
+        if found is None:
+            return
+        self.new.append(found)
+        self.count += 1
+        if self.first is None or found.step < self.first.step:
+            self.first = found
 
 
 class EarlyDynamics(_Dynamics):
@@ -279,21 +297,19 @@ class EarlyDynamics(_Dynamics):
         is_binary = isinstance(net, BinaryNet)
         tl, fd = agree & alive, ~(agree | alive)
         if t >= 1:
-            _record(self.persist, "S1", t - 1, prev[0] > tl,
-                    "true-living cell left TL at the next step")
+            self._check("S1", t - 1, prev[0] > tl, "true-living cell left TL at the next step")
             if is_binary:
-                _record(self.persist, "S2", t - 1, prev[1] > fd,
-                        "false-dead cell left FD at the next step")
+                self._check("S2", t - 1, prev[1] > fd, "false-dead cell left FD at the next step")
         if t == 1:
-            _record(self.cells, "S3", 0, prev[2] > tl,
-                    "true-dead cell did not turn true-living at the first step")
+            self._check("S3", 0, prev[2] > tl,
+                        "true-dead cell did not turn true-living at the first step")
             if is_binary:
-                _record(self.cells, "S4", 0, prev[3] > fd,
-                        "false-living cell did not turn false-dead at the first step")
+                self._check("S4", 0, prev[3] > fd,
+                            "false-living cell did not turn false-dead at the first step")
             else:
                 # After the first step every preactivation must be positive;
                 # later steps are covered by the segment check.
-                _record(self.positive, "S5", 1, H <= 0.0, "nonpositive preactivation after the first step")
+                self._check("S5", 1, H <= 0.0, "nonpositive preactivation after the first step")
         # TD and FL are read at the first step only.
         return (tl, fd) if t else (tl, fd, agree & ~alive, alive & ~agree)
 
@@ -310,8 +326,9 @@ class GlobalDynamics(_Dynamics):
     rule either when alive is unchanged, every entry that is not alive is
     negative, the signs of a are unchanged and no |a_k| decreased: its cells
     are the clean step's, all TL or FD (S2-S4), and its signs are the clean
-    step's, those of step 1 (S5).  That step costs these few comparisons;
-    every other step runs the full rules (``_Dynamics.step``).
+    step's, those of step 1 (S5).  That step costs these few comparisons
+    and allocates nothing for ``new``, which the clean step left empty;
+    every other step runs the full rules (``_Dynamics._full``).
 
     The window starts at step 0 or 1: from step 2 on, StageII-S1 reads the
     network of the step before.
@@ -324,7 +341,7 @@ class GlobalDynamics(_Dynamics):
         self._clean = None     # (alive, sign(a)) of the last step seen, if it was clean
 
     def step(self, t: int, net: Net, H: np.ndarray, alive: np.ndarray, record=None) -> None:
-        if t not in self.steps:
+        if not self._enter(t):
             return
         sign = np.sign(net.a)
         clean = self._clean
@@ -334,20 +351,18 @@ class GlobalDynamics(_Dynamics):
             self._net = net
             self.seen += 1
             return
-        found = self._found()
-        super().step(t, net, H, alive, record)
-        is_clean = t >= 1 and self._found() == found and _signed(H, alive)
-        self._clean = (alive, sign) if is_clean else None
+        self._full(t, net, H, alive)
+        self._clean = (alive, sign) if t >= 1 and not self.new and _signed(H, alive) else None
 
     def _rules(self, t, net, H, agree, alive, prev):
         tl, fd = agree & alive, ~(agree | alive)
         if t >= 2:
-            _record(self.persist, "StageII-S1", t - 1, np.abs(net.a) < np.abs(self._net.a),
-                    "output-weight magnitude decreased")
-            _record(self.persist, "StageII-S2", t - 1, prev[0] > tl, "true-living cell left TL")
-            _record(self.persist, "StageII-S3", t - 1, prev[1] > fd, "false-dead cell left FD")
+            self._check("StageII-S1", t - 1, np.abs(net.a) < np.abs(self._net.a),
+                        "output-weight magnitude decreased")
+            self._check("StageII-S2", t - 1, prev[0] > tl, "true-living cell left TL")
+            self._check("StageII-S3", t - 1, prev[1] > fd, "false-dead cell left FD")
         if t >= 1:
-            _record(self.cells, "StageII-S4", t, agree ^ alive, "cell outside TL/FD at step >= 1")
+            self._check("StageII-S4", t, agree ^ alive, "cell outside TL/FD at step >= 1")
         return tl, fd
 
 
@@ -357,19 +372,23 @@ def _signed(H: np.ndarray, alive: np.ndarray) -> bool:
 
 
 def _drive(observer, nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsViolation]:
+    found = []
     for t, net in enumerate(nets):
         H = preactivation(net, ds.inputs)
         observer.step(t, net, H, H > 0.0)
-    return observer.violations()
+        found += observer.new
+    return found
 
 
 def check_dynamics_early(nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsViolation]:
-    """``EarlyDynamics`` over a trajectory of parameter states."""
+    """``EarlyDynamics`` over a trajectory of parameter states: every
+    violation, in the order found."""
     return _drive(EarlyDynamics(ds), nets, ds)
 
 
 def check_dynamics_global(nets: Sequence[Net], ds: LabeledDataset) -> List[DynamicsViolation]:
-    """``GlobalDynamics`` over a trajectory of parameter states."""
+    """``GlobalDynamics`` over a trajectory of parameter states: every
+    violation, in the order found."""
     return _drive(GlobalDynamics(ds), nets, ds)
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,6 +191,22 @@ def test_sweep_keeps_rows_when_a_cell_has_a_config_error(tmp_path, capsys, jobs)
     assert not (out / "run_0001").exists()
 
 
+@pytest.mark.parametrize("axis,message", [
+    ({"path": "seed", "values": 5}, "sweep.axes.values: cannot read 5 as list"),
+    ({"path": 5, "values": [1]}, "sweep.axes.path: cannot read 5 as str"),
+    ({"path": "seed"}, "sweep.axes: missing required key 'values'"),
+    ({"path": "model.m.x", "values": [1]},
+     "sweep.axes: path 'model.m.x' runs through 'model.m', which is not an object"),
+])
+def test_a_malformed_sweep_axis_is_a_config_error(tmp_path, capsys, axis, message):
+    sweep = {"base": dict(TINY), "axes": [{"path": "seed", "values": [1, 2]}, axis]}
+    cfg = write_config(tmp_path, "s.json", sweep)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
     bad = dict(EARLY_BINARY)
     bad["learning_rate"] = 0.01
@@ -365,7 +382,8 @@ def test_early_descent_multi_is_inconclusive_when_the_budget_is_vacuous(tmp_path
 
 def test_multi_gram_entries_at_least_one_fails_on_a_planted_minimum(onehot_spec):
     """Negative control: a minimum entry below 1 at one step of the Gram
-    observer fails multi-gram-entries-at-least-one, which reports the least."""
+    observer fails multi-gram-entries-at-least-one, which reports the least
+    and its step (the window starts at t = 1)."""
     record, ctx = run_experiment(_small_config("early-multiclass", onehot_spec))
     (gram, _), report = cli._certify_early_multiclass(ctx)
 
@@ -376,10 +394,11 @@ def test_multi_gram_entries_at_least_one_fails_on_a_planted_minimum(onehot_spec)
     gram.minima = [1.5, 1.25, 3.0]
     rep = multi_gram()
     assert verdict(rep) == "PASS" and (rep["measured"], rep["slack"]) == (1.25, 0.25)
+    assert rep["context"] == {"t": 2}
     gram.minima = [1.5, 0.75, 0.5, 3.0]
     rep = multi_gram()
     assert verdict(rep) == "FAIL" and (rep["theoretical"], rep["measured"]) == (1.0, 0.5)
-    assert rep["slack"] == -0.5
+    assert rep["slack"] == -0.5 and rep["context"] == {"t": 3}
 
 
 def test_early_descent_multi_follows_the_loss_at_tstar(monkeypatch, onehot_spec):
@@ -422,8 +441,8 @@ def test_stochastic_gradient_alignment_fails_below_its_bound(onehot_spec):
 
 def test_gram_cross_class_zero_fails_on_a_planted_entry(monkeypatch):
     """Negative control: one cross-class Gram entry planted at 1e-300 at t = 3
-    fails gram-cross-class-zero, which names its pair; every other report
-    keeps its verdict."""
+    fails gram-cross-class-zero, which names its pair and step; every other
+    report keeps its verdict."""
     record, ctx = run_experiment(EARLY_BINARY)
     before = {c["cert_id"]: verdict(c) for c in evaluate_certificates(record, ctx)}
     assert before["gram-cross-class-zero"] == "PASS"
@@ -443,7 +462,7 @@ def test_gram_cross_class_zero_fails_on_a_planted_entry(monkeypatch):
     after = {c["cert_id"]: c for c in evaluate_certificates(record, ctx)}
     rep = after.pop("gram-cross-class-zero")
     assert verdict(rep) == "FAIL" and rep["measured"] == 1e-300 and rep["slack"] == -1e-300
-    assert rep["context"]["pair"] == [i, j]
+    assert rep["context"] == {"pair": [i, j], "t": 3}
     assert {k: verdict(c) for k, c in after.items()} == {
         k: v for k, v in before.items() if k != "gram-cross-class-zero"}
 
@@ -485,7 +504,6 @@ MUTATED_FIELDS = {
     "schedule.type": ["constant", "loss-inverse", "two-stage-poly"],
     "loss": list(LOSS_KEYS),
     "dataset.type": ["synthetic", "mnist", "cifar10"],
-    "train.trained_layers": ["all", "input_only"],
     "model.kappa": [1e-300, 1e300],
     "delta": [0, 2],
 }
@@ -549,6 +567,22 @@ def test_partition_dynamics_global_fails_through_verify(tmp_path):
     assert rep["context"]["first"] == {
         "rule": "StageII-S4", "step": 1, "sample": 2, "neuron": 65, "lam": None,
         "detail": "cell outside TL/FD at step >= 1"}
+
+
+def test_partition_first_is_the_earliest_violation(tmp_path):
+    """At kappa = 100 the tiny early-binary run breaks the first-step rules
+    S3 and S4 at step 0 and the persistence rules S1 and S2 at step 2;
+    ``first`` is the earliest violation, S3's, whichever rule is checked
+    first at a state."""
+    cfg = write_config(tmp_path, "c.json", dict(TINY, model={"m": 16, "kappa": 100}))
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    (rep,) = [c for c in json.loads((out / "certificates.json").read_text())
+              if c["cert_id"] == "partition-dynamics-early"]
+    assert verdict(rep) == "FAIL" and rep["measured"] == 4.0
+    assert rep["context"]["first"] == {
+        "rule": "S3", "step": 0, "sample": 0, "neuron": 0, "lam": None,
+        "detail": "true-dead cell did not turn true-living at the first step"}
 
 
 def test_correct_classification_fails_on_a_nonpositive_margin(monkeypatch):
@@ -671,21 +705,23 @@ def test_hitting_time_sentinel_is_the_last_step_reached():
     assert rep["measured"] == 46.0 and rep["slack"] == 46.0 - 44.0
 
 
-# A run keeps no per-step object, and the rate fit keeps running moments, not
-# columns: 4500 more steps grow the peak by about 17 kB for verify and 8 kB
-# for train (a passing run; a failing one keeps each partition violation).
+# A run keeps no per-step object, the rate fit keeps running moments, not
+# columns, and a partition observer keeps its violations' count and the
+# earliest one: 4500 more steps grow the peak by about 17 kB for verify and
+# 8 kB for train, and by less than that for a run whose partition check fails
+# at every step.
 PEAK_GROWTH_BOUND = 0.25e6   # bytes
 
 
-def _peak_growth(tmp_path, command, **train):
-    """How much the tracemalloc peak of ``command`` on GLOBAL_POLY grows from
-    500 to 5000 steps."""
+def _peak_growth(tmp_path, command, code=0, config=GLOBAL_POLY, **train):
+    """How much the tracemalloc peak of ``command`` on ``config`` grows from
+    500 to 5000 steps; each run exits with ``code``."""
     def peak(steps):
         cfg = write_config(tmp_path, f"c{steps}.json",
-                           dict(GLOBAL_POLY, train=dict(train, steps=steps)))
+                           dict(config, train=dict(train, steps=steps)))
         tracemalloc.start()
         try:
-            assert main([command, "--config", str(cfg), "--out", str(tmp_path / str(steps))]) == 0
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / str(steps))]) == code
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -698,6 +734,18 @@ def _peak_growth(tmp_path, command, **train):
 
 def test_verify_memory_does_not_grow_with_the_horizon(tmp_path):
     assert _peak_growth(tmp_path, "verify") < PEAK_GROWTH_BOUND
+
+
+def test_failing_verify_memory_does_not_grow_with_the_horizon(tmp_path):
+    """At kappa = 1 the partition check fails at every step, twice; the
+    observer counts the violations and keeps the earliest."""
+    failing = dict(GLOBAL_POLY, model={"m": 256, "kappa": 1})
+    assert _peak_growth(tmp_path, "verify", code=1, config=failing) < PEAK_GROWTH_BOUND
+    for steps in (500, 5000):
+        (rep,) = [c for c in json.loads((tmp_path / str(steps) / "certificates.json").read_text())
+                  if c["cert_id"] == "partition-dynamics-global"]
+        assert verdict(rep) == "FAIL" and rep["measured"] == 2.0 * steps
+        assert (rep["context"]["first"]["rule"], rep["context"]["first"]["step"]) == ("StageII-S4", 1)
 
 
 def test_train_memory_at_a_thinned_record_does_not_grow_with_the_horizon(tmp_path):
@@ -722,9 +770,10 @@ def test_global_kinds_default_to_the_exp_loss(monkeypatch):
     (dict(TINY, kind="certify-only"), "certify-only certifies the dataset and takes no train.steps"),
     (dict(TINY, train={"steps": 3, "record_every": 0}), "record_every must be >= 1"),
     (dict(TINY, train={"steps": -1}), "steps must be >= 0"),
+    # The kind fixes the trained layers.
     (dict(TINY, kind="early-multiclass", loss="logistic",
           train={"steps": 3, "trained_layers": "input_only"}),
-     "early-multiclass: input-only training is defined for the binary network only"),
+     "train: unknown keys ['trained_layers']; allowed: ['batch', 'record_every', 'steps']"),
     (PRM, "use run_prm_experiment for prm configs"),
     (dict(TINY, train={"steps": 3, "batch": {"B": 4}}),
      "early-binary is certified for full-batch training only and takes no train.batch"),
@@ -849,10 +898,12 @@ def test_a_run_with_no_step_reports_inconclusive_where_nothing_was_measured(tmp_
 
 
 def test_a_partition_violation_still_fails():
-    viol = [DynamicsViolation("S1", 3, 0, 2, "planted")]
-    rep = cli._partition_report("partition-dynamics-early", viol)
+    viol = DynamicsViolation("S1", 3, 0, 2, "planted")
+    rep = cli._partition_report("partition-dynamics-early", SimpleNamespace(count=1, first=viol))
     assert verdict(rep) == "FAIL" and rep["measured"] == 1.0 and rep["slack"] == -1.0
-    assert verdict(cli._partition_report("partition-dynamics-early", [])) == "PASS"
+    assert rep["context"]["first"] == viol.__dict__
+    clean = cli._partition_report("partition-dynamics-early", SimpleNamespace(count=0, first=None))
+    assert verdict(clean) == "PASS" and clean["context"]["first"] is None
 
 
 def test_certify_only_validates_the_dataset_once(monkeypatch):
@@ -1020,6 +1071,7 @@ def test_gram_same_class_lower_is_inconclusive_when_the_bound_is_vacuous():
                   if c["cert_id"] == "gram-same-class-lower"]
         verdicts[m] = verdict(rep)
         assert (rep["theoretical"] <= 0.0) == (m <= 64), (m, rep)
+        assert 1 <= rep["context"]["t"] <= ctx["tstar"], (m, rep)   # the worst entry's step
     assert verdicts == {16: "INCONCLUSIVE", 64: "INCONCLUSIVE", 256: "PASS", 512: "FAIL"}
 
 

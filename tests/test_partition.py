@@ -19,7 +19,7 @@ from relulab.partition import (
     initial_partition_stats,
     partition_counts_csv,
 )
-from relulab.partition import _Dynamics, _agree, _off_sign
+from relulab.partition import _Dynamics, _agree, _drive, _off_sign
 from relulab.training import Constant, Full, LossInverse, TrainConfig
 from tests.conftest import run_keeping_nets
 
@@ -103,24 +103,34 @@ _SEGMENT_1_2 = "preactivation sign changed along segment t=1->2 at lambda*=0.397
 
 
 def test_early_dynamics_negative_control_reports_violations():
+    # In the order found: the rules of state t report on steps t - 1 and t.
     ds, nets = _overshooting_run()
-    assert _full(check_dynamics_early(nets, ds)) == [
+    found = check_dynamics_early(nets, ds)
+    assert _full(found) == [
         ("S1", 1, 0, 0, None, "true-living cell left TL at the next step"),
         ("S2", 1, 0, 1, None, "false-dead cell left FD at the next step"),
-        ("S2", 2, 6, 115, None, "false-dead cell left FD at the next step"),
-        ("S5", 1, 6, 931, 0.3975358896996009, _SEGMENT_1_2)]
+        ("S5", 1, 6, 931, 0.3975358896996009, _SEGMENT_1_2),
+        ("S2", 2, 6, 115, None, "false-dead cell left FD at the next step")]
+    observer = EarlyDynamics(ds)
+    _drive(observer, nets, ds)
+    assert (observer.count, observer.first) == (4, found[0])
 
 
 def test_global_dynamics_negative_control_reports_violations():
     ds, nets = _overshooting_run()
-    outside = [("StageII-S4", t, 0, 0, None, "cell outside TL/FD at step >= 1") for t in range(2, 7)]
-    assert _full(check_dynamics_global(nets, ds)) == [
+    outside = [("StageII-S4", t, 0, 0, None, "cell outside TL/FD at step >= 1") for t in range(3, 7)]
+    found = check_dynamics_global(nets, ds)
+    assert _full(found) == [
         ("StageII-S2", 1, 0, 0, None, "true-living cell left TL"),
         ("StageII-S3", 1, 0, 1, None, "false-dead cell left FD"),
+        ("StageII-S4", 2, 0, 0, None, "cell outside TL/FD at step >= 1"),
+        ("StageII-S5", 1, 6, 931, 0.3975358896996009, _SEGMENT_1_2),
         ("StageII-S1", 2, -1, 2, None, "output-weight magnitude decreased"),
         ("StageII-S3", 2, 6, 115, None, "false-dead cell left FD"),
-        *outside,
-        ("StageII-S5", 1, 6, 931, 0.3975358896996009, _SEGMENT_1_2)]
+        *outside]
+    observer = GlobalDynamics(ds)
+    _drive(observer, nets, ds)
+    assert (observer.count, observer.first) == (10, found[0])
 
 
 def _planted(gen, shape, values):
@@ -167,7 +177,7 @@ def test_early_dynamics_insufficient_horizon():
     observer = EarlyDynamics(ds)
     H = preactivation(net0, ds.inputs)
     observer.step(0, net0, H, H > 0.0)
-    assert observer.seen == 1 and observer.violations() == []
+    assert observer.seen == 1 and observer.count == 0 and observer.first is None
     assert check_dynamics_early([net0], ds) == []
 
 
@@ -414,9 +424,12 @@ def _fields(violations):
 
 
 def _walk(observer, steps, ds):
+    found = []
     for t, (a, H) in enumerate(steps):
         observer.step(t, BinaryNet(a=a, B=np.zeros((a.size, ds.d))), H, H > 0.0)
-    return _fields(observer.violations()), observer.seen
+        found += observer.new
+    assert observer.count == len(found)
+    return _fields(found), observer.seen
 
 
 def test_the_clean_trajectory_takes_the_clean_step_check():
@@ -450,10 +463,6 @@ def test_nan_output_weight_agrees_with_the_full_rules():
     _plant_a(4, 1, np.nan)(steps)
     nets = [BinaryNet(a=a, B=H.T.copy()) for a, H in steps]
     got = check_dynamics_global(nets, ds)
-    reference = _FullRules(ds)
-    for t, net in enumerate(nets):
-        H = preactivation(net, ds.inputs)
-        reference.step(t, net, H, H > 0.0)
-    assert _fields(got) == _fields(reference.violations())
+    assert _fields(got) == _fields(_drive(_FullRules(ds), nets, ds))
     assert [(v.rule, v.step, v.sample, v.neuron) for v in got] == [("StageII-S2", 3, 2, 1)] + [
         ("StageII-S4", t, 2, 1) for t in range(4, _CLEAN_STEPS)]
