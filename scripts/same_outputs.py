@@ -29,7 +29,10 @@ t = 10, and a ``train`` of the multiclass-sgd workload at ``record_every:
 4``), four
 ``verify`` runs whose certificates are partly unmeasured (the suite's
 early-binary regime at ``train.steps: 5`` and ``train.steps: 0``, the
-multiclass-sgd workload at ``train.steps: 0`` and at full batch), and
+multiclass-sgd workload at ``train.steps: 0`` and at full batch), two
+``verify`` runs past t*, where the early kinds' certificates still read
+steps 0..t* only (the suite's early-binary regime at ``train.steps: 132``,
+3 t*, and the multiclass-sgd workload at ``train.steps: 100``), and
 ``report`` on every verify and prm run directory.
 Each command then runs through each tree's own CLI (``python -m
 relulab.cli`` with that tree's ``src`` on the path and BLAS at one thread,
@@ -144,6 +147,10 @@ def write_inputs(change: Path, inputs: Path) -> list:
     configs["multiclass-sgd-steps-0"] = ("verify", dict(multi, train=dict(multi["train"], steps=0)))
     configs["multiclass-sgd-full-batch"] = ("verify", dict(multi, train={
         k: v for k, v in multi["train"].items() if k != "batch"}))
+    # Runs past t*: the certificates' window stays at steps 0..t*.
+    configs["early-binary-steps-132"] = ("verify", dict(suite.EARLY_BINARY, train={"steps": 132}))
+    configs["multiclass-sgd-steps-100"] = ("verify", dict(multi, train=dict(multi["train"],
+                                                                            steps=100)))
 
     commands = []
     for name, (command, cfg) in configs.items():

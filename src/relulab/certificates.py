@@ -9,7 +9,9 @@ comparison meaningless.
 Checks that read the networks of a run are observers of the training run
 (``GramChecks``, ``MultiGramMin``): ``training.run`` hands them every step,
 so they keep no trajectory.  So is the rate envelope (``RateEnvelope``),
-which reads the step records as they are made.
+which reads the step records as they are made.  Each checks every step it
+is handed from step 1 on; an early kind's horizon is the
+``training.StepWindow`` that wraps them.
 
 The early gradient lower bound reads the prediction envelope
 ``training.varphi``, the one copy of that envelope and of its width lead; the
@@ -29,7 +31,7 @@ import numpy as np
 from .datasets import LabeledDataset, concentration_tail
 from .losses import LossFamily
 from .models import BinaryNet, MultiNet, Net, hessian_spectral_norm, param_norm, preactivation
-from .training import EVERY_STEP, varphi
+from .training import varphi
 
 __all__ = [
     "TheoryConstants",
@@ -157,7 +159,8 @@ def gram_matrix(net: BinaryNet, ds: LabeledDataset, H: Optional[np.ndarray] = No
 
 class MultiGramMin:
     """Exact minimum entry of the (Cn) x (Cn) model-gradient Gram matrix at
-    each step in ``steps``, appended to ``minima``.
+    each step from step 1 on, appended to ``minima``: ``minima[k]`` is step
+    k + 1's.
 
     Entry ((i,alpha),(j,beta)) is ``(x_iᵀx_j + 1) sum_k a_{k alpha} a_{k beta}
     D_ik D_jk`` plus ``S_i·S_j`` when alpha = beta.  Every value comes from
@@ -206,8 +209,8 @@ class MultiGramMin:
     triangle), and every packed entry keeps the bits of the full product.
     """
 
-    def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
-        self.ds, self.steps = ds, steps
+    def __init__(self, ds: LabeledDataset):
+        self.ds = ds
         n = ds.n
         XX1 = ds.inputs @ ds.inputs.T
         XX1 += 1.0
@@ -221,7 +224,7 @@ class MultiGramMin:
         self.minima: List[float] = []
 
     def step(self, t: int, net: MultiNet, H: np.ndarray, alive: np.ndarray, record=None) -> None:
-        if t in self.steps:
+        if t >= 1:
             self.minima.append(self._min_entry(net, H, alive))
 
     def _xx1(self, i: int, j: int) -> float:
@@ -283,7 +286,7 @@ class MultiGramMin:
 def multi_gram_min_entry(nets: Sequence[MultiNet], ds: LabeledDataset) -> List[float]:
     """``MultiGramMin`` over a list of nets: one minimum entry per net."""
     obs = MultiGramMin(ds)
-    for t, net in enumerate(nets):
+    for t, net in enumerate(nets, 1):
         H = preactivation(net, ds.inputs)
         obs.step(t, net, H, H > 0.0)
     return obs.minima
@@ -314,17 +317,17 @@ def check_gram_lower_bound(G: np.ndarray, ds: LabeledDataset,
 
 
 class GramChecks:
-    """The binary Gram checks at each step in ``steps``; keeps the worst
+    """The binary Gram checks at each step from step 1 on; keeps the worst
     (least-slack, first on a tie) report of each check, with its step as
     ``context["t"]``."""
 
-    def __init__(self, ds: LabeledDataset, consts: TheoryConstants, steps: range = EVERY_STEP):
-        self.ds, self.consts, self.steps = ds, consts, steps
+    def __init__(self, ds: LabeledDataset, consts: TheoryConstants):
+        self.ds, self.consts = ds, consts
         self.block: Optional[CertificateReport] = None
         self.lower: Optional[CertificateReport] = None
 
     def step(self, t: int, net: BinaryNet, H: np.ndarray, alive: np.ndarray, record=None) -> None:
-        if t not in self.steps:
+        if t < 1:
             return
         G = gram_matrix(net, self.ds, H, alive)
         block = check_block_structure(G, self.ds)
@@ -369,23 +372,21 @@ def check_hessian_bound(net: Net, ds: LabeledDataset, loss: LossFamily,
     """
     if regime == "binary_early":
         cap = 7.0 / (2.0 * net.m) + 2.0
-        layers = "all"
     elif regime == "multi_early":
         cap = 25.0 / (4.0 * net.m) + 2.0 * math.sqrt(2.0)
-        layers = "all"
     elif regime == "global":
         if loss_at_point is None:
             raise ValueError("global regime needs the loss value at the point")
         cap = (param_norm(net) ** 2 + 1.0) * loss_at_point
-        layers = "all"
     elif regime == "input_only":
         if loss_at_point is None:
             raise ValueError("input-only regime needs the loss value at the point")
         cap = loss_at_point
-        layers = "input_only"
     else:
         raise ValueError(f"unknown Hessian regime {regime!r}")
-    measured = hessian_spectral_norm(net, ds, loss, trained_layers=layers)
+    # The input-only cap bounds the input-layer block: the Hessian of the layers trained.
+    measured = hessian_spectral_norm(net, ds, loss, trained_layers="input_only"
+                                     if regime == "input_only" else "all")
     return at_most(f"hessian-{regime}", cap, measured, regime=regime)
 
 

@@ -97,10 +97,22 @@ _JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), Path: (str,), st
 def _cast(value, where: str, cast=float):
     """``cast(value)`` of a value of the JSON type ``cast`` reads; any other
     value (a string or a boolean for a number, a fraction for an integer,
-    null, an array, an object) is a ConfigError."""
-    if isinstance(value, bool) != (cast is bool) or not isinstance(value, _JSON_TYPES[cast]):
+    null, an array, an object, and for a float NaN or an infinity, which
+    Python's ``json`` reads) is a ConfigError."""
+    if (isinstance(value, bool) != (cast is bool) or not isinstance(value, _JSON_TYPES[cast])
+            or cast is float and not math.isfinite(value)):
         raise ConfigError(f"{where}: cannot read {json.dumps(value)} as {cast.__name__}")
     return cast(value)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` of the config reader: a repeated key is a ConfigError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config: duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +229,11 @@ def _early_descent_report(cert_id: str, bound: float, records, ts: int,
 # Each ``_certify_*`` takes the run context before training and returns
 # (observers, report): the observers watch every training step, and
 # ``report(record)`` reads them and the run record into report dicts.  Every
-# reader of the step records is an observer with bounded state: the early
-# kinds keep the records of steps 0..t*, a window the config fixes.  A
-# builder emits only what the run measured; ``evaluate_certificates`` fills
-# in the rest of the kind's ``cert_ids``.
+# reader of the step records is an observer with bounded state.  The early
+# kinds' observers see steps 0..t* only: one ``StepWindow(t*, observers)``
+# keeps those steps' records and hands them on.  A builder emits only what
+# the run measured; ``evaluate_certificates`` fills in the rest of the
+# kind's ``cert_ids``.
 
 def _certify_early_binary(ctx):
     ds, delta, m, ts = ctx["ds"], ctx["delta"], ctx["m"], ctx["tstar"]
@@ -229,9 +242,9 @@ def _certify_early_binary(ctx):
                                    eta=ctx["schedule"].eta, gamma1=g1, gamma2=g2)
     budget = certs.probability_budget(consts, "binary_early")
     te = exp_hitting_time_Te(consts.eta, ds.n, m, delta, "binary")
-    gram = certs.GramChecks(ds, consts, range(1, ts + 1))
-    dynamics = part.EarlyDynamics(ds, range(ts + 1))
-    window = StepWindow(range(ts + 1))
+    gram = certs.GramChecks(ds, consts)
+    dynamics = part.EarlyDynamics(ds)
+    window = StepWindow(ts, [gram, dynamics])
 
     def report(record) -> list:
         out = _early_descent_report("early-descent-binary", certs.descent_bound_binary(consts),
@@ -252,7 +265,7 @@ def _certify_early_binary(ctx):
             out.append(_partition_report("partition-dynamics-early", dynamics))
         return out
 
-    return [gram, dynamics, window], report
+    return [window], report
 
 
 def _certify_early_multiclass(ctx):
@@ -260,8 +273,8 @@ def _certify_early_multiclass(ctx):
     consts = certs.TheoryConstants(n=ds.n, d=ds.d, m=ctx["m"], delta=ctx["delta"],
                                    eta=ctx["schedule"].eta, batch=ctx["batch_size"])
     budget = certs.probability_budget(consts, "multi_early") if ctx["batch_size"] else None
-    gram = certs.MultiGramMin(ds, range(1, ts + 1))
-    window = StepWindow(range(ts + 1))
+    gram = certs.MultiGramMin(ds)
+    window = StepWindow(ts, [gram])
 
     def report(record) -> list:
         out = _early_descent_report("early-descent-multi", certs.descent_bound_multi(),
@@ -271,14 +284,14 @@ def _certify_early_multiclass(ctx):
         if gram.minima:
             least = min(gram.minima)
             out.append(certs.at_least("multi-gram-entries-at-least-one", 1.0, least,
-                                      t=gram.steps[gram.minima.index(least)]).as_dict())
+                                      t=gram.minima.index(least) + 1).as_dict())
         if record.min_batch_alignment is not None:
             out.append(certs.at_least("stochastic-gradient-alignment",
                                       certs.STOCHASTIC_ALIGNMENT_BOUND,
                                       record.min_batch_alignment).as_dict())
         return out
 
-    return [gram, window], report
+    return [window], report
 
 
 def _certify_global(ctx, envelope: str):
@@ -767,7 +780,8 @@ def main(argv=None) -> int:
             return cmd_report(args.out)
         if args.config is None:
             parser.error("--config is required for this command")
-        config = _object(json.loads(args.config.read_text()), "config")
+        config = _object(json.loads(args.config.read_text(), object_pairs_hook=_unique_keys),
+                         "config")
         if args.command == "gen-data":
             return cmd_gen_data(config, args.out, args.seed)
         if args.command == "train":
@@ -778,7 +792,9 @@ def main(argv=None) -> int:
             return cmd_sweep(config, args.out, args.jobs)
         if args.command == "prm":
             return cmd_prm(config, args.out, args.seed)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    # Also a path of the wrong kind: a --config directory, an --out file.
+    except (ConfigError, ValueError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -206,7 +206,7 @@ def _risk(net: Net, loss: LossFamily, z) -> float:
     return float(np.add.reduce(v)) / v.size
 
 
-def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, z):
+def _grad_parts(net: Net, loss: LossFamily, X, Y, S, D, z):
     _refuse_multi_quadratic(net, loss)
     nsub = X.shape[0]
     if nsub == 0:
@@ -219,14 +219,8 @@ def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, z):
         M = D.astype(np.float64)
         gB = np.multiply(M, w[:, None], out=M).T @ X
         gB *= net.a[:, None]
-        if trained_layers == "input_only":
-            ga = np.zeros_like(ga)
-        elif trained_layers != "all":
-            raise ValueError(f"unknown trained_layers {trained_layers!r}")
         return ga, gB
 
-    if trained_layers != "all":
-        raise ValueError("input-only training is defined for the binary network")
     w = loss.deriv(z) / nsub
     gA = S.T @ (w[:, None] * Y)
     T = Y @ net.A.T           # y_i^T a_k on active pairs, weighted, in place
@@ -235,7 +229,7 @@ def _grad_parts(net: Net, loss: LossFamily, trained_layers: str, X, Y, S, D, z):
     return gA, T.T @ X, T.sum(axis=0)
 
 
-def evaluate(net: Net, ds: LabeledDataset, loss: LossFamily, trained_layers: str = "all"):
+def evaluate(net: Net, ds: LabeledDataset, loss: LossFamily):
     """(L, z, f, grad parts, H, alive) from one activation pass over the full
     data; see ``loss_value``, ``per_sample_margins``, ``forward`` and
     ``grad_loss_struct``.  H is the preactivation the pass was built on and
@@ -244,7 +238,7 @@ def evaluate(net: Net, ds: LabeledDataset, loss: LossFamily, trained_layers: str
     H = preactivation(net, ds.inputs)
     X, Y, S, alive, f, z = _activations(net, ds, H=H)
     return (_risk(net, loss, z), z, f,
-            _grad_parts(net, loss, trained_layers, X, Y, S, alive, z), H, alive)
+            _grad_parts(net, loss, X, Y, S, alive, z), H, alive)
 
 
 def forward(net: Net, x: np.ndarray) -> np.ndarray:
@@ -274,16 +268,11 @@ def loss_value(net: Net, ds: LabeledDataset, loss: LossFamily) -> float:
 # ---------------------------------------------------------------------------
 
 def grad_loss_struct(net: Net, ds: LabeledDataset, loss: LossFamily,
-                     subset: Optional[np.ndarray] = None,
-                     trained_layers: str = "all"):
-    """Structured gradient of the empirical risk (averaged over the subset).
-
-    Returns (ga, gB) for BinaryNet or (gA, gB, gc) for MultiNet.  With
-    ``trained_layers='input_only'`` the output-layer gradient is masked to
-    zero (only meaningful for BinaryNet).
-    """
+                     subset: Optional[np.ndarray] = None):
+    """Structured gradient of the empirical risk (averaged over the subset),
+    every layer's part: (ga, gB) for BinaryNet or (gA, gB, gc) for MultiNet."""
     X, Y, S, D, _, z = _activations(net, ds, subset)
-    return _grad_parts(net, loss, trained_layers, X, Y, S, D, z)
+    return _grad_parts(net, loss, X, Y, S, D, z)
 
 
 def _flatten_struct(parts) -> np.ndarray:

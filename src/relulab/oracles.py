@@ -72,10 +72,9 @@ def loss_of_flat(net: Net, ds: LabeledDataset, loss: LossFamily) -> Callable[[np
     return f
 
 
-def grad_loss(net: Net, ds: LabeledDataset, loss: LossFamily,
-              trained_layers: str = "all") -> np.ndarray:
+def grad_loss(net: Net, ds: LabeledDataset, loss: LossFamily) -> np.ndarray:
     """Flat gradient of the empirical risk in the canonical parameter order."""
-    return _flatten_struct(grad_loss_struct(net, ds, loss, trained_layers=trained_layers))
+    return _flatten_struct(grad_loss_struct(net, ds, loss))
 
 
 _DENSE_GUARD = 20_000

@@ -14,10 +14,12 @@ all-positive output-weight initialization only TL/TD occur, and the checker
 verifies that positivity before relying on it.
 
 The dynamics checks are observers of a training run (``EarlyDynamics``,
-``GlobalDynamics``): each step hands them the preactivation H of the
-training pass and its activity mask alive (H > 0); they add the mask agree
-(y_i a_k > 0) and keep two states' cells, not the trajectory, and of the
-violations only their count and the earliest.  ``check_dynamics_early`` /
+``GlobalDynamics``): each step from step 0 on hands them the preactivation
+H of the training pass and its activity mask alive (H > 0); they add the
+mask agree (y_i a_k > 0) and keep two states' cells, not the trajectory,
+and of the violations only their count and the earliest.  They check every
+state they are handed: an early kind's horizon is the ``training.StepWindow``
+that wraps them.  ``check_dynamics_early`` /
 ``check_dynamics_global`` drive the same observers over a list of states
 and collect every violation.
 
@@ -38,7 +40,6 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .models import BinaryNet, Net, preactivation
-from .training import EVERY_STEP
 
 __all__ = [
     "TL", "TD", "FL", "FD",
@@ -222,25 +223,17 @@ def _off_sign(ref: Tuple[np.ndarray, np.ndarray], H: np.ndarray, alive: np.ndarr
 
 
 class _Dynamics:
-    """Checks partition rules on the states in ``steps`` from each state's
-    agree/alive masks (``_agree`` and the pass's own alive); ``_rules`` keeps
+    """Checks partition rules on each state it is handed, step 0 first, from
+    its agree/alive masks (``_agree`` and the pass's own alive); ``_rules`` keeps
     the cells the next state reads, and ``prev > cell`` is prev & ~cell: the
     pairs that left a cell.  A rule that fails at a state reports its first
     entry.  No list of violations is kept: ``count`` counts them, ``first``
     is the earliest (least ``step``, the first found on a tie) and ``new``
     holds those found at the state just handed in.  ``seen`` counts the
-    states checked, so a run too short for any rule shows as such.  The
-    rules read the states before a step, so a window may start no later
-    than ``latest_start``."""
+    states checked, so a run too short for any rule shows as such."""
 
-    latest_start = 0
-
-    def __init__(self, ds: LabeledDataset, steps: range, sign_rule: str):
-        first = next(iter(steps), 0)
-        if first > self.latest_start:
-            raise ValueError(f"{type(self).__name__} window starts at step {first}: its rules "
-                             f"need it to start no later than step {self.latest_start}")
-        self.ds, self.steps = ds, steps
+    def __init__(self, ds: LabeledDataset, sign_rule: str):
+        self.ds = ds
         self.seen = self.count = 0
         self.first: Optional[DynamicsViolation] = None
         self.new: List[DynamicsViolation] = []
@@ -248,17 +241,8 @@ class _Dynamics:
         self._prev = self._net = None
 
     def step(self, t: int, net: Net, H: np.ndarray, alive: np.ndarray, record=None) -> None:
-        if self._enter(t):
-            self._full(t, net, H, alive)
-
-    def _enter(self, t: int) -> bool:
-        """Start state t: ``new`` is emptied (a list is made only when the
-        last state found something); True when t is in the window."""
-        if self.new:
+        if self.new:      # a new list only after a state that found something
             self.new = []
-        return t in self.steps
-
-    def _full(self, t: int, net: Net, H: np.ndarray, alive: np.ndarray) -> None:
         self._prev = self._rules(t, net, H, _agree(net, self.ds), alive, self._prev)
         self._add(self.signs.step(t, H, alive))
         self._net = net
@@ -287,11 +271,10 @@ class EarlyDynamics(_Dynamics):
     on, preactivation signs are constant along every inter-step parameter
     segment (S5).  Multi-output: TL persists, TD flips to TL at the first
     step, and segment signs stay constant and positive from step 1 on.
-    The window starts at step 0, whose cells S1-S4 read.
     """
 
-    def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
-        super().__init__(ds, steps, "S5")
+    def __init__(self, ds: LabeledDataset):
+        super().__init__(ds, "S5")
 
     def _rules(self, t, net, H, agree, alive, prev):
         is_binary = isinstance(net, BinaryNet)
@@ -328,21 +311,14 @@ class GlobalDynamics(_Dynamics):
     are the clean step's, all TL or FD (S2-S4), and its signs are the clean
     step's, those of step 1 (S5).  That step costs these few comparisons
     and allocates nothing for ``new``, which the clean step left empty;
-    every other step runs the full rules (``_Dynamics._full``).
-
-    The window starts at step 0 or 1: from step 2 on, StageII-S1 reads the
-    network of the step before.
+    every other step runs the full rules (``_Dynamics.step``).
     """
 
-    latest_start = 1
-
-    def __init__(self, ds: LabeledDataset, steps: range = EVERY_STEP):
-        super().__init__(ds, steps, "StageII-S5")
+    def __init__(self, ds: LabeledDataset):
+        super().__init__(ds, "StageII-S5")
         self._clean = None     # (alive, sign(a)) of the last step seen, if it was clean
 
     def step(self, t: int, net: Net, H: np.ndarray, alive: np.ndarray, record=None) -> None:
-        if not self._enter(t):
-            return
         sign = np.sign(net.a)
         clean = self._clean
         if (clean is not None and (alive == clean[0]).all() and (sign == clean[1]).all()
@@ -351,7 +327,7 @@ class GlobalDynamics(_Dynamics):
             self._net = net
             self.seen += 1
             return
-        self._full(t, net, H, alive)
+        super().step(t, net, H, alive)
         self._clean = (alive, sign) if t >= 1 and not self.new and _signed(H, alive) else None
 
     def _rules(self, t, net, H, agree, alive, prev):

@@ -17,14 +17,16 @@ over the mini-batch under SGD.
 
 A run keeps no per-step object beyond its step, but for what a reader keeps
 of a window fixed before training.  Each ``StepRecord`` goes, as it is
-made, to the observers and to the run's ``StepLog``, and is then dropped.  The log renders steps.csv row by row (the steps with
-t % every == 0, and at the end the last step reached when it has no row
-yet) into an open file, if it is given one, and into a running SHA-256; of
-the records it keeps only the first and the last.  Whatever reads the
-records is an online reducer with bounded state: the hitting time keeps the
-first violation (``HittingTime``), a reader of a window fixed before
-training keeps that window (``StepWindow``), and the certificates' reducers
-live beside their checks.  Checks that need the network watch the run as
+made, to the observers and to the run's ``StepLog``, and is then dropped.
+The log renders steps.csv row by row (the steps with t % every == 0, and at
+the end the last step reached when it has no row yet) into an open file, if
+it is given one, and into a running SHA-256; of the records it keeps only
+the first and the last.  Whatever reads the records is an online reducer
+with bounded state: the hitting time keeps the first violation
+(``HittingTime``), and the certificates' reducers live beside their checks.
+An early kind's horizon lives in one ``StepWindow(horizon, observers)``: it
+keeps the records of steps 0..horizon and hands those steps, and no others,
+to the observers it wraps.  Checks that need the network watch the run as
 observers too: ``run`` calls ``observer.step(t, net, H, alive, record)`` on
 every step, with H the preactivation of that step's full-data pass and
 alive = [H > 0] the activity mask that pass formed, so they need no kept
@@ -47,6 +49,7 @@ from . import rng
 from .datasets import LabeledDataset
 from .losses import LossFamily
 from .models import (
+    BinaryNet,
     Net,
     _flatten_struct,
     apply_gradient,
@@ -65,7 +68,6 @@ __all__ = [
     "StepRecord",
     "RunRecord",
     "Observer",
-    "EVERY_STEP",
     "StepLog",
     "StepWindow",
     "HittingTime",
@@ -77,7 +79,6 @@ __all__ = [
 ]
 
 NOT_YET_HIT = -1  # sentinel: no violation observed within the run
-EVERY_STEP = range(2 ** 63 - 1)   # an observer window without limits
 
 _EARLY_STOP_LOSS = 1e-14
 _MAX_ETA0 = 1.0 / (2.0 * math.sqrt(2.0))
@@ -187,7 +188,7 @@ class StepRecord:
 
 
 class Observer(Protocol):
-    """Sees every step of a run; each observer ignores the steps outside its window."""
+    """Sees every step of the run it is handed to, from step 0 on."""
 
     def step(self, t: int, net: Net, H: np.ndarray, alive: np.ndarray,
              record: StepRecord) -> None: ...
@@ -252,16 +253,20 @@ class StepLog:
 
 
 class StepWindow:
-    """Observer that keeps the records of the steps in ``window``, a range
-    fixed before training, and nothing beyond them."""
+    """Observer of the steps 0..``horizon``, a horizon fixed before training:
+    keeps their records, and hands those steps, and no others, on to
+    ``observers``."""
 
-    def __init__(self, window: range = EVERY_STEP):
-        self.window = window
+    def __init__(self, horizon: int, observers: Sequence[Observer]):
+        self.horizon, self.observers = horizon, observers
         self.records: List[StepRecord] = []
 
     def step(self, t, net, H, alive, record: StepRecord) -> None:
-        if t in self.window:
-            self.records.append(record)
+        if t > self.horizon:
+            return
+        self.records.append(record)
+        for observer in self.observers:
+            observer.step(t, net, H, alive, record)
 
 
 class HittingTime:
@@ -306,6 +311,11 @@ def _extremes(z: np.ndarray, f: np.ndarray) -> Tuple[float, float, float]:
     return float(z.min()), float(z.max()), float(np.abs(f).max())
 
 
+def _trained(parts: tuple, layers: str) -> tuple:
+    """Gradient parts with the output-layer part, first in flat order, zero for ``input_only``."""
+    return parts if layers == "all" else (np.zeros_like(parts[0]), *parts[1:])
+
+
 def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
         config: TrainConfig, observers: Sequence[Observer] = (),
         log: Optional[StepLog] = None) -> RunRecord:
@@ -315,7 +325,13 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
     ``step(t, net, H, alive, record)`` runs on it, before the parameter update;
     then the record goes to ``log`` (a fresh ``StepLog`` by default), which
     ``run`` closes before it returns, whether the run completed or stopped.
+    ``config.trained_layers`` applies to every gradient the run reads or
+    steps by: with ``input_only`` the output weights never move, and
+    ``grad_norm`` is the norm of the input-layer part.
     """
+    layers = config.trained_layers
+    if layers == "input_only" and not isinstance(net0, BinaryNet):
+        raise ValueError("input-only training is defined for the binary network")
     rec = RunRecord(records=StepLog() if log is None else log)
     hit = HittingTime()
     net = net0
@@ -325,7 +341,8 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
         batch_gen = rng.make_generator(config.batching.seed, stream=1)
 
     for t in range(config.steps + 1):
-        L, z, f, parts, H, alive = evaluate(net, ds, loss, trained_layers=config.trained_layers)
+        L, z, f, parts, H, alive = evaluate(net, ds, loss)
+        parts = _trained(parts, layers)
         if not math.isfinite(L):
             rec.status = f"aborted:non-finite-loss-at-t={t}"
             break
@@ -357,8 +374,7 @@ def run(net0: Net, ds: LabeledDataset, loss: LossFamily, schedule: Schedule,
         if batch_gen is not None:
             idx = (batch_gen.random(config.batching.B) * ds.n).astype(np.int64)
             idx = np.minimum(idx, ds.n - 1)
-            step = grad_loss_struct(net, ds, loss, subset=idx,
-                                    trained_layers=config.trained_layers)
+            step = _trained(grad_loss_struct(net, ds, loss, subset=idx), layers)
             alignment = float(_flatten_struct(parts) @ _flatten_struct(step))
             # min() of the per-step values: a later value replaces only a larger one.
             if rec.min_batch_alignment is None or alignment < rec.min_batch_alignment:

@@ -7,7 +7,7 @@ import pytest
 
 from relulab.datasets import LabeledDataset, gen_orthant_separable
 from relulab.models import InitSpec, init_binary, init_multi
-from relulab.training import EVERY_STEP, StepLog, StepWindow, run
+from relulab.training import StepLog, StepWindow, run
 
 
 def make_onehot_dataset(n: int, d: int, num_classes: int, seed: int) -> LabeledDataset:
@@ -22,18 +22,20 @@ def make_onehot_dataset(n: int, d: int, num_classes: int, seed: int) -> LabeledD
 
 
 class KeepNets:
-    """A step observer that keeps the network of each step in ``steps``."""
+    """A step observer that keeps the network of each step in ``steps``
+    (every step by default)."""
 
-    def __init__(self, steps=EVERY_STEP):
+    def __init__(self, steps=None):
         self.steps, self.nets = steps, []
 
     def step(self, t, net, H, alive, record):
-        if t in self.steps:
+        if self.steps is None or t in self.steps:
             self.nets.append(net)
 
 
-def run_keeping_nets(net0, ds, loss, schedule, config, steps=EVERY_STEP, observers=()):
-    """``training.run`` plus the networks of the steps in ``steps``: (record, nets)."""
+def run_keeping_nets(net0, ds, loss, schedule, config, steps=None, observers=()):
+    """``training.run`` plus the networks of the steps in ``steps`` (every
+    step by default): (record, nets)."""
     keep = KeepNets(steps)
     return run(net0, ds, loss, schedule, config, [*observers, keep]), keep.nets
 
@@ -41,8 +43,8 @@ def run_keeping_nets(net0, ds, loss, schedule, config, steps=EVERY_STEP, observe
 def run_recorded(net0, ds, loss, schedule, config, observers=(), every=1):
     """``training.run`` with every step record kept by an observer and
     steps.csv streamed into a string: (record, records, steps.csv text)."""
-    window, sink = StepWindow(), io.StringIO()
-    rec = run(net0, ds, loss, schedule, config, [*observers, window], StepLog(every, sink))
+    window, sink = StepWindow(config.steps, observers), io.StringIO()
+    rec = run(net0, ds, loss, schedule, config, [window], StepLog(every, sink))
     return rec, window.records, sink.getvalue()
 
 

@@ -367,7 +367,7 @@ def test_multi_gram_min_entry_negative_weight_forms_no_dense_matrix():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        obs.step(0, net, H, alive)
+        obs.step(1, net, H, alive)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

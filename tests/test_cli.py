@@ -207,6 +207,72 @@ def test_a_malformed_sweep_axis_is_a_config_error(tmp_path, capsys, axis, messag
     assert not out.exists()
 
 
+# Python's json reads NaN, Infinity and -Infinity; no float key takes them
+# (model.kappa and schedule.r: ``test_config_errors_come_before_dataset_and_init``).
+def test_an_infinite_prm_eta_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "p.json", {"kind": "prm", "prm": dict(PRM["prm"], eta=math.inf)})
+    assert main(["prm", "--config", str(cfg), "--out", str(tmp_path / "prm")]) == 2
+    assert capsys.readouterr().err == "error: prm.eta: cannot read Infinity as float\n"
+    assert not (tmp_path / "prm").exists()
+
+
+def test_a_nan_sweep_value_is_a_config_error_of_its_cell(tmp_path, capsys):
+    sweep = {"base": dict(TINY), "axes": [{"path": "model.kappa", "values": [math.nan]}]}
+    cfg = write_config(tmp_path, "s.json", sweep)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+    assert "run_0000: error:model.kappa: cannot read NaN as float\n" in capsys.readouterr().err
+    assert not (tmp_path / "sweep" / "run_0000").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "verify"])
+def test_a_duplicate_key_is_a_config_error(tmp_path, capsys, command):
+    text = json.dumps(dict(TINY, model="MODEL")).replace('"MODEL"', '{"m": 16, "m": 4}')
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: config: duplicate key 'm'\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,config,out,reason", [
+    ("verify", "a directory", "run", "Is a directory"),
+    ("verify", "c.json", "a-file", "File exists"),
+    ("train", "c.json", "a-file", "File exists"),
+    ("gen-data", "ds.json", "a-file", "File exists"),
+    ("report", None, "a-file", "Not a directory"),
+])
+def test_a_path_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys, command, config, out, reason):
+    (tmp_path / "a directory").mkdir()
+    (tmp_path / "a-file").write_text("")
+    write_config(tmp_path, "c.json", TINY)
+    write_config(tmp_path, "ds.json", {"type": "synthetic", "n": 8, "d": 5, "seed": 2})
+    argv = [command, "--out", str(tmp_path / out)]
+    argv += [] if config is None else ["--config", str(tmp_path / config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and reason in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists() and (tmp_path / "a-file").read_text() == ""
+
+
+@pytest.mark.parametrize("kappa", ["auto", 100])
+def test_the_early_window_ends_at_tstar_whatever_the_horizon(kappa):
+    """An early-binary verify at train.steps = t* and at 3 t* reports the
+    same on every id but the hitting time: the observers and the reports of
+    an early kind see steps 0..t* only.  At kappa = 100 the worst Gram
+    reports of steps 1..132 would be at step 132."""
+    reports = []
+    for steps in (44, 132):
+        record, ctx = run_experiment(dict(EARLY_BINARY, model={"m": 512, "kappa": kappa},
+                                          train={"steps": steps}))
+        assert ctx["tstar"] == 44 and record.records.last.t == steps
+        reports.append({c["cert_id"]: c for c in evaluate_certificates(record, ctx)})
+    short, long = reports
+    hit = "hitting-time-at-least-tstar"
+    assert (short.pop(hit)["measured"], long.pop(hit)["measured"]) == (
+        (44.0, 132.0) if kappa == "auto" else (-1.0, -1.0))
+    assert json.dumps(short, sort_keys=True) == json.dumps(long, sort_keys=True)
+
+
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
     bad = dict(EARLY_BINARY)
     bad["learning_rate"] = 0.01
@@ -383,9 +449,10 @@ def test_early_descent_multi_is_inconclusive_when_the_budget_is_vacuous(tmp_path
 def test_multi_gram_entries_at_least_one_fails_on_a_planted_minimum(onehot_spec):
     """Negative control: a minimum entry below 1 at one step of the Gram
     observer fails multi-gram-entries-at-least-one, which reports the least
-    and its step (the window starts at t = 1)."""
+    and its step (its minima start at t = 1)."""
     record, ctx = run_experiment(_small_config("early-multiclass", onehot_spec))
-    (gram, _), report = cli._certify_early_multiclass(ctx)
+    (window,), report = cli._certify_early_multiclass(ctx)
+    (gram,) = window.observers
 
     def multi_gram():
         (rep,) = [c for c in report(record) if c["cert_id"] == "multi-gram-entries-at-least-one"]
@@ -804,6 +871,11 @@ def test_global_kinds_default_to_the_exp_loss(monkeypatch):
     (dict(TINY, delta="0.05"), 'config.delta: cannot read "0.05" as float'),
     (dict(TINY, model={"m": 16, "kappa": True}), "model.kappa: cannot read true as float"),
     (dict(TINY, schedule={"type": "constant", "eta": False}), "schedule.eta: cannot read false as float"),
+    # Python's json reads NaN and the infinities: no float key takes them.
+    (dict(TINY, model={"m": 16, "kappa": math.nan}), "model.kappa: cannot read NaN as float"),
+    (dict(GLOBAL_POLY, schedule=dict(GLOBAL_POLY["schedule"], r=math.nan)),
+     "schedule.r: cannot read NaN as float"),
+    (dict(TINY, delta=-math.inf), "config.delta: cannot read -Infinity as float"),
 ])
 def test_config_errors_come_before_dataset_and_init(tmp_path, capsys, monkeypatch,
                                                     config, message):

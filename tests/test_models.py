@@ -115,14 +115,6 @@ def test_multi_gradient_matches_fd(small_onehot_ds, loss_key):
     assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
 
-def test_input_only_gradient_masks_output_layer(small_binary_ds):
-    ds = small_binary_ds
-    net = init_binary(8, ds.d, InitSpec(kappa=0.5, seed=13))
-    parts = grad_loss_struct(net, ds, loss_family("exp"), trained_layers="input_only")
-    assert np.all(parts[0] == 0.0)
-    assert np.any(parts[1] != 0.0)
-
-
 def test_quadratic_loss_requires_binary_labels(small_onehot_ds):
     ds = small_onehot_ds
     net = init_multi(4, ds.d, ds.num_classes, InitSpec(kappa=0.1, seed=0))

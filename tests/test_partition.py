@@ -181,26 +181,6 @@ def test_early_dynamics_insufficient_horizon():
     assert check_dynamics_early([net0], ds) == []
 
 
-@pytest.mark.parametrize("start", [1, 2, 5])
-def test_early_dynamics_refuses_a_window_after_step_0(start):
-    ds = gen_orthant_separable(n=8, d=6, seed=4)
-    with pytest.raises(ValueError, match=f"EarlyDynamics window starts at step {start}:"):
-        EarlyDynamics(ds, range(start, 10))
-    EarlyDynamics(ds, range(0, 10))
-    EarlyDynamics(ds, range(3, 3))      # an empty window checks nothing
-
-
-@pytest.mark.parametrize("start", [2, 3, 7])
-def test_global_dynamics_refuses_a_window_after_step_1(start):
-    ds, steps = _clean_trajectory()
-    with pytest.raises(ValueError, match=f"GlobalDynamics window starts at step {start}:"):
-        GlobalDynamics(ds, range(start, _CLEAN_STEPS))
-    # A window from step 1 reads no step before it: it sees every step of
-    # the clean trajectory but the first and reports nothing.
-    observer = GlobalDynamics(ds, range(1, _CLEAN_STEPS))
-    assert _walk(observer, steps, ds) == ([], _CLEAN_STEPS - 1)
-
-
 def test_global_dynamics_clean_on_adaptive_run():
     ds = gen_orthant_separable(n=12, d=25, seed=5)
     net0 = init_binary(1024, 25, InitSpec(kappa=1e-5, seed=5))

@@ -35,7 +35,7 @@ from relulab.training import (
     varphi,
 )
 from relulab.training import _extremes
-from tests.conftest import make_onehot_dataset, run_recorded
+from tests.conftest import KeepNets, make_onehot_dataset, run_recorded
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +214,13 @@ def test_output_sign_preservation_along_compliant_run():
 def _reference_run(net0, ds, loss, schedule, config):
     """The training loop spelled out with the four public model functions,
     each making its own activation pass, and steps.csv rendered from the
-    whole record list: (steps.csv text, batch alignments)."""
+    whole record list: (steps.csv text, batch alignments).  Input-only
+    training zeroes the output-layer part of every gradient."""
     records, alignments = [], []
+
+    def trained(parts):
+        return (np.zeros_like(parts[0]), parts[1]) if config.trained_layers == "input_only" else parts
+
     net = net0
     stochastic = isinstance(config.batching, Stochastic)
     gen = rng.make_generator(config.batching.seed, stream=1) if stochastic else None
@@ -223,7 +228,7 @@ def _reference_run(net0, ds, loss, schedule, config):
         L = loss_value(net, ds, loss)
         z = per_sample_margins(net, ds)
         f = forward(net, ds.inputs)
-        parts = grad_loss_struct(net, ds, loss, trained_layers=config.trained_layers)
+        parts = trained(grad_loss_struct(net, ds, loss))
         a0, a = (net0.a, net.a) if isinstance(net, BinaryNet) else (net0.A, net.A)
         eta = schedule.rate(t, L)
         records.append(StepRecord(
@@ -237,8 +242,7 @@ def _reference_run(net0, ds, loss, schedule, config):
         if stochastic:
             idx = (gen.random(config.batching.B) * ds.n).astype(np.int64)
             idx = np.minimum(idx, ds.n - 1)
-            bparts = grad_loss_struct(net, ds, loss, subset=idx,
-                                      trained_layers=config.trained_layers)
+            bparts = trained(grad_loss_struct(net, ds, loss, subset=idx))
             full = np.concatenate([p.ravel() for p in parts])
             batch = np.concatenate([p.ravel() for p in bparts])
             alignments.append(float(full @ batch))
@@ -291,6 +295,29 @@ def test_run_makes_one_full_pass_per_step_plus_one_per_batch(case, passes, monke
     run(net0, ds, loss, schedule, cfg)
     assert len(calls) == passes
     assert calls.count(ds.n) == cfg.steps + 1
+
+
+def test_input_only_gradient_masks_output_layer(small_binary_ds):
+    """Input-only training zeroes the output-layer part of the step ``run``
+    takes: a stays bit for bit, and grad_norm is the input-layer part's norm."""
+    ds, loss = small_binary_ds, loss_family("exp")
+    net0 = init_binary(8, ds.d, InitSpec(kappa=0.5, seed=13))
+    keep = KeepNets()
+    _, records, _ = run_recorded(net0, ds, loss, Constant(eta=0.05),
+                                 TrainConfig(steps=5, trained_layers="input_only"), [keep])
+    assert len(keep.nets) == len(records) == 6
+    for net, r in zip(keep.nets, records):
+        assert np.array_equal(net.a.view(np.int64), net0.a.view(np.int64))
+        ga, gB = grad_loss_struct(net, ds, loss)
+        assert np.any(ga != 0.0)            # the output layer would move
+        assert r.grad_norm == math.sqrt(float(np.sum(gB * gB)))
+    assert not np.array_equal(keep.nets[-1].B, net0.B)
+
+
+def test_input_only_training_refuses_the_multi_output_network(small_onehot_ds, small_multi_net):
+    with pytest.raises(ValueError, match="input-only training is defined for the binary network"):
+        run(small_multi_net, small_onehot_ds, loss_family("logistic"), Constant(eta=0.01),
+            TrainConfig(steps=1, trained_layers="input_only"))
 
 
 def test_an_overflowed_gradient_norm_of_a_finite_gradient_does_not_abort():
